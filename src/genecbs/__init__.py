@@ -16,19 +16,7 @@ from .core import (
 )
 from .constraints import ConstraintMenu, MenuEntry, default_menu, make_constraints
 from .domain import ArmSpec, Domain, GridDomain, PlanarArmDomain
-from .highlevel import (
-    Budget,
-    SolverConfig,
-    find_conflicts,
-    solve,
-    solve_ac_ecbs,
-    solve_cbs,
-    solve_ecbs,
-    solve_ecbs_sub,
-    solve_gen_cbs,
-    solve_gen_ecbs,
-    solve_pp,
-)
+from .highlevel import SolverConfig, find_conflicts, solve, solve_pp
 from .bench import (
     Scenario,
     generate_instances,

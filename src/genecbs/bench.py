@@ -50,7 +50,10 @@ class Scenario:
     def build_domain(self) -> Domain:
         starts = [a[0] for a in self.agents]
         goals = [a[1] for a in self.agents]
-        domain = domain_from_obj(self.domain_obj, starts, goals)
+        try:
+            domain = domain_from_obj(self.domain_obj, starts, goals)
+        except (AttributeError, IndexError, KeyError, TypeError) as exc:
+            raise ScenarioError(f"malformed domain: {type(exc).__name__}: {exc}") from exc
         domain.validate_instance()
         return domain
 
@@ -97,7 +100,7 @@ class Scenario:
             )
         except ScenarioError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed scenario: {exc}") from exc
 
     def save(self, path) -> None:

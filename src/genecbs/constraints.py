@@ -23,15 +23,16 @@ from .core import (
     CT_SPHERE,
     CT_STEP_PRIORITY,
     CT_VERTEX,
+    COMPLETE,
     EDGE,
     VERTEX,
     Configuration,
     Conflict,
     Constraint,
+    menu_key,
 )
 from .domain import Domain, GridDomain
 
-COMPLETE = "complete"
 INCOMPLETE_KINDS = (CT_SPHERE, CT_AVOIDANCE, CT_STEP_PRIORITY, CT_PRIORITY)
 
 
@@ -42,9 +43,7 @@ class MenuEntry:
 
     @property
     def key(self) -> str:
-        if self.kind == CT_SPHERE:
-            return f"sphere:{self.radius:g}"
-        return self.kind
+        return menu_key(self.kind, self.radius)
 
     def to_obj(self) -> dict:
         obj = {"type": self.kind}
@@ -94,15 +93,6 @@ class ConstraintMenu:
                 raise ValueError("the complete entry must come first")
 
     @property
-    def k_incomplete(self) -> int:
-        return sum(1 for e in self.enabled if e.kind != COMPLETE)
-
-    @property
-    def branching(self) -> int:
-        """Children per expansion: 2 per entry."""
-        return 2 * len(self.enabled)
-
-    @property
     def keys(self) -> Tuple[str, ...]:
         return tuple(e.key for e in self.enabled)
 
@@ -118,11 +108,8 @@ class ConstraintMenu:
         return [e.to_obj() for e in self.enabled]
 
     @staticmethod
-    def from_obj(obj: list, allow_incomplete_only: bool = False) -> "ConstraintMenu":
-        return ConstraintMenu(
-            enabled=tuple(MenuEntry.from_obj(e) for e in obj),
-            allow_incomplete_only=allow_incomplete_only,
-        )
+    def from_obj(obj: list) -> "ConstraintMenu":
+        return ConstraintMenu(enabled=tuple(MenuEntry.from_obj(e) for e in obj))
 
 
 def default_menu(domain: Domain) -> ConstraintMenu:

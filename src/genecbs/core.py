@@ -3,8 +3,9 @@
 Configurations, paths, conflicts, constraints, constraint-tree nodes, and
 solver results. Everything here is immutable and hashable so search code can
 use these objects as dict keys and share them between tree nodes without
-copying. JSON conversion lives next to each type; the canonical byte form is
-produced by :func:`canonical_json`.
+copying. JSON conversion lives next to each type that files store
+(configurations, paths, results); the canonical byte form is produced by
+:func:`canonical_json`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,21 @@ CT_AVOIDANCE = "avoidance"
 CT_STEP_PRIORITY = "step-priority"
 CT_PRIORITY = "priority"
 
+# Constraint-menu kind of the vertex/edge pair.
+COMPLETE = "complete"
+
 # Solver statuses.
 SOLVED = "solved"
 TIMEOUT = "timeout"
 EXHAUSTED = "exhausted"
+
+
+def menu_key(kind: str, radius: Optional[float] = None) -> str:
+    """Key of a constraint-menu entry: its kind, with the radius for
+    spheres. Focal queues, DTS priors and SolverStats use these keys."""
+    if kind == CT_SPHERE:
+        return f"sphere:{radius:g}"
+    return kind
 
 
 class MalformedPathError(ValueError):
@@ -120,27 +132,6 @@ class Conflict:
     def sort_key(self) -> tuple:
         return (self.time, self.agents[0], self.agents[1], 0 if self.kind == VERTEX else 1)
 
-    def to_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "agents": list(self.agents),
-            "time": self.time,
-            "configs_i": [c.to_obj() for c in self.configs_i],
-            "configs_j": [c.to_obj() for c in self.configs_j],
-            "point": list(self.point),
-        }
-
-    @staticmethod
-    def from_obj(obj: dict) -> "Conflict":
-        return Conflict(
-            kind=obj["kind"],
-            agents=(int(obj["agents"][0]), int(obj["agents"][1])),
-            time=int(obj["time"]),
-            configs_i=tuple(Configuration.from_obj(c) for c in obj["configs_i"]),
-            configs_j=tuple(Configuration.from_obj(c) for c in obj["configs_j"]),
-            point=(float(obj["point"][0]), float(obj["point"][1])),
-        )
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -173,47 +164,8 @@ class Constraint:
 
     def menu_key(self) -> str:
         """Key of the constraint-menu entry this constraint belongs to."""
-        if self.ctype in (CT_VERTEX, CT_EDGE):
-            return "complete"
-        if self.ctype == CT_SPHERE:
-            return f"sphere:{self.radius:g}"
-        return self.ctype
-
-    def to_obj(self) -> dict:
-        obj: dict = {"agent": self.agent, "ctype": self.ctype, "time": self.time}
-        if self.q is not None:
-            obj["q"] = self.q.to_obj()
-        if self.q2 is not None:
-            obj["q2"] = self.q2.to_obj()
-        if self.point is not None:
-            obj["point"] = list(self.point)
-        if self.radius is not None:
-            obj["radius"] = self.radius
-        if self.other is not None:
-            obj["other"] = self.other
-        if self.q_other is not None:
-            obj["q_other"] = self.q_other.to_obj()
-        if self.q_other2 is not None:
-            obj["q_other2"] = self.q_other2.to_obj()
-        if self.from_edge:
-            obj["from_edge"] = True
-        return obj
-
-    @staticmethod
-    def from_obj(obj: dict) -> "Constraint":
-        return Constraint(
-            agent=int(obj["agent"]),
-            ctype=obj["ctype"],
-            time=None if obj.get("time") is None else int(obj["time"]),
-            q=Configuration.from_obj(obj["q"]) if "q" in obj else None,
-            q2=Configuration.from_obj(obj["q2"]) if "q2" in obj else None,
-            point=tuple(float(x) for x in obj["point"]) if "point" in obj else None,
-            radius=float(obj["radius"]) if "radius" in obj else None,
-            other=int(obj["other"]) if "other" in obj else None,
-            q_other=Configuration.from_obj(obj["q_other"]) if "q_other" in obj else None,
-            q_other2=Configuration.from_obj(obj["q_other2"]) if "q_other2" in obj else None,
-            from_edge=bool(obj.get("from_edge", False)),
-        )
+        kind = COMPLETE if self.ctype in (CT_VERTEX, CT_EDGE) else self.ctype
+        return menu_key(kind, self.radius)
 
 
 @dataclass(frozen=True)
@@ -227,45 +179,16 @@ class CTNode:
     """
 
     id: int
-    parent: Optional[int]
     constraints: Tuple[Constraint, ...]
     paths: Tuple[Path, ...]
     cost: float
     lb_per_agent: Tuple[float, ...]
     conflicts: Tuple[Conflict, ...]
     agents_replan: Tuple[int, ...]
-    last_constraint_type: Optional[str]
 
     @property
     def lb(self) -> float:
         return sum(self.lb_per_agent)
-
-    def to_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "parent": self.parent,
-            "constraints": [c.to_obj() for c in self.constraints],
-            "paths": [p.to_obj() for p in self.paths],
-            "cost": self.cost,
-            "lb_per_agent": list(self.lb_per_agent),
-            "conflicts": [c.to_obj() for c in self.conflicts],
-            "agents_replan": list(self.agents_replan),
-            "last_constraint_type": self.last_constraint_type,
-        }
-
-    @staticmethod
-    def from_obj(obj: dict) -> "CTNode":
-        return CTNode(
-            id=int(obj["id"]),
-            parent=None if obj.get("parent") is None else int(obj["parent"]),
-            constraints=tuple(Constraint.from_obj(c) for c in obj["constraints"]),
-            paths=tuple(Path.from_obj(p) for p in obj["paths"]),
-            cost=obj["cost"],
-            lb_per_agent=tuple(obj["lb_per_agent"]),
-            conflicts=tuple(Conflict.from_obj(c) for c in obj["conflicts"]),
-            agents_replan=tuple(int(a) for a in obj["agents_replan"]),
-            last_constraint_type=obj.get("last_constraint_type"),
-        )
 
 
 @dataclass(frozen=True)

@@ -210,15 +210,6 @@ class GridDomain(Domain):
     def state_slack(self, agent: int) -> int:
         return self.width * self.height
 
-    def to_obj(self) -> dict:
-        return {
-            "type": "grid",
-            "width": self.width,
-            "height": self.height,
-            "blocked": sorted([list(c) for c in self.blocked]),
-            "substeps": self.substeps,
-        }
-
 
 @dataclass(frozen=True)
 class ArmSpec:
@@ -635,23 +626,6 @@ class PlanarArmDomain(Domain):
 
     def state_slack(self, agent: int) -> int:
         return 2 * sum(hi - lo for lo, hi in self.arms[agent].joint_limits) + 2
-
-    def to_obj(self) -> dict:
-        return {
-            "type": "planar_arm",
-            "delta": self.delta,
-            "substeps": self.substeps,
-            "obstacles": [{"center": list(c), "radius": r} for c, r in self.obstacles],
-            "arms": [
-                {
-                    "base": list(a.base),
-                    "link_lengths": list(a.link_lengths),
-                    "joint_limits": [list(l) for l in a.joint_limits],
-                    "thickness": a.thickness,
-                }
-                for a in self.arms
-            ],
-        }
 
 
 def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[Configuration]) -> Domain:

@@ -1,6 +1,7 @@
 """High-level constraint-tree solvers.
 
-One engine drives the whole family:
+One engine drives the whole family. The algorithms differ only in data: each
+row of `PRESETS` sets the engine's flags, and `solve` looks the row up.
 
   cbs           best-first on cost, complete constraints, eager children
   ecbs          focal search (conflict count within w of the lower bound)
@@ -9,10 +10,10 @@ One engine drives the whole family:
   gen-ecbs      lazy children, one focal queue per constraint type, Dynamic
                 Thompson Sampling to pick the queue each iteration
   gen-cbs       gen-ecbs at w = 1 with conflict-count-free priorities
-  ecbs-sub:*    ablation: a single incomplete type replaces the complete
-                pair (no guarantees)
+  ecbs-sub:*    ablation: the ac-ecbs row on a menu of a single incomplete
+                type, which replaces the complete pair (no guarantees)
 
-plus prioritized planning (pp), which has no tree at all.
+plus prioritized planning (pp, `solve_pp`), which has no tree at all.
 
 Lazily generated nodes inherit their parent's paths, cost, conflicts, and
 bounds; selecting such a node evaluates it (replans the pending agent,
@@ -26,22 +27,23 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
+    CT_SPHERE,
     EDGE,
     EXHAUSTED,
     SOLVED,
     TIMEOUT,
     VERTEX,
-    Configuration,
     Conflict,
     Constraint,
     CTNode,
     Path,
     SolverResult,
     SolverStats,
+    menu_key,
 )
 from .constraints import (
     COMPLETE,
@@ -52,17 +54,7 @@ from .constraints import (
 )
 from .domain import Domain
 from . import lowlevel
-from .lowlevel import ConstraintContext, Focal, WeightedAStar
-
-ALGORITHMS = (
-    "cbs",
-    "ecbs",
-    "pp",
-    "ac-ecbs",
-    "ac-ecbs-lazy",
-    "gen-ecbs",
-    "gen-cbs",
-)  # plus "ecbs-sub:<type>"
+from .lowlevel import ConstraintContext, Focal
 
 
 def _pair_conflicts(
@@ -180,46 +172,26 @@ class DTSState:
         self.penalties[k] += 1
 
 
-@dataclass
-class Budget:
-    timeout_ms: float = 10_000.0
-    max_expansions: int = 20_000
-    ll_max_expansions: int = 200_000
-
-
 class _CTEngine:
-    """Shared constraint-tree search. Options select the family member."""
+    """Shared constraint-tree search. The preset row of `config.algorithm`
+    selects the family member; `config` supplies w, menu, prior, seed and
+    caps."""
 
-    def __init__(
-        self,
-        domain: Domain,
-        *,
-        menu: ConstraintMenu,
-        w: float = 1.0,
-        lazy: bool = False,
-        multi_queue: bool = False,
-        use_conflict_counts: bool = True,
-        order_by_cost: bool = False,
-        ll_mode=None,
-        dts_prior=None,
-        seed: int = 0,
-        budget: Optional[Budget] = None,
-    ):
+    def __init__(self, domain: Domain, config: SolverConfig):
+        preset, menu = _preset_and_menu(domain, config)
+        w = 1.0 if preset.unit_w else config.w
         if w < 1.0:
             raise ValueError("w must be >= 1")
         self.domain = domain
+        self.config = config
+        self.preset = preset
         self.menu = menu
         self.w = w
-        self.lazy = lazy
-        self.multi_queue = multi_queue
-        self.use_conflict_counts = use_conflict_counts
-        self.order_by_cost = order_by_cost
-        self.ll_mode = ll_mode if ll_mode is not None else Focal(w, count_conflicts=use_conflict_counts)
-        self.budget = budget or Budget()
+        self.ll_mode = Focal(w, count_conflicts=preset.count_conflicts)
 
-        self.queue_keys: Tuple[str, ...] = menu.keys if multi_queue else (menu.keys[0],)
-        prior = resolve_prior(dts_prior, menu) if dts_prior else None
-        self.dts = DTSState(self.queue_keys, cap=10.0, prior=prior, seed=seed)
+        self.queue_keys: Tuple[str, ...] = menu.keys if preset.multi_queue else (menu.keys[0],)
+        prior = resolve_prior(config.dts_prior, menu) if preset.multi_queue and config.dts_prior else None
+        self.dts = DTSState(self.queue_keys, cap=10.0, prior=prior, seed=config.seed)
 
         self.nodes: Dict[int, CTNode] = {}
         self.in_open: set = set()
@@ -237,7 +209,7 @@ class _CTEngine:
 
     def _f_key(self, node: CTNode, k: str) -> tuple:
         parts: List = []
-        if self.use_conflict_counts:
+        if self.preset.count_conflicts:
             parts.append(len(node.conflicts))
         parts.append(node.cost)
         if k != COMPLETE:
@@ -295,15 +267,13 @@ class _CTEngine:
             return node
         return None
 
-    def _pop_min(self, heap_name: str) -> Optional[CTNode]:
-        heap = self.open_cost if heap_name == "cost" else self.open_lb
-        value = lambda n: n.cost if heap_name == "cost" else n.lb
-        while heap:
-            v, nid = heapq.heappop(heap)
+    def _pop_cheapest(self) -> Optional[CTNode]:
+        while self.open_cost:
+            cost, nid = heapq.heappop(self.open_cost)
             if nid not in self.in_open:
                 continue
             node = self.nodes[nid]
-            if value(node) != v:
+            if node.cost != cost:
                 continue
             return node
         return None
@@ -320,7 +290,7 @@ class _CTEngine:
             self.domain.goals[agent],
             ctx,
             mode=self.ll_mode,
-            max_expansions=self.budget.ll_max_expansions,
+            max_expansions=self.config.ll_max_expansions,
         )
 
     def _evaluate_node(self, node: CTNode) -> Optional[CTNode]:
@@ -356,14 +326,12 @@ class _CTEngine:
     def _make_root(self) -> Optional[CTNode]:
         root = CTNode(
             id=self._take_id(),
-            parent=None,
             constraints=(),
             paths=tuple(Path(a, (self.domain.starts[a],)) for a in range(self.domain.n_agents)),
             cost=0.0,
             lb_per_agent=tuple(0.0 for _ in range(self.domain.n_agents)),
             conflicts=(),
             agents_replan=tuple(range(self.domain.n_agents)),
-            last_constraint_type=None,
         )
         return self._evaluate_node(root)
 
@@ -375,19 +343,17 @@ class _CTEngine:
     def _children(self, node: CTNode) -> List[CTNode]:
         conflict = node.conflicts[0]
         out = []
-        for entry, c_i, c_j in make_constraints(conflict, self.menu):
+        for _, c_i, c_j in make_constraints(conflict, self.menu):
             for c in (c_i, c_j):
                 out.append(
                     CTNode(
                         id=self._take_id(),
-                        parent=node.id,
                         constraints=node.constraints + (c,),
                         paths=node.paths,
                         cost=node.cost,
                         lb_per_agent=node.lb_per_agent,
                         conflicts=node.conflicts,
                         agents_replan=(c.agent,),
-                        last_constraint_type=entry.key,
                     )
                 )
         return out
@@ -398,7 +364,7 @@ class _CTEngine:
         start_time = time.perf_counter()
 
         def out_of_time() -> bool:
-            return (time.perf_counter() - start_time) * 1000.0 > self.budget.timeout_ms
+            return (time.perf_counter() - start_time) * 1000.0 > self.config.timeout_ms
 
         def finish(status: str, node: Optional[CTNode]) -> SolverResult:
             runtime_ms = (time.perf_counter() - start_time) * 1000.0
@@ -428,8 +394,8 @@ class _CTEngine:
                 return finish(EXHAUSTED, None)
             self.min_lb_final = max(self.min_lb_final, min_lb)
 
-            if self.order_by_cost:
-                node = self._pop_min("cost")
+            if self.preset.order_by_cost:
+                node = self._pop_cheapest()
                 if node is None:
                     return finish(EXHAUSTED, None)
                 self.in_open.discard(node.id)
@@ -438,15 +404,10 @@ class _CTEngine:
                 self._migrate(bound)
                 k = self.dts.sample()
                 node = self._pop_focal(k)
-                if node is None:
-                    # Only reachable in weighted-A* low-level mode, where
-                    # node costs may exceed w * lb; fall back to the most
-                    # promising lower bound.
-                    node = self._pop_min("lb")
-                    if node is None:
-                        return finish(EXHAUSTED, None)
-                else:
-                    assert node.cost <= bound, (node.cost, bound)
+                # The focal low level keeps every node's cost within w of its
+                # own lb (lazy children inherit both), so the min-lb open node
+                # is under the bound and focal cannot be empty here.
+                assert node is not None and node.cost <= bound, (k, bound)
 
                 if node.agents_replan:
                     inherited = len(node.conflicts)
@@ -454,11 +415,11 @@ class _CTEngine:
                     self.evaluations += 1
                     if updated is None:
                         self.in_open.discard(node.id)
-                        if self.multi_queue:
+                        if self.preset.multi_queue:
                             self.dts.penalize(k)
                         continue
                     self._requeue(updated)
-                    if self.multi_queue:
+                    if self.preset.multi_queue:
                         if len(updated.conflicts) < inherited:
                             self.dts.reward(k)
                         else:
@@ -469,215 +430,18 @@ class _CTEngine:
             if not node.conflicts:
                 return finish(SOLVED, node)
 
-            if self.hl_expansions >= self.budget.max_expansions:
+            if self.hl_expansions >= self.config.max_expansions:
                 return finish(TIMEOUT, None)
             self.hl_expansions += 1
 
             for child in self._children(node):
-                if self.lazy:
+                if self.preset.lazy:
                     self._insert(child)
                 else:
                     evaluated = self._evaluate_node(child)
                     self.evaluations += 1
                     if evaluated is not None:
                         self._insert(evaluated)
-
-
-# ---- public solver entry points -----------------------------------------
-
-
-def solve_cbs(domain: Domain, budget: Optional[Budget] = None, seed: int = 0) -> SolverResult:
-    """Optimal CBS: best-first on cost with complete constraints only."""
-    engine = _CTEngine(
-        domain,
-        menu=ConstraintMenu.complete_only(),
-        w=1.0,
-        order_by_cost=True,
-        ll_mode=Focal(1.0),
-        seed=seed,
-        budget=budget,
-    )
-    return engine.run()
-
-
-def solve_ecbs(
-    domain: Domain, w: float, budget: Optional[Budget] = None, seed: int = 0, ll_mode=None
-) -> SolverResult:
-    """Bounded-suboptimal search: cost <= w * optimum."""
-    engine = _CTEngine(
-        domain,
-        menu=ConstraintMenu.complete_only(),
-        w=w,
-        ll_mode=ll_mode if ll_mode is not None else Focal(w),
-        seed=seed,
-        budget=budget,
-    )
-    return engine.run()
-
-
-def solve_ac_ecbs(
-    domain: Domain,
-    w: float,
-    menu: Optional[ConstraintMenu] = None,
-    lazy: bool = False,
-    budget: Optional[Budget] = None,
-    seed: int = 0,
-) -> SolverResult:
-    """ECBS branching over every enabled constraint type (2K + 2 children).
-
-    Eager mode replans all children at generation; lazy mode defers the
-    replanning until a child is selected, ordering the single focal queue by
-    inherited values.
-    """
-    engine = _CTEngine(
-        domain,
-        menu=menu if menu is not None else default_menu(domain),
-        w=w,
-        lazy=lazy,
-        ll_mode=Focal(w),
-        seed=seed,
-        budget=budget,
-    )
-    return engine.run()
-
-
-def solve_gen_ecbs(
-    domain: Domain,
-    w: float,
-    menu: Optional[ConstraintMenu] = None,
-    dts_prior=None,
-    budget: Optional[Budget] = None,
-    seed: int = 0,
-    use_conflict_counts: bool = True,
-) -> SolverResult:
-    """Lazy expansion, K + 1 focal queues, DTS queue selection."""
-    engine = _CTEngine(
-        domain,
-        menu=menu if menu is not None else default_menu(domain),
-        w=w,
-        lazy=True,
-        multi_queue=True,
-        use_conflict_counts=use_conflict_counts,
-        ll_mode=Focal(w, count_conflicts=use_conflict_counts),
-        dts_prior=dts_prior,
-        seed=seed,
-        budget=budget,
-    )
-    return engine.run()
-
-
-def solve_gen_cbs(
-    domain: Domain,
-    menu: Optional[ConstraintMenu] = None,
-    dts_prior=None,
-    budget: Optional[Budget] = None,
-    seed: int = 0,
-) -> SolverResult:
-    """Conflict-count-free variant at w = 1."""
-    return solve_gen_ecbs(
-        domain,
-        w=1.0,
-        menu=menu,
-        dts_prior=dts_prior,
-        budget=budget,
-        seed=seed,
-        use_conflict_counts=False,
-    )
-
-
-def solve_ecbs_sub(
-    domain: Domain,
-    w: float,
-    entry: MenuEntry,
-    budget: Optional[Budget] = None,
-    seed: int = 0,
-) -> SolverResult:
-    """Substitution ablation: one incomplete type replaces the complete
-    pair. Carries no completeness or bound guarantees."""
-    if entry.kind == COMPLETE:
-        raise ValueError("substitution mode needs an incomplete constraint type")
-    menu = ConstraintMenu(enabled=(entry,), allow_incomplete_only=True)
-    engine = _CTEngine(
-        domain,
-        menu=menu,
-        w=w,
-        ll_mode=Focal(w),
-        seed=seed,
-        budget=budget,
-    )
-    return engine.run()
-
-
-def solve_pp(
-    domain: Domain,
-    order: Optional[Sequence[int]] = None,
-    retries: int = 8,
-    budget: Optional[Budget] = None,
-    seed: int = 0,
-) -> SolverResult:
-    """Prioritized planning: agents plan sequentially, each constrained to
-    avoid every previously planned agent along its whole path. Incomplete by
-    design; failures reshuffle the order up to `retries` extra times."""
-    budget = budget or Budget()
-    rng = random.Random(seed)
-    n = domain.n_agents
-    start_time = time.perf_counter()
-    ll_calls = 0
-
-    for attempt in range(1 + retries):
-        if (time.perf_counter() - start_time) * 1000.0 > budget.timeout_ms:
-            return SolverResult(
-                TIMEOUT, None, SolverStats(
-                    runtime_ms=(time.perf_counter() - start_time) * 1000.0,
-                    ll_calls=ll_calls,
-                )
-            )
-        if attempt == 0 and order is not None:
-            perm = list(order)
-            if sorted(perm) != list(range(n)):
-                raise ValueError(f"order must be a permutation of 0..{n - 1}")
-        else:
-            perm = list(range(n))
-            rng.shuffle(perm)
-
-        paths: List[Optional[Path]] = [None] * n
-        planned: List[int] = []
-        failed = False
-        for agent in perm:
-            constraints = tuple(
-                Constraint(agent=agent, ctype="priority", time=None, other=b) for b in planned
-            )
-            ctx = ConstraintContext(
-                agent=agent, constraints=constraints, other_paths=tuple(paths)
-            )
-            ll_calls += 1
-            res = lowlevel.plan(
-                domain,
-                agent,
-                domain.starts[agent],
-                domain.goals[agent],
-                ctx,
-                mode=Focal(1.0, count_conflicts=False),
-                max_expansions=budget.ll_max_expansions,
-            )
-            if res.status != lowlevel.OK:
-                failed = True
-                break
-            paths[agent] = res.path
-            planned.append(agent)
-        if not failed:
-            solution = tuple(paths)  # type: ignore[arg-type]
-            cost = float(sum(p.horizon for p in solution))
-            runtime_ms = (time.perf_counter() - start_time) * 1000.0
-            return SolverResult(
-                SOLVED,
-                solution,
-                SolverStats(runtime_ms=runtime_ms, ll_calls=ll_calls, cost=cost, lb=0.0),
-            )
-    runtime_ms = (time.perf_counter() - start_time) * 1000.0
-    return SolverResult(
-        EXHAUSTED, None, SolverStats(runtime_ms=runtime_ms, ll_calls=ll_calls)
-    )
 
 
 def parse_sub_type(spec: str, menu: ConstraintMenu) -> MenuEntry:
@@ -721,11 +485,14 @@ def resolve_prior(
     for name, params in prior.items():
         if name not in menu.keys and name.strip().startswith("sphere"):
             r = parse_sub_type(name, menu).radius
-            name = MenuEntry("sphere", radius=min(radii, key=lambda x: (abs(x - r), x))).key
+            name = menu_key(CT_SPHERE, min(radii, key=lambda x: (abs(x - r), x)))
         if name in out:
             raise ValueError(f"two DTS prior keys name the queue {name!r}")
         out[name] = params
     return out
+
+
+# ---- configuration and entry points -------------------------------------
 
 
 @dataclass
@@ -742,13 +509,6 @@ class SolverConfig:
     ll_max_expansions: int = 200_000
     pp_retries: int = 8
 
-    def budget(self) -> Budget:
-        return Budget(
-            timeout_ms=self.timeout_ms,
-            max_expansions=self.max_expansions,
-            ll_max_expansions=self.ll_max_expansions,
-        )
-
     def to_obj(self) -> dict:
         obj = {
             "algorithm": self.algorithm,
@@ -757,6 +517,10 @@ class SolverConfig:
             "timeout_ms": self.timeout_ms,
             "max_expansions": self.max_expansions,
         }
+        # Written only when set, so files that never set them keep their bytes.
+        for name in ("ll_max_expansions", "pp_retries"):
+            if getattr(self, name) != getattr(SolverConfig, name):
+                obj[name] = getattr(self, name)
         if self.menu is not None:
             obj["menu"] = self.menu.to_obj()
         if self.dts_prior:
@@ -787,31 +551,128 @@ class SolverConfig:
         return cfg
 
 
-def solve(domain: Domain, config: SolverConfig) -> SolverResult:
-    """Dispatch on the configured algorithm name."""
+@dataclass(frozen=True)
+class Preset:
+    """Engine flags of one tree algorithm.
+
+    lazy             children inherit their parent's values and replan only
+                     when selected
+    multi_queue      one focal queue per menu entry, picked by DTS; only these
+                     rows read `dts_prior`
+    count_conflicts  focal queues and the low level order by conflict count
+    order_by_cost    best-first on cost instead of focal selection
+    complete_only    branch on vertex/edge only, whatever the configured menu
+    unit_w           run at w = 1, whatever the configured w
+    """
+
+    lazy: bool = False
+    multi_queue: bool = False
+    count_conflicts: bool = True
+    order_by_cost: bool = False
+    complete_only: bool = False
+    unit_w: bool = False
+
+
+PRESETS: Dict[str, Preset] = {
+    "cbs": Preset(order_by_cost=True, complete_only=True, unit_w=True),
+    "ecbs": Preset(complete_only=True),
+    "ac-ecbs": Preset(),
+    "ac-ecbs-lazy": Preset(lazy=True),
+    "gen-ecbs": Preset(lazy=True, multi_queue=True),
+    "gen-cbs": Preset(lazy=True, multi_queue=True, count_conflicts=False, unit_w=True),
+}
+
+SUB_PREFIX = "ecbs-sub:"
+
+
+def _preset_and_menu(domain: Domain, config: SolverConfig) -> Tuple[Preset, ConstraintMenu]:
+    """The preset row and branching menu that `config.algorithm` names.
+
+    `ecbs-sub:<type>` is the substitution ablation: the ac-ecbs row on a
+    menu whose one incomplete type replaces the complete pair, so it carries
+    no completeness or bound guarantees."""
     algo = config.algorithm
-    budget = config.budget()
     menu = config.menu if config.menu is not None else default_menu(domain)
-    if algo == "cbs":
-        return solve_cbs(domain, budget=budget, seed=config.seed)
-    if algo == "ecbs":
-        return solve_ecbs(domain, w=config.w, budget=budget, seed=config.seed)
-    if algo == "pp":
-        return solve_pp(domain, retries=config.pp_retries, budget=budget, seed=config.seed)
-    if algo == "ac-ecbs":
-        return solve_ac_ecbs(domain, w=config.w, menu=menu, lazy=False, budget=budget, seed=config.seed)
-    if algo == "ac-ecbs-lazy":
-        return solve_ac_ecbs(domain, w=config.w, menu=menu, lazy=True, budget=budget, seed=config.seed)
-    if algo == "gen-ecbs":
-        return solve_gen_ecbs(
-            domain, w=config.w, menu=menu, dts_prior=config.dts_prior,
-            budget=budget, seed=config.seed,
-        )
-    if algo == "gen-cbs":
-        return solve_gen_cbs(
-            domain, menu=menu, dts_prior=config.dts_prior, budget=budget, seed=config.seed
-        )
-    if algo.startswith("ecbs-sub:"):
-        entry = parse_sub_type(algo[len("ecbs-sub:"):], menu)
-        return solve_ecbs_sub(domain, w=config.w, entry=entry, budget=budget, seed=config.seed)
-    raise ValueError(f"unknown algorithm: {algo!r}")
+    if algo.startswith(SUB_PREFIX):
+        entry = parse_sub_type(algo[len(SUB_PREFIX):], menu)
+        return PRESETS["ac-ecbs"], ConstraintMenu(enabled=(entry,), allow_incomplete_only=True)
+    preset = PRESETS.get(algo)
+    if preset is None:
+        known = ", ".join(list(PRESETS) + ["pp", SUB_PREFIX + "<type>"])
+        raise ValueError(f"unknown algorithm {algo!r}; known: {known}")
+    return preset, ConstraintMenu.complete_only() if preset.complete_only else menu
+
+
+def solve_pp(
+    domain: Domain, config: SolverConfig, order: Optional[Sequence[int]] = None
+) -> SolverResult:
+    """Prioritized planning: agents plan sequentially, each constrained to
+    avoid every previously planned agent along its whole path. Incomplete by
+    design; failures reshuffle the order up to `config.pp_retries` extra
+    times. `order`, when given, is the first attempt's planning order."""
+    rng = random.Random(config.seed)
+    n = domain.n_agents
+    start_time = time.perf_counter()
+    ll_calls = 0
+
+    for attempt in range(1 + config.pp_retries):
+        if (time.perf_counter() - start_time) * 1000.0 > config.timeout_ms:
+            return SolverResult(
+                TIMEOUT, None, SolverStats(
+                    runtime_ms=(time.perf_counter() - start_time) * 1000.0,
+                    ll_calls=ll_calls,
+                )
+            )
+        if attempt == 0 and order is not None:
+            perm = list(order)
+            if sorted(perm) != list(range(n)):
+                raise ValueError(f"order must be a permutation of 0..{n - 1}")
+        else:
+            perm = list(range(n))
+            rng.shuffle(perm)
+
+        paths: List[Optional[Path]] = [None] * n
+        planned: List[int] = []
+        failed = False
+        for agent in perm:
+            constraints = tuple(
+                Constraint(agent=agent, ctype="priority", time=None, other=b) for b in planned
+            )
+            ctx = ConstraintContext(
+                agent=agent, constraints=constraints, other_paths=tuple(paths)
+            )
+            ll_calls += 1
+            res = lowlevel.plan(
+                domain,
+                agent,
+                domain.starts[agent],
+                domain.goals[agent],
+                ctx,
+                mode=Focal(1.0, count_conflicts=False),
+                max_expansions=config.ll_max_expansions,
+            )
+            if res.status != lowlevel.OK:
+                failed = True
+                break
+            paths[agent] = res.path
+            planned.append(agent)
+        if not failed:
+            solution = tuple(paths)  # type: ignore[arg-type]
+            cost = float(sum(p.horizon for p in solution))
+            runtime_ms = (time.perf_counter() - start_time) * 1000.0
+            return SolverResult(
+                SOLVED,
+                solution,
+                SolverStats(runtime_ms=runtime_ms, ll_calls=ll_calls, cost=cost, lb=0.0),
+            )
+    runtime_ms = (time.perf_counter() - start_time) * 1000.0
+    return SolverResult(
+        EXHAUSTED, None, SolverStats(runtime_ms=runtime_ms, ll_calls=ll_calls)
+    )
+
+
+def solve(domain: Domain, config: SolverConfig) -> SolverResult:
+    """Run `config.algorithm`: `pp`, a `PRESETS` row or `ecbs-sub:<type>`."""
+    if config.algorithm == "pp":
+        return solve_pp(domain, config)
+    return _CTEngine(domain, config).run()

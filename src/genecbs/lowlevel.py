@@ -1,9 +1,8 @@
 """Time-indexed single-agent planner.
 
-The default mode is a focal search over (configuration, timestep) states that
-returns a constraint-satisfying path together with a certified lower bound on
-the optimal constrained cost. A weighted-A* mode is kept as an alternative;
-it derives a (loose) bound as cost / weight.
+A focal search over (configuration, timestep) states returns a
+constraint-satisfying path together with a certified lower bound on the
+optimal constrained cost, with cost <= w * lb.
 
 Time starts at 0 and every transition, including waits, costs one unit while
 searching, so g(q, t) == t; the wait-at-goal discount is applied by ending
@@ -42,13 +41,6 @@ class Focal:
 
     w: float = 1.0
     count_conflicts: bool = True
-
-
-@dataclass(frozen=True)
-class WeightedAStar:
-    """Plain weighted A*; lb = cost / weight."""
-
-    weight: float = 50.0
 
 
 @dataclass(frozen=True)
@@ -222,7 +214,7 @@ def plan(
 
     Returns OK with (path, lb), INFEASIBLE when the constrained search space
     is exhausted under the horizon cap, or BUDGET when the expansion cap is
-    hit. In focal mode the invariant cost <= w * lb is asserted per call.
+    hit. The invariant cost <= w * lb is asserted per call.
     """
     rest_time = _earliest_rest_time(domain, ctx, goal)
     if rest_time is None:
@@ -236,9 +228,6 @@ def plan(
         (p.horizon for p in ctx.other_paths if p is not None), default=0
     )
     t_max = horizon + longest_other + domain.state_slack(agent) + horizon_factor * max(int(h0), 1)
-
-    if isinstance(mode, WeightedAStar):
-        return _plan_wastar(domain, agent, start, goal, ctx, mode.weight, max_expansions, rest_time, t_max)
 
     w = mode.w
     count_conflicts = mode.count_conflicts
@@ -335,39 +324,6 @@ def plan(
             if f2 <= bound:
                 heapq.heappush(focal_heap, (nconf2, f2, -t2, q2.coords, t2))
                 in_focal.add(key2)
-    return LLResult(INFEASIBLE, expansions=expansions)
-
-
-def _plan_wastar(domain, agent, start, goal, ctx, weight, max_expansions, rest_time, t_max):
-    info: Dict[Tuple[Tuple[int, ...], int], tuple] = {(start.coords, 0): (None, start, 0)}
-    h0 = domain.heuristic(agent, start, goal)
-    open_heap = [(weight * h0, 0, start.coords, 0)]
-    closed = set()
-    expansions = 0
-    while open_heap:
-        _, ng, coords, t = heapq.heappop(open_heap)
-        key = (coords, t)
-        if key in closed:
-            continue
-        closed.add(key)
-        q = info[key][1]
-        if q == goal and t >= rest_time:
-            return LLResult(OK, _reconstruct(info, key, agent), float(t) / weight, expansions)
-        expansions += 1
-        if expansions > max_expansions:
-            return LLResult(BUDGET, expansions=expansions)
-        t2 = t + 1
-        if t2 > t_max:
-            continue
-        for q2, _cost in domain.successors(agent, q):
-            key2 = (q2.coords, t2)
-            if key2 in info:
-                continue
-            if is_forbidden(domain, ctx, q2, t2) or is_forbidden_edge(domain, ctx, q, q2, t):
-                continue
-            info[key2] = (key, q2, 0)
-            f2 = t2 + weight * domain.heuristic(agent, q2, goal)
-            heapq.heappush(open_heap, (f2, -t2, q2.coords, t2))
     return LLResult(INFEASIBLE, expansions=expansions)
 
 

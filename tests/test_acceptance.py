@@ -25,18 +25,7 @@ from genecbs.constraints import (
 )
 from genecbs.core import TIMEOUT, Configuration, Conflict, Path, sum_of_costs
 from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain
-from genecbs.highlevel import (
-    Budget,
-    DTSState,
-    SolverConfig,
-    solve,
-    solve_ac_ecbs,
-    solve_cbs,
-    solve_ecbs,
-    solve_ecbs_sub,
-    solve_gen_ecbs,
-    solve_pp,
-)
+from genecbs.highlevel import DTSState, SolverConfig, solve, solve_pp
 
 from oracles import composite_optimal_cost
 
@@ -59,7 +48,8 @@ GRID_MENU = ConstraintMenu.of(
     MenuEntry("sphere", radius=3.0),
 )
 
-ARM_BUDGET = Budget(timeout_ms=45_000.0, max_expansions=300)
+ARM_TIMEOUT_MS = 45_000.0
+ARM_MAX_EXPANSIONS = 300
 ARM_ALGOS = ("gen-ecbs", "ecbs", "pp", "ecbs-sub:avoidance", "ac-ecbs", "ac-ecbs-lazy")
 
 
@@ -95,7 +85,7 @@ def oracle_suite():
 def cbs_results(oracle_suite):
     out = {}
     for name, domain, c_star in oracle_suite:
-        out[name] = solve_cbs(domain, budget=Budget(timeout_ms=30_000, max_expansions=50_000))
+        out[name] = solve(domain, SolverConfig(algorithm="cbs", timeout_ms=30_000, max_expansions=50_000))
     return out
 
 
@@ -116,8 +106,8 @@ def arm_results(arm_suite):
             config = SolverConfig(
                 algorithm=algo,
                 w=1.3,
-                timeout_ms=ARM_BUDGET.timeout_ms,
-                max_expansions=ARM_BUDGET.max_expansions,
+                timeout_ms=ARM_TIMEOUT_MS,
+                max_expansions=ARM_MAX_EXPANSIONS,
                 seed=0,
                 dts_prior={"sphere:0.11": (3.0, 1.0)} if algo == "gen-ecbs" else None,
             )
@@ -130,7 +120,7 @@ def clock_stopped(arm_results):
     return sorted(
         f"{name}/{algo}"
         for (name, algo), (_, r) in arm_results.items()
-        if r.status == TIMEOUT and r.stats.hl_expansions < ARM_BUDGET.max_expansions
+        if r.status == TIMEOUT and r.stats.hl_expansions < ARM_MAX_EXPANSIONS
     )
 
 
@@ -156,7 +146,7 @@ class TestCriterion1CBSOptimality:
         # Solve the whole suite again, timed end to end.
         t0 = time.perf_counter()
         for name, domain, c_star in oracle_suite:
-            solve_cbs(domain, budget=Budget(timeout_ms=30_000, max_expansions=50_000))
+            solve(domain, SolverConfig(algorithm="cbs", timeout_ms=30_000, max_expansions=50_000))
         elapsed = time.perf_counter() - t0
         _report("1 (runtime)", elapsed < 60.0, f"{elapsed:.1f}s for {len(oracle_suite)} instances")
 
@@ -165,15 +155,15 @@ class TestCriterion2BoundedSuboptimality:
     @pytest.mark.parametrize("w", [1.0, 1.3, 1.5])
     def test_bound_never_violated(self, oracle_suite, w):
         violations = []
-        solvers = {
-            "ecbs": lambda d: solve_ecbs(d, w=w),
-            "ac-ecbs": lambda d: solve_ac_ecbs(d, w=w, menu=GRID_MENU, lazy=False),
-            "ac-ecbs-lazy": lambda d: solve_ac_ecbs(d, w=w, menu=GRID_MENU, lazy=True),
-            "gen-ecbs": lambda d: solve_gen_ecbs(d, w=w, menu=GRID_MENU, seed=0),
+        configs = {
+            "ecbs": SolverConfig(algorithm="ecbs", w=w),
+            "ac-ecbs": SolverConfig(algorithm="ac-ecbs", w=w, menu=GRID_MENU),
+            "ac-ecbs-lazy": SolverConfig(algorithm="ac-ecbs-lazy", w=w, menu=GRID_MENU),
+            "gen-ecbs": SolverConfig(algorithm="gen-ecbs", w=w, menu=GRID_MENU, seed=0),
         }
         for name, domain, c_star in oracle_suite:
-            for algo, fn in solvers.items():
-                r = fn(domain)
+            for algo, config in configs.items():
+                r = solve(domain, config)
                 if r.solved and r.stats.cost > w * c_star + 1e-9:
                     violations.append((name, algo, w, r.stats.cost, c_star))
         _report(
@@ -202,9 +192,12 @@ class TestCriterion3CompletenessRegression:
         failures = []
         for name, domain, c_star in oracle_suite:
             cbs_exp = cbs_results[name].stats.hl_expansions
-            budget = Budget(timeout_ms=60_000, max_expansions=10 * max(cbs_exp, 10))
             for menu_name, menu in menus.items():
-                r = solve_gen_ecbs(domain, w=1.3, menu=menu, budget=budget, seed=0)
+                config = SolverConfig(
+                    algorithm="gen-ecbs", w=1.3, menu=menu, seed=0,
+                    timeout_ms=60_000, max_expansions=10 * max(cbs_exp, 10),
+                )
+                r = solve(domain, config)
                 if not r.solved:
                     failures.append((name, menu_name))
         _report(
@@ -218,11 +211,11 @@ class TestCriterion4Incompleteness:
     def test_hallway_swap_pp_fails_cbs_and_gen_solve(self):
         domain = hallway_domain()
         pp_failed_every_order = all(
-            not solve_pp(domain, order=order, retries=0).solved
+            not solve_pp(domain, SolverConfig(pp_retries=0), order=order).solved
             for order in ((0, 1), (1, 0))
         )
-        cbs_ok = solve_cbs(domain).solved
-        gen_ok = solve_gen_ecbs(domain, w=1.3, menu=GRID_MENU, seed=0).solved
+        cbs_ok = solve(domain, SolverConfig(algorithm="cbs")).solved
+        gen_ok = solve(domain, SolverConfig(algorithm="gen-ecbs", w=1.3, menu=GRID_MENU, seed=0)).solved
         _report(
             "4a (hallway swap)",
             pp_failed_every_order and cbs_ok and gen_ok,
@@ -231,15 +224,15 @@ class TestCriterion4Incompleteness:
 
     def test_large_sphere_substitution_collapses(self):
         domain = hallway_domain()
-        sub = solve_ecbs_sub(
+        sub = solve(
             domain,
-            w=1.3,
-            entry=MenuEntry("sphere", radius=3.0),
-            budget=Budget(timeout_ms=20_000, max_expansions=3_000),
+            SolverConfig(algorithm="ecbs-sub:sphere:3", w=1.3, timeout_ms=20_000, max_expansions=3_000),
         )
-        gen = solve_gen_ecbs(
-            domain, w=1.3, menu=GRID_MENU,
-            budget=Budget(timeout_ms=20_000, max_expansions=3_000), seed=0,
+        gen = solve(
+            domain,
+            SolverConfig(
+                algorithm="gen-ecbs", w=1.3, menu=GRID_MENU, timeout_ms=20_000, max_expansions=3_000, seed=0
+            ),
         )
         _report(
             "4b (sphere(L) substitution)",

@@ -24,7 +24,7 @@ from genecbs.bench import (
 from genecbs.cli import main as cli_main
 from genecbs.core import Configuration, Path, canonical_json, path_cost, sum_of_costs
 from genecbs.domain import GridDomain
-from genecbs.highlevel import SolverConfig, solve, solve_cbs, find_conflicts
+from genecbs.highlevel import SolverConfig, solve, find_conflicts
 
 
 def C(*coords):
@@ -56,6 +56,17 @@ class TestScenarioIO:
         assert again.to_obj() == s.to_obj()
         again.save(tmp_path / "s2.json")
         assert (tmp_path / "s.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
+
+    def test_solver_caps_survive_round_trip(self):
+        # run_benchmark hands each cell its scenario as to_obj() output.
+        s = hallway_scenario()
+        s.solver.pp_retries = 0
+        s.solver.ll_max_expansions = 5
+        again = Scenario.from_obj(json.loads(canonical_json(s.to_obj())))
+        assert (again.solver.pp_retries, again.solver.ll_max_expansions) == (0, 5)
+        # Defaults stay unwritten, so existing files keep their bytes.
+        solver_obj = hallway_scenario().to_obj()["solver"]
+        assert "pp_retries" not in solver_obj and "ll_max_expansions" not in solver_obj
 
     def test_unknown_fields_rejected(self):
         obj = hallway_scenario().to_obj()
@@ -111,7 +122,7 @@ class TestGeneration:
 class TestVerify:
     def test_solver_output_clean(self):
         d = hallway_scenario().build_domain()
-        r = solve_cbs(d)
+        r = solve(d, SolverConfig(algorithm="cbs"))
         assert r.solved
         assert verify(d, r.solution).clean
 
@@ -125,7 +136,7 @@ class TestVerify:
 
     def test_wrong_goal_endpoint(self):
         d = hallway_scenario().build_domain()
-        r = solve_cbs(d)
+        r = solve(d, SolverConfig(algorithm="cbs"))
         paths = list(r.solution)
         p = paths[0]
         paths[0] = Path(0, p.steps[:-1])  # chop the goal arrival
@@ -135,7 +146,7 @@ class TestVerify:
 
     def test_shifted_path_creates_detected_conflict(self):
         d = hallway_scenario().build_domain()
-        r = solve_cbs(d)
+        r = solve(d, SolverConfig(algorithm="cbs"))
         paths = sorted(r.solution, key=lambda p: p.agent)
         shifted = Path(0, (paths[0].steps[0],) + paths[0].steps)  # one-step delay
         out = verify(d, [shifted, paths[1]])
@@ -277,6 +288,18 @@ class TestCLI:
         bad.write_text("{not json")
         assert cli_main(["solve", str(bad)]) == 2
         assert cli_main(["gen", "--template", "nope", "--count", "1", "--out", str(tmp_path)]) == 2
+
+    def test_malformed_fields_return_two_with_one_line(self, tmp_path, capsys):
+        no_width = hallway_scenario().to_obj()
+        del no_width["domain"]["width"]
+        short_prior = hallway_scenario().to_obj()
+        short_prior["solver"]["dts_prior"] = {"avoidance": [2]}
+        for obj in (no_width, short_prior):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(obj))
+            assert cli_main(["solve", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_bench_command(self, tmp_path):
         scen_dir = tmp_path / "scen"

@@ -59,12 +59,6 @@ class TestMenu:
         with pytest.raises(ValueError):
             ConstraintMenu.of(MenuEntry("avoidance"))
 
-    def test_branching_counts(self):
-        assert ConstraintMenu.complete_only().branching == 2
-        menu = paper_style_menu()
-        assert menu.k_incomplete == 5
-        assert menu.branching == 12
-
     def test_duplicate_radii_rejected(self):
         with pytest.raises(ValueError):
             ConstraintMenu.of(
@@ -240,7 +234,7 @@ class TestDefaultMenu:
         d = GridDomain(4, 4, [], [C(0, 0)], [C(3, 3)])
         menu = default_menu(d)
         assert menu.keys[0] == COMPLETE
-        assert menu.k_incomplete == 5
+        assert sum(1 for e in menu.enabled if e.kind != COMPLETE) == 5
 
     def test_arm_default_scales_with_link_length(self):
         d = facing_arm_domain()

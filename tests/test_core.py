@@ -5,8 +5,6 @@ import pytest
 from genecbs.core import (
     Configuration,
     Conflict,
-    Constraint,
-    CTNode,
     MalformedPathError,
     MalformedSolutionError,
     Path,
@@ -116,17 +114,6 @@ def sample_conflict():
     )
 
 
-def sample_constraints():
-    return [
-        Constraint(agent=1, ctype="vertex", time=4, q=Configuration((2, 2))),
-        Constraint(agent=0, ctype="edge", time=1, q=Configuration((0, 0)), q2=Configuration((1, 0))),
-        Constraint(agent=2, ctype="sphere", time=7, point=(1.25, 3.5), radius=0.75, from_edge=True),
-        Constraint(agent=0, ctype="avoidance", time=2, other=1, q_other=Configuration((5, 5))),
-        Constraint(agent=1, ctype="step-priority", time=0, other=0),
-        Constraint(agent=2, ctype="priority", time=None, other=1),
-    ]
-
-
 class TestSerialization:
     def test_configuration_round_trip(self):
         q = Configuration((3, -2, 11))
@@ -135,30 +122,6 @@ class TestSerialization:
     def test_path_round_trip(self):
         p = Path(1, (Configuration((0, 0)), Configuration((0, 1))))
         assert Path.from_obj(p.to_obj()) == p
-
-    def test_conflict_round_trip(self):
-        c = sample_conflict()
-        assert Conflict.from_obj(c.to_obj()) == c
-
-    @pytest.mark.parametrize("c", sample_constraints(), ids=lambda c: c.ctype)
-    def test_constraint_round_trip(self, c):
-        assert Constraint.from_obj(c.to_obj()) == c
-
-    def test_ctnode_round_trip(self):
-        node = CTNode(
-            id=7,
-            parent=3,
-            constraints=tuple(sample_constraints()),
-            paths=(Path(0, (Configuration((0, 0)),)), Path(1, (Configuration((1, 1)),))),
-            cost=12.0,
-            lb_per_agent=(5.0, 6.0),
-            conflicts=(sample_conflict(),),
-            agents_replan=(1,),
-            last_constraint_type="sphere:0.75",
-        )
-        back = CTNode.from_obj(node.to_obj())
-        assert back == node
-        assert back.lb == node.lb == 11.0
 
     def test_result_round_trip_bytes_identical(self):
         result = SolverResult(

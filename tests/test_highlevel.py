@@ -1,27 +1,21 @@
+import hashlib
 import random
 
 import pytest
 
+from genecbs.bench import generate_instances
 from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, default_menu
-from genecbs.core import Configuration, Path, sum_of_costs
+from genecbs.core import Configuration, Path, canonical_json, sum_of_costs
 from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain
 from genecbs.highlevel import (
-    Budget,
     DTSState,
     SolverConfig,
     _CTEngine,
     find_conflicts,
     resolve_prior,
     solve,
-    solve_ac_ecbs,
-    solve_cbs,
-    solve_ecbs,
-    solve_ecbs_sub,
-    solve_gen_cbs,
-    solve_gen_ecbs,
     solve_pp,
 )
-from genecbs.lowlevel import Focal
 
 from oracles import composite_optimal_cost
 
@@ -100,14 +94,14 @@ class TestFindConflicts:
 class TestCBS:
     def test_conflict_free_root_returns_without_expansion(self):
         d = grid(5, 5, [], [(0, 0), (0, 4)], [(4, 0), (4, 4)])
-        r = solve_cbs(d)
+        r = solve(d, SolverConfig(algorithm="cbs"))
         assert r.solved and r.stats.hl_expansions == 0
         assert r.stats.cost == 8.0
 
     def test_swap_corridor_matches_joint_oracle(self):
         d = open_swap_corridor()
         oracle = composite_optimal_cost(d)
-        r = solve_cbs(d)
+        r = solve(d, SolverConfig(algorithm="cbs"))
         assert r.solved
         assert r.stats.cost == oracle
         assert sum_of_costs(r.solution, d) == oracle
@@ -128,7 +122,7 @@ randrange(5), rng.randrange(5)) for _ in range(3)]
             oracle = composite_optimal_cost(d)
             if oracle is None:
                 continue
-            r = solve_cbs(d, budget=Budget(timeout_ms=20_000))
+            r = solve(d, SolverConfig(algorithm="cbs", timeout_ms=20_000))
             assert r.solved, "oracle-solvable instance must be CBS-solvable"
             assert r.stats.cost == oracle
             solved += 1
@@ -138,15 +132,15 @@ randrange(5), rng.randrange(5)) for _ in range(3)]
 class TestECBS:
     def test_w1_matches_cbs_cost(self):
         d = open_swap_corridor()
-        cbs = solve_cbs(d)
-        ecbs = solve_ecbs(d, w=1.0)
+        cbs = solve(d, SolverConfig(algorithm="cbs"))
+        ecbs = solve(d, SolverConfig(algorithm="ecbs", w=1.0))
         assert ecbs.solved and ecbs.stats.cost == cbs.stats.cost
 
     def test_bound_respected(self):
         d = hallway_swap()
-        optimum = solve_cbs(d).stats.cost
+        optimum = solve(d, SolverConfig(algorithm="cbs")).stats.cost
         for w in (1.0, 1.3, 1.5):
-            r = solve_ecbs(d, w=w)
+            r = solve(d, SolverConfig(algorithm="ecbs", w=w))
             assert r.solved
             assert r.stats.cost <= w * optimum + 1e-9
 
@@ -154,19 +148,19 @@ class TestECBS:
 class TestPP:
     def test_independent_agents_get_optimal_paths(self):
         d = grid(5, 5, [], [(0, 0), (0, 4)], [(4, 0), (4, 4)])
-        r = solve_pp(d)
+        r = solve_pp(d, SolverConfig())
         assert r.solved and r.stats.cost == 8.0
 
     def test_hallway_swap_fails_for_every_order(self):
         d = hallway_swap()
         for order in ((0, 1), (1, 0)):
-            r = solve_pp(d, order=order, retries=0)
+            r = solve_pp(d, SolverConfig(pp_retries=0), order=order)
             assert not r.solved
 
     def test_solvable_with_yielding(self):
         # Crossing paths where the second agent can simply wait.
         d = grid(3, 3, [], [(0, 1), (1, 0)], [(2, 1), (1, 2)])
-        r = solve_pp(d, retries=2)
+        r = solve_pp(d, SolverConfig(pp_retries=2))
         assert r.solved
         assert find_conflicts(r.solution, d) == ()
 
@@ -174,22 +168,22 @@ class TestPP:
 class TestACECBS:
     def test_complete_only_equals_ecbs(self):
         d = hallway_swap()
-        a = solve_ecbs(d, w=1.3)
-        b = solve_ac_ecbs(d, w=1.3, menu=ConstraintMenu.complete_only())
+        a = solve(d, SolverConfig(algorithm="ecbs", w=1.3))
+        b = solve(d, SolverConfig(algorithm="ac-ecbs", w=1.3, menu=ConstraintMenu.complete_only()))
         assert a.stats.cost == b.stats.cost
 
     def test_bound_with_full_menu(self):
         d = hallway_swap()
-        optimum = solve_cbs(d).stats.cost
-        for lazy in (False, True):
-            r = solve_ac_ecbs(d, w=1.3, menu=FULL_GRID_MENU, lazy=lazy)
+        optimum = solve(d, SolverConfig(algorithm="cbs")).stats.cost
+        for algo in ("ac-ecbs", "ac-ecbs-lazy"):
+            r = solve(d, SolverConfig(algorithm=algo, w=1.3, menu=FULL_GRID_MENU))
             assert r.solved
             assert r.stats.cost <= 1.3 * optimum + 1e-9
 
     def test_lazy_uses_no_more_ll_calls(self):
         d = hallway_swap()
-        eager = solve_ac_ecbs(d, w=1.3, menu=FULL_GRID_MENU, lazy=False)
-        lazy = solve_ac_ecbs(d, w=1.3, menu=FULL_GRID_MENU, lazy=True)
+        eager = solve(d, SolverConfig(algorithm="ac-ecbs", w=1.3, menu=FULL_GRID_MENU))
+        lazy = solve(d, SolverConfig(algorithm="ac-ecbs-lazy", w=1.3, menu=FULL_GRID_MENU))
         assert eager.solved and lazy.solved
         assert lazy.stats.ll_calls <= eager.stats.ll_calls
 
@@ -197,7 +191,7 @@ class TestACECBS:
 class TestGenECBS:
     def test_conflict_free_root_leaves_dts_untouched(self):
         d = grid(5, 5, [], [(0, 0), (0, 4)], [(4, 0), (4, 4)])
-        r = solve_gen_ecbs(d, w=1.3, menu=FULL_GRID_MENU)
+        r = solve(d, SolverConfig(algorithm="gen-ecbs", w=1.3, menu=FULL_GRID_MENU))
         assert r.solved and r.stats.hl_expansions == 0
         assert all(n == 0 for _, n in r.stats.dts_rewards)
         assert all(n == 0 for _, n in r.stats.dts_penalties)
@@ -208,23 +202,21 @@ class TestGenECBS:
         menu = ConstraintMenu.of(
             MenuEntry(COMPLETE), MenuEntry("avoidance"), MenuEntry("sphere", radius=1.0)
         )
-        engine = _CTEngine(
-            d, menu=menu, w=1.3, lazy=True, multi_queue=True, ll_mode=Focal(1.3), seed=0
-        )
+        engine = _CTEngine(d, SolverConfig(algorithm="gen-ecbs", w=1.3, menu=menu, seed=0))
         root = engine._make_root()
         assert root is not None and not root.agents_replan
         children = engine._children(root)
         assert len(children) == 6
         assert all(len(ch.agents_replan) == 1 for ch in children)
         assert all(ch.cost == root.cost and ch.conflicts == root.conflicts for ch in children)
-        types = [ch.last_constraint_type for ch in children]
+        types = [ch.constraints[-1].menu_key() for ch in children]
         assert types == ["complete", "complete", "avoidance", "avoidance", "sphere:1", "sphere:1"]
 
     def test_bound_and_solution(self):
         d = hallway_swap()
-        optimum = solve_cbs(d).stats.cost
+        optimum = solve(d, SolverConfig(algorithm="cbs")).stats.cost
         for w in (1.0, 1.3, 1.5):
-            r = solve_gen_ecbs(d, w=w, menu=FULL_GRID_MENU, seed=3)
+            r = solve(d, SolverConfig(algorithm="gen-ecbs", w=w, menu=FULL_GRID_MENU, seed=3))
             assert r.solved
             assert find_conflicts(r.solution, d) == ()
             assert r.stats.cost <= w * optimum + 1e-9
@@ -232,22 +224,20 @@ class TestGenECBS:
     def test_gen_cbs_is_optimal(self):
         d = open_swap_corridor()
         oracle = composite_optimal_cost(d)
-        r = solve_gen_cbs(d, menu=FULL_GRID_MENU)
+        r = solve(d, SolverConfig(algorithm="gen-cbs", menu=FULL_GRID_MENU))
         assert r.solved and r.stats.cost == oracle
 
     def test_determinism_with_seed(self):
         d = hallway_swap()
-        a = solve_gen_ecbs(d, w=1.3, menu=FULL_GRID_MENU, seed=9)
-        b = solve_gen_ecbs(d, w=1.3, menu=FULL_GRID_MENU, seed=9)
+        a = solve(d, SolverConfig(algorithm="gen-ecbs", w=1.3, menu=FULL_GRID_MENU, seed=9))
+        b = solve(d, SolverConfig(algorithm="gen-ecbs", w=1.3, menu=FULL_GRID_MENU, seed=9))
         assert a.solution == b.solution
         assert a.stats.dts_rewards == b.stats.dts_rewards
         assert a.stats.hl_expansions == b.stats.hl_expansions
 
     def test_rho_density_tiebreaker_range(self):
         d = hallway_swap()
-        engine = _CTEngine(
-            d, menu=FULL_GRID_MENU, w=1.3, lazy=True, multi_queue=True, ll_mode=Focal(1.3)
-        )
+        engine = _CTEngine(d, SolverConfig(algorithm="gen-ecbs", w=1.3, menu=FULL_GRID_MENU, seed=0))
         root = engine._make_root()
         engine._insert(root)
         children = engine._children(root)
@@ -274,15 +264,15 @@ class TestGenECBS:
 class TestSubstitutionMode:
     def test_large_sphere_fails_where_gen_solves(self):
         d = hallway_swap()
-        sub = solve_ecbs_sub(d, w=1.3, entry=MenuEntry("sphere", radius=3.0), budget=Budget(max_expansions=3000))
-        gen = solve_gen_ecbs(d, w=1.3, menu=FULL_GRID_MENU)
+        sub = solve(d, SolverConfig(algorithm="ecbs-sub:sphere:3", w=1.3, max_expansions=3000))
+        gen = solve(d, SolverConfig(algorithm="gen-ecbs", w=1.3, menu=FULL_GRID_MENU))
         assert not sub.solved
         assert gen.solved
 
     def test_complete_entry_rejected(self):
         d = hallway_swap()
         with pytest.raises(ValueError):
-            solve_ecbs_sub(d, w=1.3, entry=MenuEntry(COMPLETE))
+            solve(d, SolverConfig(algorithm="ecbs-sub:complete", w=1.3))
 
 
 class TestDTS:
@@ -344,16 +334,21 @@ class TestPriorResolution:
     def test_engine_applies_resolved_prior(self):
         d = quad_link_arms()
         engine = _CTEngine(
-            d, menu=default_menu(d), w=1.3, lazy=True, multi_queue=True, dts_prior={"sphere:0.11": (3.0, 1.0)}
+            d, SolverConfig(algorithm="gen-ecbs", w=1.3, menu=default_menu(d), dts_prior={"sphere:0.11": (3.0, 1.0)})
         )
         assert (engine.dts.alpha["sphere:0.105"], engine.dts.beta["sphere:0.105"]) == (3.0, 1.0)
 
     def test_unknown_keys_still_raise(self):
         d = quad_link_arms()
         with pytest.raises(ValueError):
-            _CTEngine(d, menu=default_menu(d), multi_queue=True, dts_prior={"bogus": (2.0, 1.0)})
+            _CTEngine(d, SolverConfig(algorithm="gen-ecbs", w=1.0, menu=default_menu(d), dts_prior={"bogus": (2.0, 1.0)}))
         with pytest.raises(ValueError):
-            _CTEngine(d, menu=ConstraintMenu.complete_only(), multi_queue=True, dts_prior={"sphere:S": (2.0, 1.0)})
+            _CTEngine(
+                d,
+                SolverConfig(
+                    algorithm="gen-ecbs", w=1.0, menu=ConstraintMenu.complete_only(), dts_prior={"sphere:S": (2.0, 1.0)}
+                ),
+            )
         with pytest.raises(ValueError):
             resolve_prior({"sphere:S": (2.0, 1.0), "sphere:0.1": (3.0, 1.0)}, default_menu(d))
 
@@ -369,9 +364,7 @@ class TestFocalSoundness:
 
     def test_lazy_nodes_never_expanded_unevaluated(self):
         d = open_swap_corridor()
-        engine = _CTEngine(
-            d, menu=FULL_GRID_MENU, w=1.3, lazy=True, multi_queue=True, ll_mode=Focal(1.3), seed=0
-        )
+        engine = _CTEngine(d, SolverConfig(algorithm="gen-ecbs", w=1.3, menu=FULL_GRID_MENU, seed=0))
         original = engine._children
 
         def guarded(node):
@@ -381,3 +374,53 @@ class TestFocalSoundness:
         engine._children = guarded
         r = engine.run()
         assert r.status == "solved"
+
+
+# sha256 of canonical_json(result.to_obj(include_runtime=False)) for each
+# algorithm name, recorded with the per-algorithm solver functions that the
+# PRESETS table replaced.
+PRESET_DIGESTS = {
+    ("hallway", "cbs"): "3853fa34247ab5ca85ecd3db31d5afd7844e7cbc246ae182d25229e93faf7d6d",
+    ("hallway", "ecbs"): "94f7af91720e587000501693582d95cfce5d8786ecff4e4b7157498eaeae2e59",
+    ("hallway", "pp"): "72a23b328b1ed53945a79faaf15c3ca41aeaf2bd668615c4e7f25f833cac6956",
+    ("hallway", "ac-ecbs"): "dbbff72afa29a0c8ab61e1748824009aee0366d748696fc5ae266476676dce23",
+    ("hallway", "ac-ecbs-lazy"): "f7de03fa52c3a27647c5553e726c3104f7ebbc1eb09436a9b36fec60642d026a",
+    ("hallway", "gen-ecbs"): "da8a60b993991473555794fa08d17f88b28c476ef2cb56510a7209e070ae47b4",
+    ("hallway", "gen-cbs"): "269ebec501f815348a160a391ed64786f723f7b3a3e1bf127f67f18cb5cb342e",
+    ("hallway", "ecbs-sub:avoidance"): "cd7eb454a6fbec199da51a3307242816df813d39167c98ad1cad10f0bad0c468",
+    ("arm-pair-s1-002", "cbs"): "f9fc822f0198498438a82a343ad71bf74410d7f88914903b86a33e0d9b51d40d",
+    ("arm-pair-s1-002", "ecbs"): "b420b78d1537b515704017df306792410273eabf1dcbdb0d3ef6f664133e01f5",
+    ("arm-pair-s1-002", "pp"): "d39358ac9e38794260331eca0fe607c754ae51a0b943370c0b891eacdc254544",
+    ("arm-pair-s1-002", "ac-ecbs"): "b8f429ce67c835905216e52d07578bacfd462d865e3274a747f084f68ff24c5c",
+    ("arm-pair-s1-002", "ac-ecbs-lazy"): "0a1c21dea3a5c4d1c904c72bee79ebb565ce0365e5d1c0911b4c2092cfc9f13a",
+    ("arm-pair-s1-002", "gen-ecbs"): "272cfd0d657aa9c2c7150796a371f3532cdbbcb39bb817566e073bcff7b5e6b4",
+    ("arm-pair-s1-002", "gen-cbs"): "e1acdf96c45a7f814b54b0db2f0167528a3ceaada67a19482559ec48a4c89434",
+    ("arm-pair-s1-002", "ecbs-sub:avoidance"): "7482512300f9c012b6686fe9a334fcabee07ae1af1edbce5b7adb0becacd729a",
+}
+
+
+class TestPresetParity:
+    @pytest.fixture(scope="class")
+    def domains(self):
+        return {
+            "hallway": hallway_swap(),
+            "arm-pair-s1-002": generate_instances("arm-pair", 3, seed=1)[2].build_domain(),
+        }
+
+    @pytest.mark.parametrize(
+        "algo", ["cbs", "ecbs", "pp", "ac-ecbs", "ac-ecbs-lazy", "gen-ecbs", "gen-cbs", "ecbs-sub:avoidance"]
+    )
+    def test_results_match_recorded_digests(self, domains, algo):
+        # The prior must reach the multi-queue rows only.
+        config = SolverConfig(
+            algorithm=algo, w=1.3, seed=7, timeout_ms=600_000.0, max_expansions=10,
+            dts_prior={"sphere:S": (3.0, 1.0)},
+        )
+        for name, d in domains.items():
+            r = solve(d, config)
+            digest = hashlib.sha256(canonical_json(r.to_obj(include_runtime=False)).encode()).hexdigest()
+            assert digest == PRESET_DIGESTS[(name, algo)], name
+
+    def test_unknown_name_lists_known_names(self):
+        with pytest.raises(ValueError, match="gen-ecbs.*pp.*ecbs-sub"):
+            solve(hallway_swap(), SolverConfig(algorithm="gen-ecsb"))

@@ -9,7 +9,6 @@ from genecbs.lowlevel import (
     OK,
     ConstraintContext,
     Focal,
-    WeightedAStar,
     is_forbidden,
     is_forbidden_edge,
     plan,
@@ -129,13 +128,6 @@ class TestConstrainedPlanning:
             res = plan(d, 0, C(0, 0), C(4, 0), ctx, Focal(w))
             assert res.status == OK
             assert path_cost(res.path, d) <= w * res.lb + 1e-9
-
-    def test_weighted_astar_mode(self):
-        d = make_grid()
-        res = plan(d, 0, C(0, 0), C(4, 0), empty_ctx(), WeightedAStar(weight=50.0))
-        assert res.status == OK
-        cost = path_cost(res.path, d)
-        assert res.lb == pytest.approx(cost / 50.0)
 
     def test_determinism(self):
         d = make_grid(blocked=[(2, 1)])
