@@ -108,6 +108,12 @@ class Scenario:
 
     @staticmethod
     def load(path) -> "Scenario":
+        """Read a scenario file and validate its starts and goals."""
+        return Scenario.load_with_domain(path)[0]
+
+    @staticmethod
+    def load_with_domain(path) -> Tuple["Scenario", Domain]:
+        """Read a scenario file; returns it with its validated domain."""
         import json
 
         try:
@@ -115,8 +121,7 @@ class Scenario:
         except (OSError, ValueError) as exc:
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
         scenario = Scenario.from_obj(obj)
-        scenario.build_domain()  # validates starts/goals
-        return scenario
+        return scenario, scenario.build_domain()
 
 
 # ---- verification --------------------------------------------------------

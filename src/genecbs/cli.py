@@ -77,8 +77,7 @@ def _solver_config(scenario: Scenario, args) -> SolverConfig:
 
 
 def _cmd_solve(args) -> int:
-    scenario = Scenario.load(args.scenario)
-    domain = scenario.build_domain()
+    scenario, domain = Scenario.load_with_domain(args.scenario)
     config = _solver_config(scenario, args)
     result = solve(domain, config)
     clean = False
@@ -133,8 +132,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scenario = Scenario.load(args.scenario)
-    domain = scenario.build_domain()
+    scenario, domain = Scenario.load_with_domain(args.scenario)
     run_obj = _load_run(args.run)
     result = SolverResult.from_obj(run_obj["result"])
     if result.solution is None:

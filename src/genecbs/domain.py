@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .core import Configuration
+from .core import Configuration, Path
 
 Point = Tuple[float, float]
 Segment = Tuple[Point, Point]
@@ -100,6 +100,33 @@ class Domain(ABC):
     def state_slack(self, agent: int) -> int:
         """Upper bound on any shortest constraint-free path length, used to
         cap low-level horizons."""
+
+    def conflict_counter(
+        self, agent: int, other_paths: Sequence[Optional[Path]]
+    ) -> Callable[[Configuration, Configuration, int], int]:
+        """Build, once per low-level call, the focal conflict count against
+        the other agents' current paths.
+
+        The returned `count(q, q2, t2)` is the number of non-None paths that
+        the agent's move q -> q2 into timestep t2 conflicts with: a vertex
+        collision at t2, else an edge collision over [t2 - 1, t2]. This
+        default checks every path with `agents_collide` and `edge_collides`.
+        """
+        others = [(j, p.steps, len(p.steps) - 1) for j, p in enumerate(other_paths) if p is not None]
+        agents_collide = self.agents_collide
+        edge_collides = self.edge_collides
+
+        def count(q: Configuration, q2: Configuration, t2: int) -> int:
+            n = 0
+            for j, steps, last in others:
+                at_t2 = steps[t2 if t2 < last else last]
+                if agents_collide(agent, q2, j, at_t2) is not None:
+                    n += 1
+                elif edge_collides(agent, q, q2, j, steps[t2 - 1 if t2 <= last else last], at_t2) is not None:
+                    n += 1
+            return n
+
+        return count
 
     def transition_cost(self, agent: int, a: Configuration, b: Configuration) -> float:
         return 1.0
@@ -206,6 +233,39 @@ class GridDomain(Domain):
             if math.hypot(x - center[0], y - center[1]) <= radius:
                 return True
         return False
+
+    def conflict_counter(self, agent, other_paths):
+        """Count conflicts from two tables built from the other paths, each
+        padded to H, the longest other horizon: how many agents occupy each
+        cell at t, and how many move from cell a at t - 1 to cell b at t.
+
+        One agent cannot both sit on q2 at t2 (a vertex hit) and move
+        q2 -> q into t2 (a swap), so the per-agent "vertex, else edge" count
+        is the sum of the two lookups. Past H every agent waits at its goal:
+        row H holds the occupancy and no moves happen.
+        """
+        paths = [p.steps for p in other_paths if p is not None]
+        horizon = max((len(steps) - 1 for steps in paths), default=0)
+        occupied: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(horizon + 1)]
+        moves: List[Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]] = [{} for _ in range(horizon + 1)]
+        for steps in paths:
+            last = len(steps) - 1
+            prev = None
+            for t in range(horizon + 1):
+                cell = steps[t if t < last else last].coords
+                row = occupied[t]
+                row[cell] = row.get(cell, 0) + 1
+                if prev is not None and prev != cell:
+                    row = moves[t]
+                    row[(prev, cell)] = row.get((prev, cell), 0) + 1
+                prev = cell
+
+        def count(q: Configuration, q2: Configuration, t2: int) -> int:
+            if t2 > horizon:
+                return occupied[horizon].get(q2.coords, 0)
+            return occupied[t2].get(q2.coords, 0) + moves[t2].get((q2.coords, q.coords), 0)
+
+        return count
 
     def state_slack(self, agent: int) -> int:
         return self.width * self.height
@@ -317,6 +377,15 @@ class PlanarArmDomain(Domain):
         self._succ_cache: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[Configuration, float]]] = {}
         self._pair_cache: Dict[tuple, Optional[Point]] = {}
         self._edge_cache: Dict[tuple, Optional[Tuple[Point, float]]] = {}
+        # in_reach[i][j]: whether arms i and j can touch at all.
+        self._in_reach = tuple(
+            tuple(
+                math.hypot(a.base[0] - b.base[0], a.base[1] - b.base[1])
+                <= a.reach + b.reach + a.thickness + b.thickness
+                for b in self.arms
+            )
+            for a in self.arms
+        )
 
     def dimension(self, agent: int) -> int:
         return len(self.arms[agent].link_lengths)
@@ -421,14 +490,6 @@ class PlanarArmDomain(Domain):
             cum += y - x
             total += length * abs(cum)
         return total * self.delta
-
-    def _pair_in_reach(self, i: int, j: int) -> bool:
-        bi, bj = self.arms[i].base, self.arms[j].base
-        limit = (
-            self.arms[i].reach + self.arms[j].reach
-            + self.arms[i].thickness + self.arms[j].thickness
-        )
-        return math.hypot(bi[0] - bj[0], bi[1] - bj[1]) <= limit
 
     def _pair_gap(
         self,
@@ -549,7 +610,7 @@ class PlanarArmDomain(Domain):
     def agents_collide(self, i, q_i, j, q_j) -> Optional[Point]:
         if i > j:
             i, j, q_i, q_j = j, i, q_j, q_i
-        if not self._pair_in_reach(i, j):
+        if not self._in_reach[i][j]:
             return None
         key = (i, q_i.coords, j, q_j.coords)
         if key in self._pair_cache:
@@ -571,7 +632,7 @@ class PlanarArmDomain(Domain):
         """
         if i > j:
             i, j, q_i, q_j, q_i2, q_j2 = j, i, q_j, q_i, q_j2, q_i2
-        if not self._pair_in_reach(i, j):
+        if not self._in_reach[i][j]:
             return None
         key = (i, q_i.coords, q_i2.coords, j, q_j.coords, q_j2.coords, substeps)
         if key in self._edge_cache:

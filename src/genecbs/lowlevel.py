@@ -9,6 +9,12 @@ searching, so g(q, t) == t; the wait-at-goal discount is applied by ending
 the path at the final goal arrival rather than by zero-cost edges. A goal
 arrival terminates the search only when the agent may rest at the goal
 forever without violating any remaining constraint.
+
+Focal search orders OPEN's near-best states by the number of conflicts with
+the other agents' current paths. Those counts come from
+`Domain.conflict_counter`, built once per `plan` call: grids look them up in
+per-timestep occupancy and move tables, other domains check every other path
+with the pairwise collision primitives.
 """
 
 from __future__ import annotations
@@ -183,23 +189,6 @@ def _earliest_rest_time(domain: Domain, ctx: ConstraintContext, goal: Configurat
     return rest
 
 
-def _conflict_delta(
-    domain: Domain, ctx: ConstraintContext, q: Configuration, q2: Configuration, t2: int
-) -> int:
-    """Number of new conflicts with the other agents' current paths incurred
-    by moving q -> q2 into timestep t2."""
-    agent = ctx.agent
-    n = 0
-    for other, path in enumerate(ctx.other_paths):
-        if path is None:
-            continue
-        if domain.agents_collide(agent, q2, other, path.at(t2)) is not None:
-            n += 1
-        elif domain.edge_collides(agent, q, q2, other, path.at(t2 - 1), path.at(t2)) is not None:
-            n += 1
-    return n
-
-
 def plan(
     domain: Domain,
     agent: int,
@@ -230,7 +219,7 @@ def plan(
     t_max = horizon + longest_other + domain.state_slack(agent) + horizon_factor * max(int(h0), 1)
 
     w = mode.w
-    count_conflicts = mode.count_conflicts
+    count = domain.conflict_counter(agent, ctx.other_paths) if mode.count_conflicts else None
     h_cache: Dict[Tuple[int, ...], float] = {}
 
     def h_of(q: Configuration) -> float:
@@ -303,7 +292,7 @@ def plan(
                 if is_forbidden(domain, ctx, q2, t2) or is_forbidden_edge(domain, ctx, q, q2, t):
                     continue
                 forbid_checked = True
-            nconf2 = nconf + (_conflict_delta(domain, ctx, q, q2, t2) if count_conflicts else 0)
+            nconf2 = nconf if count is None else nconf + count(q, q2, t2)
             if known is not None:
                 # Same g at every arrival to (q2, t2); keep the route with the
                 # fewest accumulated conflicts (stale focal entries sort after

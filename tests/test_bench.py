@@ -301,6 +301,44 @@ class TestCLI:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_conflicting_starts_return_two_with_one_line(self, tmp_path, capsys):
+        good = self._write_scenario(tmp_path)
+        run_file = tmp_path / "run.json"
+        assert cli_main(["solve", str(good), "--algo", "cbs", "--out", str(run_file)]) == 0
+        obj = hallway_scenario().to_obj()
+        obj["agents"][1]["start"] = obj["agents"][0]["start"]
+        scen_dir = tmp_path / "bad"
+        scen_dir.mkdir()
+        bad = scen_dir / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for argv in (
+            ["solve", str(bad)],
+            ["verify", str(bad), str(run_file)],
+            ["bench", str(scen_dir), "--algos", "cbs", "--out", str(tmp_path / "r.csv")],
+        ):
+            assert cli_main(argv) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert captured.err == "error: starts of agents 0 and 1 are in conflict\n", argv[0]
+            assert captured.out == "", argv[0]
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_solve_and_verify_build_the_domain_once(self, tmp_path, monkeypatch):
+        scen = self._write_scenario(tmp_path)
+        run_file = tmp_path / "run.json"
+        builds = []
+        original = Scenario.build_domain
+
+        def counted(self):
+            builds.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(Scenario, "build_domain", counted)
+        assert cli_main(["solve", str(scen), "--algo", "cbs", "--out", str(run_file)]) == 0
+        assert builds == ["hallway"]
+        assert cli_main(["verify", str(scen), str(run_file)]) == 0
+        assert builds == ["hallway"] * 2
+
     def test_bench_command(self, tmp_path):
         scen_dir = tmp_path / "scen"
         scen_dir.mkdir()

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from genecbs.bench import generate_instances
-from genecbs.core import Configuration
-from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain, _seg_seg_closest
+from genecbs.core import Configuration, Path
+from genecbs.domain import ArmSpec, Domain, GridDomain, PlanarArmDomain, _seg_seg_closest
 
 from oracles import bfs_distances
 
@@ -351,3 +351,88 @@ class TestSegmentGeometry:
     def test_degenerate_point_segment(self):
         dist, _, _ = _seg_seg_closest(((2, 2), (2, 2)), ((0, 0), (4, 0)))
         assert dist == pytest.approx(2.0)
+
+
+def reference_conflicts(d, agent, other_paths, q, q2, t2):
+    """(vertex hits, edge-only hits) of the move q -> q2 into t2, one
+    other path at a time, straight from the pairwise primitives."""
+    vertex = edge = 0
+    for j, path in enumerate(other_paths):
+        if path is None:
+            continue
+        if d.agents_collide(agent, q2, j, path.at(t2)) is not None:
+            vertex += 1
+        elif d.edge_collides(agent, q, q2, j, path.at(t2 - 1), path.at(t2)) is not None:
+            edge += 1
+    return vertex, edge
+
+
+def random_walk(rng, d, agent, start, length):
+    steps = [start]
+    for _ in range(length):
+        steps.append(rng.choice(d.successors(agent, steps[-1]))[0])
+    return Path(agent=agent, steps=tuple(steps))
+
+
+class TestConflictCounter:
+    def test_grid_tables_match_pairwise_loop(self):
+        rng = random.Random(11)
+        d = GridDomain(4, 4, [(1, 1)], [C(0, 0)] * 6, [C(3, 3)] * 6)
+        cells = [C(x, y) for x in range(4) for y in range(4) if (x, y) != (1, 1)]
+        seen_vertex = seen_edge = 0
+        for trial in range(60):
+            n = rng.randint(1, 5)
+            # Unequal lengths, length-0 paths (an agent resting at its
+            # start) and a None slot for the planning agent.
+            others = [None] + [
+                random_walk(rng, d, j, rng.choice(cells), rng.randint(0, 7)) for j in range(1, n + 1)
+            ]
+            tables = d.conflict_counter(0, others)
+            loop = Domain.conflict_counter(d, 0, others)
+            horizon = max(p.horizon for p in others if p is not None)
+            for q in cells:
+                for q2, _ in d.successors(0, q):  # moves and the wait
+                    for t2 in range(1, horizon + 4):  # past every horizon too
+                        vertex, edge = reference_conflicts(d, 0, others, q, q2, t2)
+                        assert tables(q, q2, t2) == loop(q, q2, t2) == vertex + edge, (trial, q, q2, t2)
+                        seen_vertex += vertex
+                        seen_edge += edge
+        assert seen_vertex > 0 and seen_edge > 0
+
+    def test_grid_swap_and_goal_padding(self):
+        d = make_grid()
+        # Agent 1 moves (1, 0) -> (0, 0) into t = 1 and then rests at (0, 0).
+        others = [None, Path(agent=1, steps=(C(1, 0), C(0, 0)))]
+        count = d.conflict_counter(0, others)
+        assert count(C(0, 0), C(1, 0), 1) == 1  # swap
+        assert count(C(1, 0), C(0, 0), 1) == 1  # vertex
+        assert count(C(0, 0), C(0, 0), 1) == 1  # waiting where it arrives
+        assert count(C(1, 1), C(0, 0), 9) == 1  # it rests there forever
+        assert count(C(0, 0), C(1, 0), 9) == 0  # no moves past its horizon
+        assert d.conflict_counter(0, [None, None])(C(0, 0), C(1, 0), 1) == 0
+
+    def test_arm_default_matches_pairwise_loop(self):
+        rng = random.Random(5)
+        # Arm 3 stands out of everyone's reach.
+        d = make_arms(
+            bases=((0.0, 0.0), (2.5, 0.0), (1.2, 2.2), (9.0, 0.0)),
+            links=((1.0, 1.0),) * 4,
+            limits=(((-12, 12), (-12, 12)),) * 4,
+            starts=[C(0, 0)] * 4,
+            goals=[C(0, 0)] * 4,
+        )
+        assert "conflict_counter" not in PlanarArmDomain.__dict__
+        others = [None] + [
+            random_walk(rng, d, j, C(rng.randint(-12, 12), 0), rng.randint(2, 6)) for j in (1, 2, 3)
+        ]
+        count = d.conflict_counter(0, others)
+        hits = 0
+        for _ in range(300):
+            q = C(rng.randint(-12, 12), rng.randint(-12, 12))
+            q2 = rng.choice(d.successors(0, q))[0]
+            t2 = rng.randint(1, 8)
+            n = count(q, q2, t2)
+            assert n == sum(reference_conflicts(d, 0, others, q, q2, t2))
+            hits += n
+        assert hits > 0
+        assert d.agents_collide(0, C(0, 0), 3, C(12, 0)) is None  # out of reach

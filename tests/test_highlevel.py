@@ -424,3 +424,40 @@ class TestPresetParity:
     def test_unknown_name_lists_known_names(self):
         with pytest.raises(ValueError, match="gen-ecbs.*pp.*ecbs-sub"):
             solve(hallway_swap(), SolverConfig(algorithm="gen-ecsb"))
+
+
+# sha256 of canonical_json(result.to_obj(include_runtime=False)) on
+# grid-random-s7-000 (10x10, 14 agents), recorded while focal conflicts were
+# still counted by a loop over every other path for every successor.
+CROWD_DIGESTS = {
+    "cbs": "f4d7e8764dfbe5dddab12266cd341f9c28ffba534104ac9b615a6e2e5b58f7f6",
+    "ecbs": "c0d8e153a0012bc306d0c6629cf1b011cf2e57d53734a84fd8b78ef06e0235b9",
+    "pp": "6bfbefb5e2b588cd6c6689138f9fa0bbe4dfd6da3929639a204935cdd9464207",
+    "ac-ecbs": "f64a3d8f5f88d0880a4bfba08714c138f33dee151d26c1b3acae8bf987aec6d6",
+    "ac-ecbs-lazy": "eef575fb337d9cf183643da19a680eb31875434018ea92d9db8e551bcb837d25",
+    "gen-ecbs": "18c9fe344c45d55ebc2b433309136b87814d1a0297e6dbb526a06155b05234cf",
+    "gen-cbs": "c706edb244f0542cb846e2e3ac0b4c71d5b5278b823a1017c5546104fa8341d9",
+    "ecbs-sub:avoidance": "6545ddcfa0f3c5828913eca1ebfc07cd02451f27ee8a38b5d2a3fa9377ef6552",
+}
+
+
+class TestCrowdParity:
+    """Many other paths per low-level call, which the two-agent parity
+    domains above never reach."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return generate_instances(
+            "grid-random", 1, seed=7,
+            params={"width": 10, "height": 10, "n_agents": 14, "obstacle_density": 0.15},
+        )[0]
+
+    @pytest.mark.parametrize("algo", sorted(CROWD_DIGESTS))
+    def test_results_match_recorded_digests(self, scenario, algo):
+        config = SolverConfig(
+            algorithm=algo, w=1.3, seed=7, timeout_ms=600_000.0, max_expansions=10,
+            dts_prior={"sphere:S": (3.0, 1.0)},
+        )
+        r = solve(scenario.build_domain(), config)
+        digest = hashlib.sha256(canonical_json(r.to_obj(include_runtime=False)).encode()).hexdigest()
+        assert digest == CROWD_DIGESTS[algo]

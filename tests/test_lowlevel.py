@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from genecbs.bench import generate_instances
 from genecbs.core import Configuration, Constraint, Path, path_cost
-from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain
+from genecbs.domain import ArmSpec, Domain, GridDomain, PlanarArmDomain
 from genecbs.lowlevel import (
     INFEASIBLE,
     OK,
@@ -209,3 +210,28 @@ class TestConstraintSoundness:
         for t in range(horizon + 1):
             assert not is_forbidden(d, ctx, p.at(t), t)
             assert not is_forbidden_edge(d, ctx, p.at(t), p.at(t + 1), t)
+
+
+class PairwiseGrid(GridDomain):
+    """A grid that counts focal conflicts with the default pairwise loop."""
+
+    conflict_counter = Domain.conflict_counter
+
+
+class TestConflictCounting:
+    def test_grid_tables_give_the_same_plans_as_the_pairwise_loop(self):
+        d = generate_instances(
+            "grid-random", 1, seed=7,
+            params={"width": 10, "height": 10, "n_agents": 14, "obstacle_density": 0.15},
+        )[0].build_domain()
+        loop = PairwiseGrid(d.width, d.height, d.blocked, d.starts, d.goals, d.substeps)
+        paths = [
+            plan(d, a, d.starts[a], d.goals[a], ConstraintContext.for_agent(a, (), ()), Focal(1.0)).path
+            for a in range(d.n_agents)
+        ]
+        for a in range(d.n_agents):
+            ctx = ConstraintContext.for_agent(a, (), paths)
+            for w in (1.0, 1.5):
+                res = plan(d, a, d.starts[a], d.goals[a], ctx, Focal(w))
+                assert res.status == OK
+                assert res == plan(loop, a, d.starts[a], d.goals[a], ctx, Focal(w)), (a, w)
