@@ -28,6 +28,7 @@ from .core import (
     canonical_json,
     path_cost,
     sum_of_costs,
+    unchecked_path_cost,
 )
 from .domain import ArmSpec, Domain, GridDomain, PlanarArmDomain, domain_from_obj
 from .highlevel import SolverConfig, solve
@@ -226,9 +227,12 @@ def _segment_ok(
     agent: int,
     cand: Sequence[Configuration],
     t0: int,
-    others: Sequence[Path],
+    count,
 ) -> bool:
-    fine = 2 * domain.substeps
+    """Whether the candidate segment, run from t0, has valid transitions,
+    static-free interior configurations, and no conflict that
+    `count(q, q2, t2)`, a `Domain.conflict_counter` over the other paths,
+    finds on any of its moves."""
     for k in range(1, len(cand)):
         if not domain.transition_valid(agent, cand[k - 1], cand[k]):
             return False
@@ -237,32 +241,26 @@ def _segment_ok(
             continue  # endpoints belong to the untouched path
         if not domain.in_bounds(agent, q) or not domain.is_static_free(agent, q):
             return False
-    for other in others:
-        o = other.agent
-        for k in range(len(cand)):
-            t = t0 + k
-            if k > 0 and domain.agents_collide(agent, cand[k], o, other.at(t)) is not None:
-                return False
-            if k < len(cand) - 1:
-                if (
-                    domain.edge_collides(
-                        agent, cand[k], cand[k + 1], o, other.at(t), other.at(t + 1), substeps=fine
-                    )
-                    is not None
-                ):
-                    return False
+    for k in range(1, len(cand)):
+        if count(cand[k - 1], cand[k], t0 + k):
+            return False
     return True
 
 
 def shortcut(solution: Sequence[Path], domain: Domain, passes: int = 1) -> Tuple[Path, ...]:
     """Replace path segments with straight-line joint-index interpolations of
-    the same duration when doing so is collision-free against obstacles and
-    the other agents' current paths. Costs never increase; a pass over every
-    agent is repeated `passes` times."""
+    the same duration when doing so lowers the cost and is collision-free
+    against obstacles and the other agents' current paths, checked at twice
+    the domain's sampling resolution. Costs never increase; a pass over
+    every agent is repeated `passes` times."""
     paths: List[Path] = sorted(solution, key=lambda p: p.agent)
+    fine = 2 * domain.substeps
     for _ in range(max(0, passes)):
         for agent in range(len(paths)):
-            others = [p for p in paths if p.agent != agent]
+            # The other paths stay fixed while this agent is shortcut.
+            count = domain.conflict_counter(
+                agent, [None if i == agent else p for i, p in enumerate(paths)], substeps=fine
+            )
             improved = True
             while improved:
                 improved = False
@@ -277,10 +275,11 @@ def shortcut(solution: Sequence[Path], domain: Domain, passes: int = 1) -> Tuple
                     cand = _staircase(p.steps[a], p.steps[b], b - a)
                     if cand is None or tuple(cand) == p.steps[a : b + 1]:
                         continue
-                    if not _segment_ok(domain, agent, cand, a, others):
-                        continue
                     new_path = Path(agent, p.steps[:a] + tuple(cand) + p.steps[b + 1 :])
-                    if path_cost(new_path, domain) < cost_now:
+                    # Cheap test first; _segment_ok checks the transitions.
+                    if unchecked_path_cost(new_path, domain) >= cost_now:
+                        continue
+                    if _segment_ok(domain, agent, cand, a, count):
                         paths[agent] = new_path
                         improved = True
                         break

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path as FsPath
+from typing import Optional, Tuple
 
 from .bench import (
     RunRecord,
@@ -32,14 +33,20 @@ from .highlevel import SolverConfig, solve
 RUN_VERSION = 1
 
 
-def _load_run(path) -> dict:
+def _load_run(path, with_scenario: bool = False) -> Tuple[dict, Optional[Scenario], SolverResult]:
+    """Read a run file; returns it with its scenario (when asked for) and
+    its result."""
     try:
         obj = json.loads(FsPath(path).read_text())
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot read run file {path}: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("version") != RUN_VERSION:
         raise ScenarioError(f"unsupported run file: {path}")
-    return obj
+    try:
+        scenario = Scenario.from_obj(obj["scenario"]) if with_scenario else None
+        return obj, scenario, SolverResult.from_obj(obj["result"])
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ScenarioError(f"malformed run file {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
@@ -133,8 +140,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_verify(args) -> int:
     scenario, domain = Scenario.load_with_domain(args.scenario)
-    run_obj = _load_run(args.run)
-    result = SolverResult.from_obj(run_obj["result"])
+    _, _, result = _load_run(args.run)
     if result.solution is None:
         print("run contains no solution")
         return 1
@@ -148,10 +154,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_shortcut(args) -> int:
-    run_obj = _load_run(args.run)
-    scenario = Scenario.from_obj(run_obj["scenario"])
+    run_obj, scenario, result = _load_run(args.run, with_scenario=True)
     domain = scenario.build_domain()
-    result = SolverResult.from_obj(run_obj["result"])
     if result.solution is None:
         print("run contains no solution")
         return 1

@@ -272,6 +272,11 @@ def path_cost(path: Path, domain) -> float:
                 f"agent {path.agent}: invalid transition at t={t - 1}: "
                 f"{path.steps[t - 1].coords} -> {path.steps[t].coords}"
             )
+    return unchecked_path_cost(path, domain)
+
+
+def unchecked_path_cost(path: Path, domain) -> float:
+    """`path_cost` of a non-empty path whose transitions the caller checks."""
     goal = domain.goals[path.agent]
     # First index of the terminal run of goal configurations.
     arrival = len(path.steps) - 1

@@ -102,15 +102,16 @@ class Domain(ABC):
         cap low-level horizons."""
 
     def conflict_counter(
-        self, agent: int, other_paths: Sequence[Optional[Path]]
+        self, agent: int, other_paths: Sequence[Optional[Path]], substeps: Optional[int] = None
     ) -> Callable[[Configuration, Configuration, int], int]:
-        """Build, once per low-level call, the focal conflict count against
-        the other agents' current paths.
+        """Build, once per set of other paths, the conflict count against
+        them; other_paths[j] is agent j's path or None.
 
         The returned `count(q, q2, t2)` is the number of non-None paths that
         the agent's move q -> q2 into timestep t2 conflicts with: a vertex
         collision at t2, else an edge collision over [t2 - 1, t2]. This
-        default checks every path with `agents_collide` and `edge_collides`.
+        default checks every path with `agents_collide` and `edge_collides`,
+        which it passes `substeps`.
         """
         others = [(j, p.steps, len(p.steps) - 1) for j, p in enumerate(other_paths) if p is not None]
         agents_collide = self.agents_collide
@@ -122,7 +123,9 @@ class Domain(ABC):
                 at_t2 = steps[t2 if t2 < last else last]
                 if agents_collide(agent, q2, j, at_t2) is not None:
                     n += 1
-                elif edge_collides(agent, q, q2, j, steps[t2 - 1 if t2 <= last else last], at_t2) is not None:
+                elif edge_collides(
+                    agent, q, q2, j, steps[t2 - 1 if t2 <= last else last], at_t2, substeps
+                ) is not None:
                     n += 1
             return n
 
@@ -234,10 +237,11 @@ class GridDomain(Domain):
                 return True
         return False
 
-    def conflict_counter(self, agent, other_paths):
+    def conflict_counter(self, agent, other_paths, substeps=None):
         """Count conflicts from two tables built from the other paths, each
         padded to H, the longest other horizon: how many agents occupy each
         cell at t, and how many move from cell a at t - 1 to cell b at t.
+        `substeps` is ignored: a swap is a conflict at any resolution.
 
         One agent cannot both sit on q2 at t2 (a vertex hit) and move
         q2 -> q into t2 (a swap), so the per-agent "vertex, else edge" count

@@ -15,6 +15,14 @@ the other agents' current paths. Those counts come from
 `Domain.conflict_counter`, built once per `plan` call: grids look them up in
 per-timestep occupancy and move tables, other domains check every other path
 with the pairwise collision primitives.
+
+Constraint checks are compiled once per `plan` call too (`_compile`).
+Priority constraints become one more `conflict_counter` over the
+constrained agents' paths: a move is forbidden by them iff it conflicts with
+one of those paths. Every other constraint is filed under the timesteps at
+which it can bite, so `is_forbidden` and `is_forbidden_edge` only see the
+constraints of the timestep being checked, and a call without constraints
+checks nothing per expansion.
 """
 
 from __future__ import annotations
@@ -172,6 +180,44 @@ def _constraint_horizon(ctx: ConstraintContext) -> int:
     return h
 
 
+def _compile(domain: Domain, ctx: ConstraintContext):
+    """The constraint checks of one `plan` call.
+
+    Returns (priority, vertex_at, edge_at). `priority(q, q2, t2)` is nonzero
+    iff the move q -> q2 into t2 conflicts with the path of an agent that a
+    priority constraint names (None without such constraints). `vertex_at[t]`
+    and `edge_at[t]` are contexts holding the other constraints that
+    `is_forbidden` at t and `is_forbidden_edge` over [t, t + 1] can fire on.
+    """
+    prio_paths: List[Optional[Path]] = [None] * len(ctx.other_paths)
+    vertex: Dict[int, List[Constraint]] = {}
+    edge: Dict[int, List[Constraint]] = {}
+    for c in ctx.constraints:
+        if c.ctype == CT_PRIORITY:
+            other = ctx.other_path(c.other)
+            if other is not None:
+                prio_paths[c.other] = other
+            continue
+        if c.time is None:
+            continue
+        if c.ctype != CT_EDGE:
+            vertex.setdefault(c.time, []).append(c)
+            if c.from_edge and c.ctype in (CT_AVOIDANCE, CT_STEP_PRIORITY):
+                vertex.setdefault(c.time + 1, []).append(c)
+        if c.ctype != CT_VERTEX:
+            edge.setdefault(c.time, []).append(c)
+    priority = None
+    if any(p is not None for p in prio_paths):
+        priority = domain.conflict_counter(ctx.agent, prio_paths)
+
+    def contexts(buckets):
+        return {
+            t: ConstraintContext(ctx.agent, tuple(cs), ctx.other_paths) for t, cs in buckets.items()
+        }
+
+    return priority, contexts(vertex), contexts(edge)
+
+
 def _earliest_rest_time(domain: Domain, ctx: ConstraintContext, goal: Configuration) -> Optional[int]:
     """Smallest T such that resting at the goal from T onward violates
     nothing; None when resting is forbidden forever (priority constraint
@@ -220,7 +266,9 @@ def plan(
 
     w = mode.w
     count = domain.conflict_counter(agent, ctx.other_paths) if mode.count_conflicts else None
+    priority, vertex_at, edge_at = _compile(domain, ctx)
     h_cache: Dict[Tuple[int, ...], float] = {}
+    succ_cache: Dict[Tuple[int, ...], List[Tuple[Configuration, float]]] = {}
 
     def h_of(q: Configuration) -> float:
         v = h_cache.get(q.coords)
@@ -284,22 +332,33 @@ def plan(
         t2 = t + 1
         if t2 > t_max:
             continue
-        for q2, _cost in domain.successors(agent, q):
+        vertex_ctx = vertex_at.get(t2)
+        edge_ctx = edge_at.get(t)
+        successors = succ_cache.get(coords)
+        if successors is None:
+            successors = succ_cache[coords] = domain.successors(agent, q)
+        for q2, _cost in successors:
             key2 = (q2.coords, t2)
             known = info.get(key2)
-            forbid_checked = False
             if known is None:
-                if is_forbidden(domain, ctx, q2, t2) or is_forbidden_edge(domain, ctx, q, q2, t):
+                if (
+                    (priority is not None and priority(q, q2, t2))
+                    or (vertex_ctx is not None and is_forbidden(domain, vertex_ctx, q2, t2))
+                    or (edge_ctx is not None and is_forbidden_edge(domain, edge_ctx, q, q2, t))
+                ):
                     continue
-                forbid_checked = True
             nconf2 = nconf if count is None else nconf + count(q, q2, t2)
             if known is not None:
                 # Same g at every arrival to (q2, t2); keep the route with the
                 # fewest accumulated conflicts (stale focal entries sort after
-                # the fresh one and are skipped as closed).
+                # the fresh one and are skipped as closed). Its vertex checks
+                # passed when it was first generated, so only the edge is
+                # left: `priority` counts no vertex hit on it.
                 if key2 in closed or nconf2 >= known[2]:
                     continue
-                if not forbid_checked and is_forbidden_edge(domain, ctx, q, q2, t):
+                if (priority is not None and priority(q, q2, t2)) or (
+                    edge_ctx is not None and is_forbidden_edge(domain, edge_ctx, q, q2, t)
+                ):
                     continue
                 info[key2] = (key, q2, nconf2)
                 f2 = t2 + h_of(q2)

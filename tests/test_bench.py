@@ -14,6 +14,8 @@ from genecbs.bench import (
     RunRecord,
     Scenario,
     ScenarioError,
+    _segment_ok,
+    _staircase,
     aggregate_records,
     cell_seed,
     generate_instances,
@@ -206,6 +208,169 @@ class TestShortcut:
             assert verify(d, out).clean
 
 
+def reference_segment_ok(domain, agent, cand, t0, others):
+    """Reference segment check for `shortcut`: every other path, pairwise,
+    through `Path.at`, without `Domain.conflict_counter`."""
+    fine = 2 * domain.substeps
+    for k in range(1, len(cand)):
+        if not domain.transition_valid(agent, cand[k - 1], cand[k]):
+            return False
+    for k, q in enumerate(cand):
+        if k in (0, len(cand) - 1):
+            continue
+        if not domain.in_bounds(agent, q) or not domain.is_static_free(agent, q):
+            return False
+    for other in others:
+        o = other.agent
+        for k in range(len(cand)):
+            t = t0 + k
+            if k > 0 and domain.agents_collide(agent, cand[k], o, other.at(t)) is not None:
+                return False
+            if k < len(cand) - 1:
+                hit = domain.edge_collides(
+                    agent, cand[k], cand[k + 1], o, other.at(t), other.at(t + 1), substeps=fine
+                )
+                if hit is not None:
+                    return False
+    return True
+
+
+def reference_shortcut(solution, domain, passes=1):
+    """Reference `shortcut`: every candidate segment is checked against the
+    other paths with `reference_segment_ok` before its cost is compared."""
+    paths = sorted(solution, key=lambda p: p.agent)
+    for _ in range(max(0, passes)):
+        for agent in range(len(paths)):
+            others = [p for p in paths if p.agent != agent]
+            improved = True
+            while improved:
+                improved = False
+                p = paths[agent]
+                cost_now = path_cost(p, domain)
+                segments = sorted(
+                    ((a, b) for a in range(p.horizon + 1) for b in range(a + 2, p.horizon + 1)),
+                    key=lambda ab: (-(ab[1] - ab[0]), ab[0]),
+                )
+                for a, b in segments:
+                    cand = _staircase(p.steps[a], p.steps[b], b - a)
+                    if cand is None or tuple(cand) == p.steps[a : b + 1]:
+                        continue
+                    if not reference_segment_ok(domain, agent, cand, a, others):
+                        continue
+                    new_path = Path(agent, p.steps[:a] + tuple(cand) + p.steps[b + 1 :])
+                    if path_cost(new_path, domain) < cost_now:
+                        paths[agent] = new_path
+                        improved = True
+                        break
+    return tuple(paths)
+
+
+class TestShortcutParity:
+    """`shortcut` returns the same paths as the pairwise reference above,
+    with the benchmark's solver settings."""
+
+    @staticmethod
+    def _solution(scenario, algo):
+        config = SolverConfig(
+            algorithm=algo, w=1.3, seed=cell_seed(scenario, algo), timeout_ms=600_000.0,
+            max_expansions=300,
+        )
+        domain = scenario.build_domain()
+        r = solve(domain, config)
+        assert r.solved and verify(domain, r.solution).clean, algo
+        return domain, r.solution
+
+    def _check(self, scenario, algos, delay=0):
+        """Compare on each algorithm's solution, with every path first
+        delayed by `delay` waits at its start; returns how many outputs
+        cost less than their input."""
+        improved = 0
+        for algo in algos:
+            domain, solution = self._solution(scenario, algo)
+            solution = tuple(Path(p.agent, (p.steps[0],) * delay + p.steps) for p in solution)
+            for passes in (1, 2):
+                out = shortcut(solution, domain, passes=passes)
+                assert out == reference_shortcut(solution, domain, passes=passes), (algo, passes)
+                improved += sum_of_costs(out, domain) < sum_of_costs(solution, domain)
+        return improved
+
+    def test_grid_crowd_instance(self):
+        scenario = generate_instances(
+            "grid-random", 1, seed=7,
+            params={"width": 10, "height": 10, "n_agents": 14, "obstacle_density": 0.15},
+        )[0]
+        assert self._check(scenario, ("ecbs", "gen-ecbs", "ac-ecbs-lazy", "pp")) > 0
+
+    def test_arm_quad_instance(self):
+        # The arm solutions leave nothing to shorten, so the delayed start
+        # gives each agent a shorter route that the others may block.
+        scenario = generate_instances("arm-quad", 1, seed=2024)[0]
+        self._check(scenario, ("pp", "ecbs"))
+        assert self._check(scenario, ("pp", "ecbs"), delay=3) > 0
+
+    def test_segment_check_matches_reference_on_random_segments(self):
+        rng = random.Random(3)
+        d = GridDomain(4, 4, [(1, 1)], [C(0, 0)] * 5, [C(3, 3)] * 5)
+        cells = [C(x, y) for x in range(4) for y in range(4) if (x, y) != (1, 1)]
+
+        def walk(agent, length):
+            steps = [rng.choice(cells)]
+            for _ in range(length):
+                steps.append(rng.choice(d.successors(agent, steps[-1]))[0])
+            return Path(agent, tuple(steps))
+
+        seen = set()
+        for _ in range(400):
+            others = [None] + [walk(j, rng.randint(0, 6)) for j in range(1, 5)]
+            count = d.conflict_counter(0, others, substeps=2 * d.substeps)
+            for _ in range(10):
+                cand = _staircase(rng.choice(cells), rng.choice(cells), rng.randint(1, 6))
+                if cand is None:
+                    continue
+                t0 = rng.randint(0, 4)
+                ok = _segment_ok(d, 0, cand, t0, count)
+                assert ok == reference_segment_ok(d, 0, cand, t0, others[1:]), (cand, t0, others)
+                seen.add(ok)
+        assert seen == {True, False}
+
+    def test_shortcut_checks_at_twice_the_resolution(self, monkeypatch):
+        d = hallway_scenario().build_domain()
+        solution = solve(d, SolverConfig(algorithm="cbs")).solution
+        asked = []
+        counter = GridDomain.conflict_counter
+
+        def spy(self, agent, other_paths, substeps=None):
+            asked.append(substeps)
+            return counter(self, agent, other_paths, substeps)
+
+        monkeypatch.setattr(GridDomain, "conflict_counter", spy)
+        shortcut(solution, d)
+        assert asked and set(asked) == {2 * d.substeps}
+
+    def test_arm_counter_keeps_the_sampled_resolution(self):
+        # Two motions of arm-quad-s2024-037 whose contact falls between
+        # sampled poses: agents 2 and 3 at t = 4 (missed by 4 samples) and a
+        # pair of agents 0 and 1 (missed by 8). The counter must see each
+        # contact exactly as `edge_collides` does at the same resolution.
+        d = generate_instances("arm-quad", 38, seed=2024)[37].build_domain()
+        motions = [
+            (2, C(13, -3), C(12, -3), 3, C(25, 6), C(24, 6)),
+            (0, C(2, 3), C(1, 3), 1, C(8, 4), C(9, 4)),
+        ]
+        differ = set()
+        for i, q, q2, j, p, p2 in motions:
+            assert d.agents_collide(i, q2, j, p2) is None
+            others = [None] * d.n_agents
+            others[j] = Path(j, (p, p2))
+            for substeps in (4, 8, None):
+                count = d.conflict_counter(i, others, substeps=substeps)
+                hit = d.edge_collides(i, q, q2, j, p, p2, substeps=substeps) is not None
+                assert count(q, q2, 1) == int(hit), (i, j, substeps)
+                if not hit:
+                    differ.add(substeps)
+        assert differ == {4, 8}
+
+
 class TestRunBenchmark:
     def test_empty_scenarios_csv_header_only(self, tmp_path):
         out = tmp_path / "results.csv"
@@ -322,6 +487,42 @@ class TestCLI:
             assert captured.err == "error: starts of agents 0 and 1 are in conflict\n", argv[0]
             assert captured.out == "", argv[0]
         assert not (tmp_path / "r.csv").exists()
+
+    def _malformed_runs(self, tmp_path):
+        """A solved run file with one part missing at a time: the result,
+        the scenario, or a path's agent."""
+        scen = self._write_scenario(tmp_path)
+        run_file = tmp_path / "run.json"
+        assert cli_main(["solve", str(scen), "--algo", "cbs", "--out", str(run_file)]) == 0
+        good = json.loads(run_file.read_text())
+        no_result = dict(good)
+        del no_result["result"]
+        no_scenario = dict(good)
+        del no_scenario["scenario"]
+        no_agent = json.loads(run_file.read_text())
+        del no_agent["result"]["solution"][0]["agent"]
+        return scen, {"result": no_result, "scenario": no_scenario, "agent": no_agent}
+
+    def test_verify_malformed_run_returns_two_with_one_line(self, tmp_path, capsys):
+        scen, runs = self._malformed_runs(tmp_path)
+        for missing in ("result", "agent"):
+            bad = tmp_path / f"no-{missing}.json"
+            bad.write_text(json.dumps(runs[missing]))
+            capsys.readouterr()
+            assert cli_main(["verify", str(scen), str(bad)]) == 2, missing
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_shortcut_malformed_run_returns_two_with_one_line(self, tmp_path, capsys):
+        _, runs = self._malformed_runs(tmp_path)
+        for missing, obj in runs.items():
+            bad = tmp_path / f"no-{missing}.json"
+            bad.write_text(json.dumps(obj))
+            capsys.readouterr()
+            assert cli_main(["shortcut", str(bad)]) == 2, missing
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert json.loads(bad.read_text()) == obj  # left as it was
 
     def test_solve_and_verify_build_the_domain_once(self, tmp_path, monkeypatch):
         scen = self._write_scenario(tmp_path)
