@@ -174,6 +174,19 @@ def _cmd_shortcut(args) -> int:
     return 0
 
 
+# Options that must be >= 0 (counts, caps and timeouts) and >= 1 (jobs).
+NON_NEGATIVE = ("count", "timeout_ms", "max_expansions", "shortcut_passes", "passes")
+POSITIVE = ("jobs",)
+
+
+def _check_ranges(args) -> None:
+    for names, low in ((NON_NEGATIVE, 0), (POSITIVE, 1)):
+        for name in names:
+            value = getattr(args, name, None)
+            if value is not None and not value >= low:  # also rejects NaN
+                raise ScenarioError(f"--{name.replace('_', '-')} must be >= {low}, got {value:g}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="genecbs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -223,6 +236,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,11 @@ Arm motion checks are certified over the whole motion unless a sample count
 is given; sampled checks are the verifier's independent reference.
 Domains are immutable after construction; the internal memo caches only store
 results of pure queries.
+
+The arm domain's conflict counter decides each (move, other arm) part from
+the primitives' memo entry, else from a bounding-box certificate, and calls
+the primitive only when neither settles it. Below the primitives, the exact
+link-pair scan of two sample poses is memoised per threshold.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .core import Configuration, Path
 
 Point = Tuple[float, float]
 Segment = Tuple[Point, Point]
+Box = Tuple[float, float, float, float]  # (x0, y0, x1, y1)
 
 # Fixed successor ordering keeps every search deterministic.
 GRID_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -30,6 +36,8 @@ GRID_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
 SWEEP_MIN_WIDTH = 1.0 / 1024
 # Slack on the certification test against floating-point rounding.
 SWEEP_CERT_MARGIN = 1e-9
+# Size cap of each arm pose memo: link segments, boxes and exact pair gaps.
+POSE_MEMO_CAP = 400_000
 
 
 class Domain(ABC):
@@ -290,10 +298,36 @@ class ArmSpec:
         return sum(self.link_lengths)
 
 
-def _segs_bbox(segs: Sequence[Segment]) -> Tuple[float, float, float, float]:
+def _segs_bbox(segs: Sequence[Segment]) -> Box:
     xs = [p[0] for seg in segs for p in seg]
     ys = [p[1] for seg in segs for p in seg]
     return (min(xs), min(ys), max(xs), max(ys))
+
+
+def _pair_key(i: int, c_i: tuple, j: int, c_j: tuple) -> tuple:
+    """Memo key of arms i and j at poses c_i and c_j, lower index first."""
+    return (i, c_i, j, c_j) if i < j else (j, c_j, i, c_i)
+
+
+def _edge_key(i: int, a_i: tuple, b_i: tuple, j: int, a_j: tuple, b_j: tuple, substeps) -> tuple:
+    """Memo key of the simultaneous motions a_i -> b_i and a_j -> b_j."""
+    if i < j:
+        return (i, a_i, b_i, j, a_j, b_j, substeps)
+    return (j, a_j, b_j, i, a_i, b_i, substeps)
+
+
+def _boxes_apart(a: Box, b: Box, enough: float) -> bool:
+    """Whether the boxes are more than `enough` apart on an axis."""
+    return a[0] - enough > b[2] or b[0] - enough > a[2] or a[1] - enough > b[3] or b[1] - enough > a[3]
+
+
+def _box_gap(a: Box, b: Box) -> float:
+    """Distance between two boxes: a lower bound on that of their contents."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    gx = ax0 - bx1 if ax0 > bx1 else (bx0 - ax1 if bx0 > ax1 else 0.0)
+    gy = ay0 - by1 if ay0 > by1 else (by0 - ay1 if by0 > ay1 else 0.0)
+    return math.hypot(gx, gy)
 
 
 def _seg_point_dist(seg: Segment, p: Point) -> float:
@@ -345,6 +379,23 @@ def _seg_seg_closest(s1: Segment, s2: Segment) -> Tuple[float, Point, Point]:
     return math.hypot(c1[0] - c2[0], c1[1] - c2[1]), c1, c2
 
 
+def _closest_links(
+    segs_i: Sequence[Segment], segs_j: Sequence[Segment], threshold: float
+) -> Tuple[float, Optional[Point]]:
+    """Scan the link pairs in order: the first pair within the threshold
+    gives its distance and contact point (the midpoint of its closest
+    points); with no such pair, the exact distance and None."""
+    best, point = math.inf, None
+    for si in segs_i:
+        for sj in segs_j:
+            dist, c1, c2 = _seg_seg_closest(si, sj)
+            if dist < best:
+                best, point = dist, ((c1[0] + c2[0]) / 2.0, (c1[1] + c2[1]) / 2.0)
+                if dist <= threshold < math.inf:
+                    return best, point
+    return best, (point if best <= threshold else None)
+
+
 class PlanarArmDomain(Domain):
     """Planar kinematic chains sharing a workspace.
 
@@ -376,11 +427,14 @@ class PlanarArmDomain(Domain):
         if not (len(self.starts) == len(self.goals) == self.n_agents):
             raise ValueError("arms, starts, and goals must have the same length")
         self._fk_cache: Dict[Tuple[int, Tuple[float, ...]], Tuple[Segment, ...]] = {}
-        self._bbox_cache: Dict[Tuple[int, Tuple[float, ...]], Tuple[float, float, float, float]] = {}
+        self._bbox_cache: Dict[Tuple[int, Tuple[float, ...]], Box] = {}
         self._static_cache: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
         self._succ_cache: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[Configuration, float]]] = {}
         self._pair_cache: Dict[tuple, Optional[Point]] = {}
         self._edge_cache: Dict[tuple, Optional[Tuple[Point, float]]] = {}
+        # Exact branch of _pair_gap: (i, coords_i, j, coords_j, threshold)
+        # -> (distance bound, contact point).
+        self._gap_cache: Dict[tuple, Tuple[float, Optional[Point]]] = {}
         # in_reach[i][j]: whether arms i and j can touch at all.
         self._in_reach = tuple(
             tuple(
@@ -407,7 +461,7 @@ class PlanarArmDomain(Domain):
         if hit is not None:
             return hit
         out = self._fk(agent, coords)
-        if len(self._fk_cache) < 400_000:
+        if len(self._fk_cache) < POSE_MEMO_CAP:
             self._fk_cache[key] = out
         return out
 
@@ -461,13 +515,13 @@ class PlanarArmDomain(Domain):
     def heuristic(self, agent: int, q: Configuration, goal: Configuration) -> float:
         return float(sum(abs(a - b) for a, b in zip(q.coords, goal.coords)))
 
-    def _bbox(self, agent: int, coords: Tuple[float, ...]) -> Tuple[float, float, float, float]:
+    def _bbox(self, agent: int, coords: Tuple[float, ...]) -> Box:
         key = (agent, coords)
         hit = self._bbox_cache.get(key)
         if hit is not None:
             return hit
         out = _segs_bbox(self.fk_segments(agent, coords))
-        if len(self._bbox_cache) < 400_000:
+        if len(self._bbox_cache) < POSE_MEMO_CAP:
             self._bbox_cache[key] = out
         return out
 
@@ -514,22 +568,27 @@ class PlanarArmDomain(Domain):
         contact point (the midpoint of its closest points), and with no such
         pair the bound is the exact distance. A threshold of infinity asks
         for the closest pair.
+
+        The scan's result depends only on the two poses and the threshold,
+        so `memo` calls keep it in `_gap_cache`; `enough` only decides
+        whether the box shortcut is taken.
         """
-        segs_i, (ax0, ay0, ax1, ay1) = self._shape(i, coords_i, memo)
-        segs_j, (bx0, by0, bx1, by1) = self._shape(j, coords_j, memo)
-        if ax0 - enough > bx1 or bx0 - enough > ax1 or ay0 - enough > by1 or by0 - enough > ay1:
-            gx = max(ax0 - bx1, bx0 - ax1, 0.0)
-            gy = max(ay0 - by1, by0 - ay1, 0.0)
-            return math.hypot(gx, gy), None
-        best, point = math.inf, None
-        for si in segs_i:
-            for sj in segs_j:
-                dist, c1, c2 = _seg_seg_closest(si, sj)
-                if dist < best:
-                    best, point = dist, ((c1[0] + c2[0]) / 2.0, (c1[1] + c2[1]) / 2.0)
-                    if dist <= threshold < math.inf:
-                        return best, point
-        return best, (point if best <= threshold else None)
+        if memo:
+            box_i, box_j = self._bbox(i, coords_i), self._bbox(j, coords_j)
+        else:
+            segs_i, box_i = self._shape(i, coords_i, False)
+            segs_j, box_j = self._shape(j, coords_j, False)
+        if _boxes_apart(box_i, box_j, enough):
+            return _box_gap(box_i, box_j), None
+        if not memo:
+            return _closest_links(segs_i, segs_j, threshold)
+        key = (i, coords_i, j, coords_j, threshold)
+        out = self._gap_cache.get(key)
+        if out is None:
+            out = _closest_links(self.fk_segments(i, coords_i), self.fk_segments(j, coords_j), threshold)
+            if len(self._gap_cache) < POSE_MEMO_CAP:
+                self._gap_cache[key] = out
+        return out
 
     def _circle_gap(
         self,
@@ -612,13 +671,13 @@ class PlanarArmDomain(Domain):
         return None
 
     def agents_collide(self, i, q_i, j, q_j) -> Optional[Point]:
-        if i > j:
-            i, j, q_i, q_j = j, i, q_j, q_i
         if not self._in_reach[i][j]:
             return None
-        key = (i, q_i.coords, j, q_j.coords)
+        key = _pair_key(i, q_i.coords, j, q_j.coords)
         if key in self._pair_cache:
             return self._pair_cache[key]
+        if i > j:
+            i, j, q_i, q_j = j, i, q_j, q_i
         threshold = self.arms[i].thickness + self.arms[j].thickness
         out = self._pair_gap(i, q_i.coords, j, q_j.coords, threshold, threshold)[1]
         if len(self._pair_cache) < 1_000_000:
@@ -634,13 +693,13 @@ class PlanarArmDomain(Domain):
         substeps + 1 evenly spaced poses are tested; that sampled check is
         the independent reference the verifier uses at twice the resolution.
         """
-        if i > j:
-            i, j, q_i, q_j, q_i2, q_j2 = j, i, q_j, q_i, q_j2, q_i2
         if not self._in_reach[i][j]:
             return None
-        key = (i, q_i.coords, q_i2.coords, j, q_j.coords, q_j2.coords, substeps)
+        key = _edge_key(i, q_i.coords, q_i2.coords, j, q_j.coords, q_j2.coords, substeps)
         if key in self._edge_cache:
             return self._edge_cache[key]
+        if i > j:
+            i, j, q_i, q_j, q_i2, q_j2 = j, i, q_j, q_i, q_j2, q_i2
         a_i, b_i = q_i.coords, q_i2.coords
         a_j, b_j = q_j.coords, q_j2.coords
         threshold = self.arms[i].thickness + self.arms[j].thickness
@@ -664,6 +723,82 @@ class PlanarArmDomain(Domain):
         if len(self._edge_cache) < 1_000_000:
             self._edge_cache[key] = out
         return out
+
+    def conflict_counter(self, agent, other_paths, substeps=None):
+        """The default's count ("vertex, else edge" per other arm), with
+        each part decided by the first of these that applies:
+
+        1. the answer `agents_collide` / `edge_collides` would read from
+           their memos;
+        2. on a miss, the bounding boxes, when they already prove the part
+           clear: the vertex part when the boxes are more than the
+           threshold apart on an axis (`_pair_gap`'s shortcut), the edge
+           part when the box gaps g0, g1 at both ends pass `_sweep`'s
+           top-level test g0 + g1 - speed > 2 * (threshold +
+           SWEEP_CERT_MARGIN);
+        3. the primitive itself.
+
+        A certified-clear motion is clear at every sub-time, so the count
+        equals the default's at any `substeps`. Box-certified answers are
+        not stored in the memos. Each other arm in reach has its poses,
+        boxes and step speeds tabled once per call; past its last step it
+        waits, with speed 0. Arms out of reach can never conflict and are
+        dropped.
+        """
+        bbox = self._bbox
+        sweep_speed = self._sweep_speed
+        thickness = self.arms[agent].thickness
+        others = []
+        for j, p in enumerate(other_paths):
+            if p is None or not self._in_reach[agent][j]:
+                continue
+            coords = [q.coords for q in p.steps]
+            speeds = [sweep_speed(j, a, b) for a, b in zip(coords, coords[1:])] + [0.0]
+            threshold = thickness + self.arms[j].thickness
+            others.append((
+                j, p.steps, coords, [bbox(j, c) for c in coords], speeds, len(coords) - 1,
+                threshold, 2.0 * (threshold + SWEEP_CERT_MARGIN),
+            ))
+        pair_cache = self._pair_cache
+        edge_cache = self._edge_cache
+        agents_collide = self.agents_collide
+        edge_collides = self.edge_collides
+        miss = object()
+        # (q, q2) -> the planning arm's boxes at q and q2 and its speed.
+        motions: Dict[tuple, Tuple[Box, Box, float]] = {}
+
+        def count(q: Configuration, q2: Configuration, t2: int) -> int:
+            c, c2 = q.coords, q2.coords
+            box2 = motion = None  # looked up on a first miss
+            n = 0
+            for j, steps, coords, boxes, speeds, last, threshold, cert in others:
+                k2 = t2 if t2 < last else last
+                hit = pair_cache.get(_pair_key(agent, c2, j, coords[k2]), miss)
+                if hit is miss:
+                    if box2 is None:
+                        box2 = bbox(agent, c2)
+                    hit = None if _boxes_apart(box2, boxes[k2], threshold) else agents_collide(agent, q2, j, steps[k2])
+                if hit is not None:
+                    n += 1
+                    continue
+                k1 = t2 - 1 if t2 <= last else last
+                hit = edge_cache.get(_edge_key(agent, c, c2, j, coords[k1], coords[k2], substeps), miss)
+                if hit is miss:
+                    if motion is None:
+                        motion = motions.get((c, c2))
+                        if motion is None:
+                            motion = (bbox(agent, c), bbox(agent, c2), sweep_speed(agent, c, c2))
+                            motions[(c, c2)] = motion
+                    box, box2, speed = motion
+                    g = _box_gap(box, boxes[k1]) + _box_gap(box2, boxes[k2])
+                    if g - (speed + speeds[k1]) > cert:
+                        continue
+                    hit = edge_collides(agent, q, q2, j, steps[k1], steps[k2], substeps)
+                if hit is not None:
+                    n += 1
+            return n
+
+        return count
 
     def occupancy_intersects_circle(self, agent, q, center, radius) -> bool:
         eps = self.arms[agent].thickness

@@ -100,10 +100,13 @@ def find_conflicts(
     n = len(paths)
     out: List[Conflict] = []
     changed = set(replanned or [])
+    by_pair: Dict[Tuple[int, int], List[Conflict]] = {}
+    for c in known or ():
+        by_pair.setdefault(c.agents, []).append(c)
     for i in range(n):
         for j in range(i + 1, n):
             if known is not None and i not in changed and j not in changed:
-                out.extend(c for c in known if c.agents == (i, j))
+                out.extend(by_pair.get((i, j), ()))
             else:
                 out.extend(_pair_conflicts(paths, domain, i, j, substeps))
     out.sort(key=Conflict.sort_key)

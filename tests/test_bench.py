@@ -524,6 +524,37 @@ class TestCLI:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert json.loads(bad.read_text()) == obj  # left as it was
 
+    def test_negative_counts_caps_and_timeouts_return_two_with_one_line(self, tmp_path, capsys):
+        scen = self._write_scenario(tmp_path)
+        run_file = tmp_path / "run.json"
+        assert cli_main(["solve", str(scen), "--algo", "cbs", "--out", str(run_file)]) == 0
+        before = run_file.read_bytes()
+        scen_dir = tmp_path / "scen"
+        scen_dir.mkdir()
+        hallway_scenario().save(scen_dir / "hallway.json")
+        bench = ["bench", str(scen_dir), "--algos", "cbs", "--out", str(tmp_path / "r.csv")]
+        for argv, option in (
+            (["gen", "--template", "grid-random", "--count", "-1", "--out", str(tmp_path / "g")], "--count"),
+            (["solve", str(scen), "--algo", "cbs", "--max-expansions", "-3"], "--max-expansions"),
+            (["solve", str(scen), "--algo", "cbs", "--timeout-ms", "-1"], "--timeout-ms"),
+            (["solve", str(scen), "--algo", "cbs", "--timeout-ms", "nan"], "--timeout-ms"),
+            (["shortcut", str(run_file), "--passes", "-2"], "--passes"),
+            (bench + ["--jobs", "0"], "--jobs"),
+            (bench + ["--max-expansions", "-1"], "--max-expansions"),
+            (bench + ["--timeout-ms", "-5"], "--timeout-ms"),
+            (bench + ["--shortcut-passes", "-1"], "--shortcut-passes"),
+        ):
+            capsys.readouterr()
+            assert cli_main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {option} must be >= ") and captured.err.count("\n") == 1, argv
+            assert captured.out == "", argv
+        assert not (tmp_path / "g").exists() and not (tmp_path / "r.csv").exists()
+        assert run_file.read_bytes() == before
+        # Zero is a valid count, cap and timeout.
+        assert cli_main(["gen", "--template", "grid-random", "--count", "0", "--out", str(tmp_path / "g")]) == 0
+        assert cli_main(bench + ["--jobs", "1", "--shortcut-passes", "0"]) == 0
+
     def test_solve_and_verify_build_the_domain_once(self, tmp_path, monkeypatch):
         scen = self._write_scenario(tmp_path)
         run_file = tmp_path / "run.json"

@@ -6,7 +6,9 @@ import pytest
 
 from genecbs.bench import generate_instances
 from genecbs.core import Configuration, Path
+from genecbs import domain as domain_module
 from genecbs.domain import ArmSpec, Domain, GridDomain, PlanarArmDomain, _seg_seg_closest
+from genecbs.highlevel import SolverConfig, solve
 
 from oracles import bfs_distances
 
@@ -189,13 +191,30 @@ class TestEdgeCollides:
                     assert d.edge_collides(0, qa, qa2, 1, qb, qb2, substeps=2 * m) is not None
 
 
+ARM_QUAD = {}
+
+
 def arm_quad_037():
-    return generate_instances("arm-quad", 38, seed=2024)[37].build_domain()
+    if "037" not in ARM_QUAD:
+        ARM_QUAD["037"] = generate_instances("arm-quad", 38, seed=2024)[37]
+    return ARM_QUAD["037"].build_domain()
 
 
 # Agents 2 and 3 of arm-quad-s2024-037 at t = 4: their links cross at
 # sub-time 0.125, between the 4 poses of the default sampled check.
 MOTION_037 = (2, C(13, -3), C(12, -3), 3, C(25, 6), C(24, 6))
+
+
+# (i, from, to, j, from, to) motion pairs of arm-quad-s2024-037 that are
+# clear at their end poses but not over the whole motion, with bounding
+# boxes so far apart that the sweep certificate would clear them if it left
+# out the speed of a moving arm.
+FAST_PASSES_037 = (
+    (0, (-1, 6), (-1, 6), 1, (9, 4), (8, 4)),
+    (1, (12, -6), (12, -6), 0, (-1, 3), (-1, 4)),
+    (2, (18, -6), (18, -6), 1, (7, 1), (8, 1)),
+    (3, (22, -1), (21, -1), 2, (14, 2), (15, 2)),
+)
 
 
 def motions_near(d, agent, center):
@@ -353,7 +372,7 @@ class TestSegmentGeometry:
         assert dist == pytest.approx(2.0)
 
 
-def reference_conflicts(d, agent, other_paths, q, q2, t2):
+def reference_conflicts(d, agent, other_paths, q, q2, t2, substeps=None):
     """(vertex hits, edge-only hits) of the move q -> q2 into t2, one
     other path at a time, straight from the pairwise primitives."""
     vertex = edge = 0
@@ -362,7 +381,7 @@ def reference_conflicts(d, agent, other_paths, q, q2, t2):
             continue
         if d.agents_collide(agent, q2, j, path.at(t2)) is not None:
             vertex += 1
-        elif d.edge_collides(agent, q, q2, j, path.at(t2 - 1), path.at(t2)) is not None:
+        elif d.edge_collides(agent, q, q2, j, path.at(t2 - 1), path.at(t2), substeps) is not None:
             edge += 1
     return vertex, edge
 
@@ -413,26 +432,234 @@ class TestConflictCounter:
 
     def test_arm_default_matches_pairwise_loop(self):
         rng = random.Random(5)
-        # Arm 3 stands out of everyone's reach.
-        d = make_arms(
-            bases=((0.0, 0.0), (2.5, 0.0), (1.2, 2.2), (9.0, 0.0)),
-            links=((1.0, 1.0),) * 4,
-            limits=(((-12, 12), (-12, 12)),) * 4,
-            starts=[C(0, 0)] * 4,
-            goals=[C(0, 0)] * 4,
-        )
-        assert "conflict_counter" not in PlanarArmDomain.__dict__
+
+        def arms():
+            # Arm 3 stands out of everyone's reach.
+            return make_arms(
+                bases=((0.0, 0.0), (2.5, 0.0), (1.2, 2.2), (9.0, 0.0)),
+                links=((1.0, 1.0),) * 4,
+                limits=(((-12, 12), (-12, 12)),) * 4,
+                starts=[C(0, 0)] * 4,
+                goals=[C(0, 0)] * 4,
+            )
+
+        d = arms()
+        # The reference runs on a domain of its own, so that no memo it
+        # shares with the counters can hide a wrong count.
+        ref = arms()
         others = [None] + [
             random_walk(rng, d, j, C(rng.randint(-12, 12), 0), rng.randint(2, 6)) for j in (1, 2, 3)
         ]
-        count = d.conflict_counter(0, others)
-        hits = 0
+        queries = []
         for _ in range(300):
             q = C(rng.randint(-12, 12), rng.randint(-12, 12))
             q2 = rng.choice(d.successors(0, q))[0]
-            t2 = rng.randint(1, 8)
-            n = count(q, q2, t2)
-            assert n == sum(reference_conflicts(d, 0, others, q, q2, t2))
-            hits += n
-        assert hits > 0
+            queries.append((q, q2, rng.randint(1, 8)))
+        for substeps in (None, 8):
+            count = d.conflict_counter(0, others, substeps)
+            loop = Domain.conflict_counter(d, 0, others, substeps)
+            hits = 0
+            for q, q2, t2 in queries:
+                n = count(q, q2, t2)
+                assert n == loop(q, q2, t2) == sum(reference_conflicts(ref, 0, others, q, q2, t2, substeps))
+                hits += n
+            assert hits > 0
         assert d.agents_collide(0, C(0, 0), 3, C(12, 0)) is None  # out of reach
+
+
+def solved_arm_moves(n_instances=3):
+    """(domain, solution) of pp on the first arm-quad s2024 instances."""
+    out = []
+    for scenario in generate_instances("arm-quad", n_instances, seed=2024):
+        d = scenario.build_domain()
+        result = solve(d, SolverConfig(algorithm="pp", w=1.3, max_expansions=300))
+        assert result.solved
+        out.append((scenario, result.solution))
+    return out
+
+
+def counter_decisions(d, agent, others, substeps, queries):
+    """Yield (q, q2, t2, calls) per query of d's counter over `others`,
+    where calls is the set of (part, other arm) the counter passed to a
+    primitive. d's memos are emptied before each query, so a part missing
+    from calls was decided by the bounding-box certificate alone."""
+    calls = set()
+    agents_collide, edge_collides = d.agents_collide, d.edge_collides
+
+    def vertex(i, q_i, j, q_j):
+        calls.add(("vertex", j))
+        return agents_collide(i, q_i, j, q_j)
+
+    def edge(i, q_i, q_i2, j, q_j, q_j2, substeps=None):
+        calls.add(("edge", j))
+        return edge_collides(i, q_i, q_i2, j, q_j, q_j2, substeps)
+
+    d.agents_collide, d.edge_collides = vertex, edge
+    count = d.conflict_counter(agent, others, substeps)
+    for q, q2, t2 in queries:
+        d._pair_cache.clear()
+        d._edge_cache.clear()
+        calls.clear()
+        count(q, q2, t2)
+        yield q, q2, t2, set(calls)
+
+
+class TestArmCounterCertificate:
+    def check_skips_are_clear(self, build, agent, others, queries, substeps):
+        """Every part the counter skips is clear for the primitives of a
+        fresh domain; returns (vertex skips, edge skips, contacts found)."""
+        ref = build()
+        skipped_vertex = skipped_edge = contacts = 0
+        for q, q2, t2, calls in counter_decisions(build(), agent, others, substeps, queries):
+            for j, path in enumerate(others):
+                if path is None:
+                    continue
+                at_t2 = path.at(t2)
+                vertex = ref.agents_collide(agent, q2, j, at_t2)
+                if ("vertex", j) not in calls:
+                    assert vertex is None, (q, q2, t2, j)
+                    skipped_vertex += 1
+                if vertex is not None:
+                    contacts += 1
+                    continue
+                motion = (agent, q, q2, j, path.at(t2 - 1), at_t2)
+                edge = ref.edge_collides(*motion, substeps)
+                if ("edge", j) not in calls:
+                    assert edge is None and ref.edge_collides(*motion) is None, (motion, t2)
+                    skipped_edge += 1
+                contacts += edge is not None
+        return skipped_vertex, skipped_edge, contacts
+
+    def test_skipped_pairs_are_clear_on_solved_cells(self):
+        totals = [0, 0, 0]
+        for scenario, solution in solved_arm_moves():
+            paths = sorted(solution, key=lambda p: p.agent)
+            for agent, path in enumerate(paths):
+                others = [None if j == agent else p for j, p in enumerate(paths)]
+                # Each move at its own time and shifted, so that it meets
+                # the other arms' poses of nearby timesteps.
+                queries = [
+                    (path.at(t - 1), path.at(t), t + shift)
+                    for t in range(1, path.horizon + 1)
+                    for shift in (-2, -1, 0, 1, 2)
+                    if t + shift >= 1
+                ]
+                for substeps in (None, 8):
+                    found = self.check_skips_are_clear(scenario.build_domain, agent, others, queries, substeps)
+                    totals = [a + b for a, b in zip(totals, found)]
+        skipped_vertex, skipped_edge, contacts = totals
+        assert skipped_vertex > 0 and skipped_edge > 0 and contacts > 0
+
+    def test_skipped_pairs_are_clear_around_the_037_contact(self):
+        d = arm_quad_037()
+        i, q_i, q_i2, j, q_j, q_j2 = MOTION_037
+        queries = [(q, q2, 1) for q, q2 in motions_near(d, i, q_i.coords)]
+        totals = [0, 0, 0]
+        for a2, _ in d.successors(j, q_j):
+            a = q_j
+            others = [None] * d.n_agents
+            others[j] = Path(agent=j, steps=(a, a2))
+            for substeps in (None, 8):
+                found = self.check_skips_are_clear(arm_quad_037, i, others, queries, substeps)
+                totals = [x + y for x, y in zip(totals, found)]
+        assert all(n > 0 for n in totals), totals
+
+    def test_skipped_pairs_are_clear_on_fast_passes(self):
+        d = arm_quad_037()
+        for i, a_i, b_i, j, a_j, b_j in FAST_PASSES_037:
+            motion = (i, C(*a_i), C(*b_i), j, C(*a_j), C(*b_j))
+            assert d.agents_collide(i, C(*b_i), j, C(*b_j)) is None
+            assert d.edge_collides(*motion) is not None
+            # Each arm plans in turn against the other's move.
+            for agent, q, q2, other, steps in ((i, a_i, b_i, j, (a_j, b_j)), (j, a_j, b_j, i, (a_i, b_i))):
+                others = [None] * d.n_agents
+                others[other] = Path(agent=other, steps=(C(*steps[0]), C(*steps[1])))
+                for substeps in (None, 8):
+                    found = self.check_skips_are_clear(arm_quad_037, agent, others, [(C(*q), C(*q2), 1)], substeps)
+                    assert found[2] == 1
+
+    def test_tangent_arms_are_never_skipped(self):
+        # Both arms lie along the x axis, 0.25 apart: exactly the threshold
+        # of two 0.125-thick capsules, which counts as a contact.
+        def build():
+            return make_arms(
+                bases=((0.0, 0.0), (2.25, 0.0)),
+                limits=(((-12, 12), (-12, 12)),) * 2,
+                thickness=0.125,
+                starts=[C(0, 6), C(0, 6)],
+            )
+
+        d = build()
+        assert d.agents_collide(0, C(0, 0), 1, C(0, 0)) is not None
+        others = [None, Path(agent=1, steps=(C(0, 0),))]
+        queries = [(q, q2, 1) for q, q2 in motions_near(d, 0, (0, 0))]
+        for substeps in (None, 8):
+            count = d.conflict_counter(0, others, substeps)
+            assert [count(*query) for query in queries] == [
+                sum(reference_conflicts(build(), 0, others, *query, substeps)) for query in queries
+            ]
+            _, _, contacts = self.check_skips_are_clear(build, 0, others, queries, substeps)
+            assert contacts > 0
+
+
+class TestPairGapMemo:
+    def endpoint_pairs(self, d, rng, n):
+        """Both endpoints of n random motion pairs of arm-quad-s2024-037."""
+        pairs = [(i, j) for i in range(d.n_agents) for j in range(i + 1, d.n_agents)]
+        out = []
+        for _ in range(n):
+            i, j = pairs[rng.randrange(len(pairs))]
+            qa, qa2 = random_motion(rng, d, i)
+            qb, qb2 = random_motion(rng, d, j)
+            out += [(i, qa.coords, j, qb.coords), (i, qa2.coords, j, qb2.coords)]
+        return out
+
+    def test_memoised_gaps_equal_fresh_ones(self):
+        d, fresh = arm_quad_037(), arm_quad_037()
+        rng = random.Random(3)
+        poses = self.endpoint_pairs(d, rng, 300)
+        i, q_i, q_i2, j, q_j, q_j2 = MOTION_037
+        poses += [(i, q_i.coords, j, q_j.coords), (i, q_i2.coords, j, q_j2.coords)]
+        exact = 0
+        for threshold in (0.21, 0.42):
+            # The same poses over and over, each `enough` reading what the
+            # earlier ones left in the memo.
+            for enough in (threshold, 0.3, 1.0, math.inf, threshold):
+                for pose in poses:
+                    got = d._pair_gap(*pose, threshold, enough)
+                    assert got == fresh._pair_gap(*pose, threshold, enough, memo=False), (pose, enough)
+            exact += len(d._gap_cache)
+        assert exact > 0
+
+    def test_bisection_points_never_grow_the_memo(self):
+        d = arm_quad_037()
+        i, q_i, q_i2, j, q_j, q_j2 = MOTION_037
+        threshold = d.arms[i].thickness + d.arms[j].thickness
+        before = dict(d._gap_cache)  # the start and goal checks
+        for s in (0.0625, 0.125, 0.1875, 0.5):
+            ci = tuple(a + (b - a) * s for a, b in zip(q_i.coords, q_i2.coords))
+            cj = tuple(a + (b - a) * s for a, b in zip(q_j.coords, q_j2.coords))
+            d._pair_gap(i, ci, j, cj, threshold, threshold, memo=False)
+        assert d._gap_cache == before
+        # The certified check bisects between the default samples; only
+        # its sample poses may enter the memo.
+        assert d.edge_collides(*MOTION_037) is not None
+        m = d.substeps
+        samples = {
+            (
+                tuple(a + (b - a) * (k / m) for a, b in zip(q_i.coords, q_i2.coords)),
+                tuple(a + (b - a) * (k / m) for a, b in zip(q_j.coords, q_j2.coords)),
+            )
+            for k in range(m + 1)
+        }
+        added = {(key[1], key[3]) for key in d._gap_cache if key not in before}
+        assert added and added <= samples
+
+    def test_cap_holds(self, monkeypatch):
+        monkeypatch.setattr(domain_module, "POSE_MEMO_CAP", 25)
+        d = arm_quad_037()
+        rng = random.Random(9)
+        for pose in self.endpoint_pairs(d, rng, 200):
+            d._pair_gap(*pose, math.inf, math.inf)  # never the box shortcut
+        assert len(d._gap_cache) == 25
+        assert len(d._fk_cache) <= 25 and len(d._bbox_cache) <= 25

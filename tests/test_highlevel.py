@@ -90,6 +90,29 @@ class TestFindConflicts:
         reused = find_conflicts(new_paths, d, known=base, replanned=[1])
         assert full == reused
 
+        # Random 4-6-agent path sets of unequal lengths (goal padding), with
+        # one to three agents replanned, against a full recompute.
+        wide = grid(5, 5, [], [(0, 0)] * 6, [(4, 4)] * 6)
+
+        def walk(agent):
+            steps = [C(rng.randrange(5), rng.randrange(5))]
+            for _ in range(rng.randint(0, 8)):
+                succ = wide.successors(agent, steps[-1])
+                steps.append(succ[rng.randrange(len(succ))][0])
+            return Path(agent, tuple(steps))
+
+        copied = 0
+        for _ in range(80):
+            n = rng.randint(4, 6)
+            paths = [walk(a) for a in range(n)]
+            base = find_conflicts(paths, wide)
+            replanned = rng.sample(range(n), rng.randint(1, 3))
+            new_paths = [walk(a) if a in replanned else p for a, p in enumerate(paths)]
+            full = find_conflicts(new_paths, wide)
+            assert find_conflicts(new_paths, wide, known=base, replanned=replanned) == full
+            copied += sum(c.agents[0] not in replanned and c.agents[1] not in replanned for c in full)
+        assert copied > 0
+
 
 class TestCBS:
     def test_conflict_free_root_returns_without_expansion(self):
