@@ -777,7 +777,10 @@ class PlanarArmDomain(Domain):
                 if hit is miss:
                     if box2 is None:
                         box2 = bbox(agent, c2)
-                    hit = None if _boxes_apart(box2, boxes[k2], threshold) else agents_collide(agent, q2, j, steps[k2])
+                    if _boxes_apart(box2, boxes[k2], threshold):
+                        hit = None
+                    else:
+                        hit = agents_collide(agent, q2, j, steps[k2])
                 if hit is not None:
                     n += 1
                     continue

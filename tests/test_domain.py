@@ -468,7 +468,7 @@ class TestConflictCounter:
 
 
 def solved_arm_moves(n_instances=3):
-    """(domain, solution) of pp on the first arm-quad s2024 instances."""
+    """(scenario, solution) of pp on the first arm-quad s2024 instances."""
     out = []
     for scenario in generate_instances("arm-quad", n_instances, seed=2024):
         d = scenario.build_domain()
@@ -555,10 +555,10 @@ class TestArmCounterCertificate:
         i, q_i, q_i2, j, q_j, q_j2 = MOTION_037
         queries = [(q, q2, 1) for q, q2 in motions_near(d, i, q_i.coords)]
         totals = [0, 0, 0]
-        for a2, _ in d.successors(j, q_j):
-            a = q_j
+        # Arm j makes each of its moves from its 037 pose.
+        for move, _ in d.successors(j, q_j):
             others = [None] * d.n_agents
-            others[j] = Path(agent=j, steps=(a, a2))
+            others[j] = Path(agent=j, steps=(q_j, move))
             for substeps in (None, 8):
                 found = self.check_skips_are_clear(arm_quad_037, i, others, queries, substeps)
                 totals = [x + y for x, y in zip(totals, found)]
