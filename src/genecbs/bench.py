@@ -183,17 +183,27 @@ def verify(domain: Domain, solution: Sequence[Path]) -> VerifyResult:
                     )
                 )
     fine = 2 * domain.substeps
+    agents_collide = domain.agents_collide
+    edge_collides = domain.edge_collides
+    # Every non-empty path goal-padded to the longest horizon, built here so
+    # the verifier shares no path code with the solvers.
+    horizon = max((len(p.steps) for p in solution), default=0) - 1
+    padded = {
+        a: p.steps + (p.steps[-1],) * (horizon - p.horizon)
+        for a, p in by_agent.items()
+        if p.steps
+    }
     for i in range(n):
         for j in range(i + 1, n):
-            pi, pj = by_agent[i], by_agent[j]
-            h = max(pi.horizon, pj.horizon)
+            if i not in padded or j not in padded:
+                continue  # an empty path is already reported as malformed
+            si, sj = padded[i], padded[j]
+            h = max(by_agent[i].horizon, by_agent[j].horizon)
             for t in range(h + 1):
-                if domain.agents_collide(i, pi.at(t), j, pj.at(t)) is not None:
+                if agents_collide(i, si[t], j, sj[t]) is not None:
                     out.append(Violation("vertex-conflict", (i, j), t, ""))
                 if t < h:
-                    hit = domain.edge_collides(
-                        i, pi.at(t), pi.at(t + 1), j, pj.at(t), pj.at(t + 1), substeps=fine
-                    )
+                    hit = edge_collides(i, si[t], si[t + 1], j, sj[t], sj[t + 1], substeps=fine)
                     if hit is not None:
                         out.append(Violation("edge-conflict", (i, j), t, f"sub-time {hit[1]:g}"))
     return VerifyResult(tuple(out))
@@ -267,9 +277,14 @@ def shortcut(solution: Sequence[Path], domain: Domain, passes: int = 1) -> Tuple
                 p = paths[agent]
                 cost_now = path_cost(p, domain)
                 horizon = p.horizon
-                segments = sorted(
-                    ((a, b) for a in range(horizon + 1) for b in range(a + 2, horizon + 1)),
-                    key=lambda ab: (-(ab[1] - ab[0]), ab[0]),
+                # Unit costs make the cost the goal-arrival index, which a
+                # segment (a, b) can only lower when b >= that index: an
+                # earlier b keeps every step from the arrival on.
+                arrival = int(cost_now)
+                segments = (
+                    (a, a + length)
+                    for length in range(horizon, 1, -1)
+                    for a in range(max(0, arrival - length), horizon - length + 1)
                 )
                 for a, b in segments:
                     cand = _staircase(p.steps[a], p.steps[b], b - a)

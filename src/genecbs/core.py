@@ -260,9 +260,12 @@ class SolverResult:
 
 
 def path_cost(path: Path, domain) -> float:
-    """Sum of transition costs, with wait-at-goal steps after the final goal
-    arrival contributing 0. The agent's occupancy still persists at the goal
-    for conflict checking; only the cost accounting ignores the tail.
+    """Cost of a path whose every transition is valid: each primitive and
+    wait costs 1, and the wait-at-goal steps after the final goal arrival
+    cost 0, so the cost is the arrival index. The agent's occupancy still
+    persists at the goal for conflict checking; only the cost accounting
+    ignores the tail. Raises MalformedPathError on an empty path or an
+    invalid transition.
     """
     if len(path.steps) == 0:
         raise MalformedPathError("empty path")
@@ -276,18 +279,14 @@ def path_cost(path: Path, domain) -> float:
 
 
 def unchecked_path_cost(path: Path, domain) -> float:
-    """`path_cost` of a non-empty path whose transitions the caller checks."""
+    """`path_cost` of a non-empty path whose transitions the caller checks:
+    under unit costs, the first index of the terminal run of goal steps."""
     goal = domain.goals[path.agent]
-    # First index of the terminal run of goal configurations.
-    arrival = len(path.steps) - 1
-    while arrival > 0 and path.steps[arrival] == goal and path.steps[arrival - 1] == goal:
+    steps = path.steps
+    arrival = len(steps) - 1
+    while arrival > 0 and steps[arrival] == goal and steps[arrival - 1] == goal:
         arrival -= 1
-    return float(
-        sum(
-            domain.transition_cost(path.agent, path.steps[t - 1], path.steps[t])
-            for t in range(1, arrival + 1)
-        )
-    )
+    return float(arrival)
 
 
 def sum_of_costs(solution: Sequence[Path], domain) -> float:

@@ -139,11 +139,10 @@ class Domain(ABC):
 
         return count
 
-    def transition_cost(self, agent: int, a: Configuration, b: Configuration) -> float:
-        return 1.0
-
     def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
-        """b must be a (wait or primitive) successor of a."""
+        """b must be a (wait or primitive) successor of a. Every transition
+        costs 1: the low level's g is its timestep, and `path_cost` is a
+        path's goal-arrival index."""
         if not (self.in_bounds(agent, a) and self.is_static_free(agent, a)):
             return False
         return any(b == succ for succ, _ in self.successors(agent, a))
@@ -212,6 +211,21 @@ class GridDomain(Domain):
 
     def heuristic(self, agent: int, q: Configuration, goal: Configuration) -> float:
         return float(abs(q.coords[0] - goal.coords[0]) + abs(q.coords[1] - goal.coords[1]))
+
+    def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
+        """The base rule decided from coordinates, without a successor list:
+        a is a free in-bounds cell, and b is a or a free in-bounds
+        4-neighbour of a."""
+        x, y = a.coords
+        width, height, blocked = self.width, self.height, self.blocked
+        if not (0 <= x < width and 0 <= y < height) or (x, y) in blocked:
+            return False
+        c = b.coords
+        if c == a.coords:
+            return True
+        if len(c) != 2 or abs(c[0] - x) + abs(c[1] - y) != 1:
+            return False
+        return 0 <= c[0] < width and 0 <= c[1] < height and c not in blocked
 
     def cell_center(self, q: Configuration) -> Point:
         return (q.coords[0] + 0.5, q.coords[1] + 0.5)

@@ -60,26 +60,24 @@ from .lowlevel import ConstraintContext, Focal
 def _pair_conflicts(
     paths: Sequence[Path], domain: Domain, i: int, j: int, substeps: Optional[int] = None
 ) -> List[Conflict]:
-    pi, pj = paths[i], paths[j]
+    si, sj = paths[i].steps, paths[j].steps
+    h = max(len(si), len(sj)) - 1
+    # Goal-pad both step tuples to the pair's horizon once.
+    si += (si[-1],) * (h + 1 - len(si))
+    sj += (sj[-1],) * (h + 1 - len(sj))
+    agents_collide = domain.agents_collide
+    edge_collides = domain.edge_collides
     out: List[Conflict] = []
-    h = max(pi.horizon, pj.horizon)
     for t in range(h + 1):
-        point = domain.agents_collide(i, pi.at(t), j, pj.at(t))
+        a, b = si[t], sj[t]
+        point = agents_collide(i, a, j, b)
         if point is not None:
-            out.append(Conflict(VERTEX, (i, j), t, (pi.at(t),), (pj.at(t),), point))
+            out.append(Conflict(VERTEX, (i, j), t, (a,), (b,), point))
         if t < h:
-            hit = domain.edge_collides(i, pi.at(t), pi.at(t + 1), j, pj.at(t), pj.at(t + 1), substeps)
+            a2, b2 = si[t + 1], sj[t + 1]
+            hit = edge_collides(i, a, a2, j, b, b2, substeps)
             if hit is not None:
-                out.append(
-                    Conflict(
-                        EDGE,
-                        (i, j),
-                        t,
-                        (pi.at(t), pi.at(t + 1)),
-                        (pj.at(t), pj.at(t + 1)),
-                        hit[0],
-                    )
-                )
+                out.append(Conflict(EDGE, (i, j), t, (a, a2), (b, b2), hit[0]))
     return out
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import random
 import statistics
 import subprocess
@@ -9,11 +10,13 @@ from pathlib import Path as FsPath
 
 import pytest
 
+import genecbs
 from genecbs.bench import (
     CSV_COLUMNS,
     RunRecord,
     Scenario,
     ScenarioError,
+    Violation,
     _segment_ok,
     _staircase,
     aggregate_records,
@@ -24,7 +27,16 @@ from genecbs.bench import (
     verify,
 )
 from genecbs.cli import main as cli_main
-from genecbs.core import Configuration, Path, canonical_json, path_cost, sum_of_costs
+from genecbs.core import (
+    EDGE,
+    VERTEX,
+    Configuration,
+    Conflict,
+    Path,
+    canonical_json,
+    path_cost,
+    sum_of_costs,
+)
 from genecbs.domain import GridDomain
 from genecbs.highlevel import SolverConfig, solve, find_conflicts
 
@@ -146,6 +158,12 @@ class TestVerify:
         assert not out.clean
         assert any(v.kind == "endpoint" for v in out.violations)
 
+    def test_empty_path_is_reported_without_pair_checks(self):
+        d = hallway_scenario().build_domain()
+        other = Path(1, (C(4, 1), C(3, 1)))
+        out = verify(d, [Path(0, ()), other])
+        assert [v.kind for v in out.violations] == ["malformed", "endpoint"]
+
     def test_shifted_path_creates_detected_conflict(self):
         d = hallway_scenario().build_domain()
         r = solve(d, SolverConfig(algorithm="cbs"))
@@ -169,6 +187,117 @@ class TestVerify:
         other = Path(1, (C(2, 2), C(1, 2), C(0, 2), C(0, 1), C(0, 0)))
         out = verify(d, [bad, other])
         assert any(v.kind == "static" for v in out.violations)
+
+
+def reference_pair_conflicts(paths, domain, i, j, substeps=None):
+    """The pair scan of `find_conflicts`, through `Path.at`."""
+    pi, pj = paths[i], paths[j]
+    out = []
+    h = max(pi.horizon, pj.horizon)
+    for t in range(h + 1):
+        point = domain.agents_collide(i, pi.at(t), j, pj.at(t))
+        if point is not None:
+            out.append(Conflict(VERTEX, (i, j), t, (pi.at(t),), (pj.at(t),), point))
+        if t < h:
+            hit = domain.edge_collides(i, pi.at(t), pi.at(t + 1), j, pj.at(t), pj.at(t + 1), substeps)
+            if hit is not None:
+                out.append(
+                    Conflict(
+                        EDGE,
+                        (i, j),
+                        t,
+                        (pi.at(t), pi.at(t + 1)),
+                        (pj.at(t), pj.at(t + 1)),
+                        hit[0],
+                    )
+                )
+    return out
+
+
+def reference_find_conflicts(paths, domain, substeps=None):
+    out = []
+    for i in range(len(paths)):
+        for j in range(i + 1, len(paths)):
+            out.extend(reference_pair_conflicts(paths, domain, i, j, substeps))
+    out.sort(key=Conflict.sort_key)
+    return tuple(out)
+
+
+def reference_verify_conflicts(domain, solution):
+    """The pair scan of `verify`, through `Path.at`."""
+    out = []
+    n = domain.n_agents
+    by_agent = {p.agent: p for p in solution}
+    fine = 2 * domain.substeps
+    for i in range(n):
+        for j in range(i + 1, n):
+            pi, pj = by_agent[i], by_agent[j]
+            h = max(pi.horizon, pj.horizon)
+            for t in range(h + 1):
+                if domain.agents_collide(i, pi.at(t), j, pj.at(t)) is not None:
+                    out.append(Violation("vertex-conflict", (i, j), t, ""))
+                if t < h:
+                    hit = domain.edge_collides(
+                        i, pi.at(t), pi.at(t + 1), j, pj.at(t), pj.at(t + 1), substeps=fine
+                    )
+                    if hit is not None:
+                        out.append(Violation("edge-conflict", (i, j), t, f"sub-time {hit[1]:g}"))
+    return tuple(out)
+
+
+def verify_conflicts(domain, solution):
+    return tuple(
+        v for v in verify(domain, solution).violations if v.kind in ("vertex-conflict", "edge-conflict")
+    )
+
+
+class TestPaddedScans:
+    """`find_conflicts` and `verify` index goal-padded step tuples; they
+    must report what the pair scans through `Path.at` report."""
+
+    def test_random_grid_path_sets(self):
+        rng = random.Random(17)
+        blocked = [(1, 1), (3, 2)]
+        cells = [C(x, y) for x in range(5) for y in range(5) if (x, y) not in blocked]
+        parked = 0
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            d = GridDomain(5, 5, blocked, [C(0, 0)] * n, [C(4, 4)] * n)
+            paths = []
+            for agent in range(n):
+                steps = [rng.choice(cells)]
+                for _ in range(rng.randint(0, 8)):
+                    steps.append(rng.choice(d.successors(agent, steps[-1]))[0])
+                paths.append(Path(agent, tuple(steps)))
+            conflicts = find_conflicts(paths, d)
+            assert conflicts == reference_find_conflicts(paths, d)
+            assert verify_conflicts(d, paths) == reference_verify_conflicts(d, paths)
+            # Conflicts after one of the pair has parked at its last step.
+            parked += sum(c.time > min(paths[a].horizon for a in c.agents) for c in conflicts)
+        assert parked > 0
+
+    def test_delayed_arm_quad_000_solutions(self):
+        scenario = generate_instances("arm-quad", 1, seed=2024)[0]
+        rng = random.Random(5)
+        found = 0
+        for algo in ("pp", "ecbs"):
+            d = scenario.build_domain()
+            r = solve(d, SolverConfig(algorithm=algo, w=1.3, seed=cell_seed(scenario, algo), max_expansions=300))
+            assert r.solved
+            for _ in range(4):
+                paths = [
+                    Path(p.agent, (p.steps[0],) * rng.randint(0, 3) + p.steps)
+                    for p in sorted(r.solution, key=lambda p: p.agent)
+                ]
+                # The references run on a domain of their own, so that no
+                # memo shared with the scans can hide a difference.
+                ref = scenario.build_domain()
+                for substeps in (None, 8):
+                    conflicts = find_conflicts(paths, d, substeps=substeps)
+                    assert conflicts == reference_find_conflicts(paths, ref, substeps), (algo, substeps)
+                    found += len(conflicts)
+                assert verify_conflicts(d, paths) == reference_verify_conflicts(ref, paths), algo
+        assert found > 0
 
 
 class TestShortcut:
@@ -307,6 +436,41 @@ class TestShortcutParity:
         scenario = generate_instances("arm-quad", 1, seed=2024)[0]
         self._check(scenario, ("pp", "ecbs"))
         assert self._check(scenario, ("pp", "ecbs"), delay=3) > 0
+
+    def test_goal_revisits_and_trailing_waits(self):
+        # Agent 0 passes through its goal (2, 0) at t = 2 before its terminal
+        # goal run; agent 1 detours and then waits at its goal (3, 2).
+        d = GridDomain(5, 3, [], [C(0, 0), C(4, 2)], [C(2, 0), C(3, 2)])
+        solution = (
+            Path(0, (C(0, 0), C(1, 0), C(2, 0), C(2, 1), C(3, 1), C(3, 0), C(2, 0))),
+            Path(1, (C(4, 2), C(4, 1), C(4, 2), C(3, 2), C(3, 2), C(3, 2))),
+        )
+        for passes in (1, 2):
+            out = shortcut(solution, d, passes=passes)
+            assert out == reference_shortcut(solution, d, passes=passes)
+            assert [path_cost(p, d) for p in out] == [2.0, 1.0]
+
+        # Random walks that end at their goal after 0-3 waits, on a grid
+        # small enough that many walks visit the goal earlier too.
+        rng = random.Random(8)
+        grid = GridDomain(4, 4, [(1, 1)], [C(0, 0)] * 3, [C(0, 0)] * 3)
+        cells = [C(x, y) for x in range(4) for y in range(4) if (x, y) != (1, 1)]
+        revisits = improved = 0
+        for _ in range(150):
+            walks = []
+            for agent in range(3):
+                steps = [rng.choice(cells)]
+                for _ in range(rng.randint(1, 8)):
+                    steps.append(rng.choice(grid.successors(agent, steps[-1]))[0])
+                walks.append(steps + [steps[-1]] * rng.randint(0, 3))
+            d = GridDomain(4, 4, [(1, 1)], [w[0] for w in walks], [w[-1] for w in walks])
+            solution = tuple(Path(a, tuple(w)) for a, w in enumerate(walks))
+            revisits += sum(w.index(w[-1]) < path_cost(p, d) for w, p in zip(walks, solution))
+            for passes in (1, 2):
+                out = shortcut(solution, d, passes=passes)
+                assert out == reference_shortcut(solution, d, passes=passes), (solution, passes)
+                improved += sum_of_costs(out, d) < sum_of_costs(solution, d)
+        assert revisits > 0 and improved > 0
 
     def test_segment_check_matches_reference_on_random_segments(self):
         rng = random.Random(3)
@@ -602,10 +766,15 @@ class TestCLI:
 
     def test_module_entrypoint(self, tmp_path):
         scen = self._write_scenario(tmp_path)
+        # The subprocess imports the same package as this test process.
+        src = str(FsPath(genecbs.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "genecbs", "solve", str(scen), "--algo", "cbs"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "solved" in proc.stdout

@@ -62,6 +62,22 @@ class TestGridSuccessors:
         assert (2, 3) not in succ and (3, 2) not in succ
         assert len(succ) == 3
 
+    def test_transition_valid_matches_base_rule(self):
+        # Every pair of cells within one cell of a 4x4 grid: out-of-bounds,
+        # blocked, diagonal and two-step moves, waits and 4-neighbour moves.
+        d = GridDomain(4, 4, [(1, 1), (2, 1), (3, 3)], [C(0, 0)], [C(3, 0)])
+        cells = [C(x, y) for x in range(-1, 5) for y in range(-1, 5)]
+        valid = 0
+        for a in cells:
+            for b in cells:
+                expected = Domain.transition_valid(d, 0, a, b)
+                assert d.transition_valid(0, a, b) == expected, (a, b)
+                valid += expected
+            for b in (C(a.coords[0], a.coords[1], 0), C(a.coords[0] + 1, a.coords[1], 0)):
+                assert not d.transition_valid(0, a, b) and not Domain.transition_valid(d, 0, a, b)
+        free = 16 - 3
+        assert 0 < valid < free * 5
+
 
 class TestArmSuccessors:
     def test_both_joints_at_limit_maxima(self):
