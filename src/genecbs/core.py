@@ -91,6 +91,17 @@ class Path:
     def __len__(self) -> int:
         return len(self.steps)
 
+    def __hash__(self) -> int:
+        # Cached on first use: the low-level memo hashes the same paths in
+        # every key. The fields are ints, so the cached value is the same in
+        # every process and may travel with a pickled Path.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.agent, self.steps))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @property
     def horizon(self) -> int:
         """Index of the last explicit timestep."""

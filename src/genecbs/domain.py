@@ -529,6 +529,24 @@ class PlanarArmDomain(Domain):
     def heuristic(self, agent: int, q: Configuration, goal: Configuration) -> float:
         return float(sum(abs(a - b) for a, b in zip(q.coords, goal.coords)))
 
+    def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
+        """The base rule decided from coordinates, without a successor list:
+        a is an in-bounds static-free pose, and b is a or moves one joint of
+        a by one step, within that joint's limits, to a static-free pose."""
+        if not (self.in_bounds(agent, a) and self.is_static_free(agent, a)):
+            return False
+        ca, cb = a.coords, b.coords
+        if cb == ca:
+            return True
+        if len(cb) != len(ca):
+            return False
+        moved = [j for j, (x, y) in enumerate(zip(ca, cb)) if x != y]
+        if len(moved) != 1:
+            return False
+        j = moved[0]
+        lo, hi = self.arms[agent].joint_limits[j]
+        return abs(cb[j] - ca[j]) == 1 and lo <= cb[j] <= hi and self.is_static_free(agent, b)
+
     def _bbox(self, agent: int, coords: Tuple[float, ...]) -> Box:
         key = (agent, coords)
         hit = self._bbox_cache.get(key)

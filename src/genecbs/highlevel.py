@@ -20,11 +20,17 @@ bounds; selecting such a node evaluates it (replans the pending agent,
 recomputes cost and conflicts) and re-queues it instead of expanding.
 Inherited lower bounds stay valid because constraint sets only grow, so the
 focal condition cost <= w * min lb(OPEN) keeps the w-bound proof intact.
+
+Sibling subtrees that forbid the same thing under two constraint types repeat
+their replans call for call, so each engine answers a low-level request that
+repeats one of the same solve from a table (`_CTEngine._plan_agent`).
+`ll_calls` counts every request, answered from the table or not.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import time
 from dataclasses import dataclass, replace
@@ -181,8 +187,8 @@ class _CTEngine:
     def __init__(self, domain: Domain, config: SolverConfig):
         preset, menu = _preset_and_menu(domain, config)
         w = 1.0 if preset.unit_w else config.w
-        if w < 1.0:
-            raise ValueError("w must be >= 1")
+        if not 1.0 <= w < math.inf:  # also rejects NaN
+            raise ValueError(f"w must be a finite number >= 1, got {w:g}")
         self.domain = domain
         self.config = config
         self.preset = preset
@@ -205,6 +211,8 @@ class _CTEngine:
         self.evaluations = 0
         self.ll_calls = 0
         self.min_lb_final: float = 0.0
+        # (agent, frozenset of its constraints, other paths) -> LLResult.
+        self.ll_memo: Dict[tuple, lowlevel.LLResult] = {}
 
     # ---- node plumbing -------------------------------------------------
 
@@ -281,9 +289,27 @@ class _CTEngine:
 
     # ---- planning ------------------------------------------------------
 
-    def _plan_agent(self, agent: int, constraints, paths):
+    def _plan_agent(self, agent: int, constraints, paths) -> lowlevel.LLResult:
+        """One low-level request of the tree, answered from `ll_memo` when
+        it repeats one of this solve.
+
+        `plan` reads only the context and per-solve constants (start, goal,
+        mode, budget), and its constraint checks depend neither on order nor
+        on repeats, so the agent, its constraint set and the other paths
+        decide the result, whatever its status. Only the root plans without
+        constraints, once per agent, so those requests skip the memo."""
         ctx = ConstraintContext.for_agent(agent, constraints, paths)
         self.ll_calls += 1
+        if not ctx.constraints:
+            return self._plan(ctx)
+        key = (agent, frozenset(ctx.constraints), ctx.other_paths)
+        res = self.ll_memo.get(key)
+        if res is None:
+            res = self.ll_memo[key] = self._plan(ctx)
+        return res
+
+    def _plan(self, ctx: ConstraintContext) -> lowlevel.LLResult:
+        agent = ctx.agent
         return lowlevel.plan(
             self.domain,
             agent,

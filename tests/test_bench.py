@@ -719,6 +719,28 @@ class TestCLI:
         assert cli_main(["gen", "--template", "grid-random", "--count", "0", "--out", str(tmp_path / "g")]) == 0
         assert cli_main(bench + ["--jobs", "1", "--shortcut-passes", "0"]) == 0
 
+    def test_non_finite_w_returns_two_with_one_line(self, tmp_path, capsys):
+        scen = self._write_scenario(tmp_path)
+        run_file = tmp_path / "run.json"
+        obj = hallway_scenario().to_obj()
+        obj["solver"]["w"] = float("nan")
+        from_file = tmp_path / "nan-w.json"
+        from_file.write_text(json.dumps(obj))  # written as NaN, which json reads back
+        for argv, shown in (
+            (["solve", str(scen), "--algo", "gen-ecbs", "--w", "nan"], "nan"),
+            (["solve", str(scen), "--algo", "ecbs", "--w", "inf"], "inf"),
+            (["solve", str(scen), "--algo", "ac-ecbs", "--w=-inf"], "-inf"),
+            (["solve", str(from_file), "--algo", "gen-ecbs"], "nan"),
+        ):
+            capsys.readouterr()
+            assert cli_main(argv + ["--out", str(run_file)]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"error: w must be a finite number >= 1, got {shown}\n", argv
+            assert captured.out == "", argv
+        assert not run_file.exists()
+        # The unit-w rows ignore the configured w.
+        assert cli_main(["solve", str(scen), "--algo", "gen-cbs", "--w", "nan"]) == 0
+
     def test_solve_and_verify_build_the_domain_once(self, tmp_path, monkeypatch):
         scen = self._write_scenario(tmp_path)
         run_file = tmp_path / "run.json"

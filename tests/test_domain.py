@@ -96,6 +96,43 @@ class TestArmSuccessors:
         assert (0, 1) not in succ  # raising the second joint hits the circle
         assert (0, -1) in succ and (1, 0) in succ and (-1, 0) in succ and (0, 0) in succ
 
+    def test_transition_valid_matches_base_rule(self):
+        # Every pair of poses within two steps per joint, one step past the
+        # limits: out-of-limit and blocked poses, two-joint and two-step
+        # moves, waits and single-joint moves, plus wrong-dimension poses.
+        tip_up = (1.0 + math.cos(DELTA), math.sin(DELTA))
+        d = make_arms(
+            limits=(((-3, 3), (-3, 3)), ((9, 15), (-3, 3))),
+            obstacles=[((tip_up[0], tip_up[1]), 0.05), ((0.0, 1.6), 0.3)],
+        )
+        poses = [C(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+        valid = blocked = 0
+        for a in poses:
+            blocked += d.in_bounds(0, a) and not d.is_static_free(0, a)
+            for b in poses:
+                if max(abs(u - v) for u, v in zip(a.coords, b.coords)) <= 2:
+                    expected = Domain.transition_valid(d, 0, a, b)
+                    assert d.transition_valid(0, a, b) == expected, (a, b)
+                    valid += expected
+            for b in (C(*a.coords, 0), C(a.coords[0] + 1), C(*a.coords[:1])):
+                assert not d.transition_valid(0, a, b) and not Domain.transition_valid(d, 0, a, b)
+        assert blocked > 0 and 0 < valid < 49 * 5
+
+    def test_transition_valid_matches_base_rule_on_random_pairs(self):
+        d = generate_instances("arm-quad", 1, seed=2024)[0].build_domain()
+        rng = random.Random(3)
+        checked = 0
+        for agent in range(d.n_agents):
+            limits = d.arms[agent].joint_limits
+            for _ in range(300):
+                a = C(*(rng.randint(lo - 1, hi + 1) for lo, hi in limits))
+                b = C(*(c + rng.choice((-1, 0, 0, 1)) for c in a.coords))
+                for q in (b, C(*(rng.randint(lo, hi) for lo, hi in limits)), C(*b.coords[:-1])):
+                    expected = Domain.transition_valid(d, agent, a, q)
+                    assert d.transition_valid(agent, a, q) == expected, (agent, a, q)
+                    checked += expected
+        assert checked > 0
+
 
 class TestHeuristic:
     def test_zero_at_goal(self):

@@ -1,11 +1,18 @@
 import hashlib
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
-from genecbs.bench import generate_instances
+import genecbs
+from genecbs import lowlevel
+from genecbs.bench import cell_seed, generate_instances
 from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, default_menu
 from genecbs.core import Configuration, Path, canonical_json, sum_of_costs
+from genecbs.lowlevel import ConstraintContext
 from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain
 from genecbs.highlevel import (
     DTSState,
@@ -484,3 +491,141 @@ class TestCrowdParity:
         r = solve(scenario.build_domain(), config)
         digest = hashlib.sha256(canonical_json(r.to_obj(include_runtime=False)).encode()).hexdigest()
         assert digest == CROWD_DIGESTS[algo]
+
+
+# sha256 of canonical_json(result.to_obj(include_runtime=False)) on trees deep
+# enough that many low-level requests repeat within a solve (300-expansion
+# cap, default menu, no prior, `cell_seed` seeds), recorded before the engine
+# answered repeated requests from its per-solve memo.
+DEEP_DIGESTS = {
+    ("grid-random-s300-018", "cbs"): "57842b802b29fcc48ee7328c6739d5a2a39280d66995b64c2614fa2c577c37f6",
+    ("grid-random-s300-018", "ecbs"): "57842b802b29fcc48ee7328c6739d5a2a39280d66995b64c2614fa2c577c37f6",
+    ("grid-random-s300-018", "ac-ecbs"): "709088524cb35df67b09fcb9453c9a45b004297dc9c7bec8d7096e7d1dbc9448",
+    ("grid-random-s300-018", "ac-ecbs-lazy"): "709088524cb35df67b09fcb9453c9a45b004297dc9c7bec8d7096e7d1dbc9448",
+    ("grid-random-s300-018", "gen-ecbs"): "c6fb0d9913f1af4367e46987b6a5a509147d6305c03e4c11479cd3d2cfe28c71",
+    ("grid-random-s300-018", "gen-cbs"): "ec9b794f03ba1db506b47b1acc6ee4d5701c18980115d32827c6909bf3b0725a",
+    ("arm-quad-s2024-000", "ecbs"): "f700559cd73259121365cac25144a63b902ed196f7acee606239612061440c9a",
+    ("arm-quad-s2024-010", "ecbs"): "f06cf2f66540dc292161086e4524273d4b008ca99cde135414d5ffce6d8c7401",
+}
+
+GRID_S300 = {"width": 5, "height": 5, "n_agents": 3, "obstacle_density": 0.12}
+
+
+@pytest.fixture(scope="module")
+def deep_scenarios():
+    grid_s300 = generate_instances("grid-random", 19, seed=300, params=GRID_S300)[18]
+    arms = generate_instances("arm-quad", 11, seed=2024)
+    return {s.name: s for s in (grid_s300, arms[0], arms[10])}
+
+
+def deep_config(scenario, algo):
+    """The oracle suite's w = 1.0 on grids, the arm suite's 1.3 on arms."""
+    w = 1.0 if scenario.name.startswith("grid") else 1.3
+    return SolverConfig(
+        algorithm=algo, w=w, seed=cell_seed(scenario, algo), timeout_ms=600_000.0, max_expansions=300
+    )
+
+
+class TestDeepTreeParity:
+    @pytest.mark.parametrize("name,algo", sorted(DEEP_DIGESTS))
+    def test_results_match_recorded_digests(self, deep_scenarios, name, algo):
+        scenario = deep_scenarios[name]
+        r = solve(scenario.build_domain(), deep_config(scenario, algo))
+        digest = hashlib.sha256(canonical_json(r.to_obj(include_runtime=False)).encode()).hexdigest()
+        assert digest == DEEP_DIGESTS[(name, algo)]
+
+
+def record_plans(monkeypatch):
+    """Wrap `lowlevel.plan`; returns the list each search that runs is
+    appended to, as (domain, agent, ctx, keyword arguments)."""
+    calls = []
+    original = lowlevel.plan
+
+    def recorded(domain, agent, start, goal, ctx, **kwargs):
+        calls.append((domain, agent, ctx, kwargs))
+        return original(domain, agent, start, goal, ctx, **kwargs)
+
+    monkeypatch.setattr(lowlevel, "plan", recorded)
+    return calls
+
+
+class TestLowLevelMemo:
+    """The engine answers a repeated (agent, constraint set, other paths)
+    request from a per-solve table instead of searching again."""
+
+    @pytest.mark.parametrize("name", ["grid-random-s300-018", "arm-quad-s2024-000"])
+    def test_plan_ignores_constraint_order_and_duplicates(self, deep_scenarios, monkeypatch, name):
+        # ac-ecbs branches on the default menu, incomplete types included.
+        scenario = deep_scenarios[name]
+        config = deep_config(scenario, "ac-ecbs")
+        config.max_expansions = 40
+        calls = record_plans(monkeypatch)
+        solve(scenario.build_domain(), config)
+        monkeypatch.undo()
+        rng = random.Random(5)
+        checked = 0
+        for domain, agent, ctx, kwargs in calls:
+            if len(ctx.constraints) < 2:
+                continue
+            start, goal = domain.starts[agent], domain.goals[agent]
+            expected = lowlevel.plan(domain, agent, start, goal, ctx, **kwargs)
+            shuffled = list(ctx.constraints)
+            rng.shuffle(shuffled)
+            doubled = shuffled + rng.sample(shuffled, rng.randint(1, len(shuffled)))
+            rng.shuffle(doubled)
+            for cs in (shuffled, doubled):
+                variant = ConstraintContext(agent, tuple(cs), ctx.other_paths)
+                assert lowlevel.plan(domain, agent, start, goal, variant, **kwargs) == expected
+            checked += 1
+        assert checked >= 20
+
+    def test_repeats_skip_the_search_but_count_as_ll_calls(self, deep_scenarios, monkeypatch):
+        scenario = deep_scenarios["grid-random-s300-018"]
+        calls = record_plans(monkeypatch)
+        r = solve(scenario.build_domain(), deep_config(scenario, "ac-ecbs"))
+        assert r.solved
+        assert 0 < len(calls) < r.stats.ll_calls
+        keys = [(agent, frozenset(ctx.constraints), ctx.other_paths) for _, agent, ctx, _ in calls]
+        assert len(set(keys)) == len(keys)  # no search ran twice
+
+    def test_conflict_free_root_searches_once_per_agent(self, monkeypatch):
+        d = grid(3, 3, [], [(0, 0), (0, 2)], [(2, 0), (2, 2)])
+        calls = record_plans(monkeypatch)
+        r = solve(d, SolverConfig(algorithm="ac-ecbs", w=1.0))
+        assert r.solved and r.stats.hl_expansions == 0
+        assert len(calls) == r.stats.ll_calls == 2
+
+
+class TestPathHash:
+    def test_cached_hash_matches_a_fresh_equal_path(self):
+        steps = (C(0, 0), C(1, 0), C(1, 1))
+        p = Path(2, steps)
+        first = hash(p)
+        assert hash(p) == first
+        fresh = Path(2, tuple(C(*q.coords) for q in steps))
+        assert fresh == p and hash(fresh) == first
+        assert {p: 1}[fresh] == 1
+        assert Path(2, steps[:-1]) != p and Path(1, steps) != p
+
+    def test_pickle_round_trip_keeps_equality_and_hash(self):
+        p = Path(0, (C(3, 4), C(3, 5)))
+        hash(p)
+        again = pickle.loads(pickle.dumps(p))
+        assert again == p and hash(again) == hash(p) == hash(Path(0, (C(3, 4), C(3, 5))))
+
+    def test_hash_cached_in_another_process_is_valid_here(self):
+        # Unlike a str's, an int tuple's hash does not depend on the
+        # process's hash seed, so a cached value may travel with the pickle.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(genecbs.__file__)))
+        code = (
+            "import pickle, sys\n"
+            "from genecbs.core import Configuration, Path\n"
+            "p = Path(1, (Configuration((2, 3)), Configuration((2, 4))))\n"
+            "hash(p)\n"
+            "sys.stdout.buffer.write(pickle.dumps(p))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True).stdout
+        p = pickle.loads(out)
+        fresh = Path(1, (C(2, 3), C(2, 4)))
+        assert p == fresh and hash(p) == hash(fresh) and {fresh: 1}[p] == 1
