@@ -239,17 +239,13 @@ def _segment_ok(
     t0: int,
     count,
 ) -> bool:
-    """Whether the candidate segment, run from t0, has valid transitions,
-    static-free interior configurations, and no conflict that
-    `count(q, q2, t2)`, a `Domain.conflict_counter` over the other paths,
-    finds on any of its moves."""
+    """Whether the candidate segment, run from t0, has valid transitions and
+    no conflict that `count(q, q2, t2)`, a `Domain.conflict_counter` over
+    the other paths, finds on any of its moves. Every interior pose is the
+    source of a move, and `transition_valid` rejects an out-of-bounds or
+    static-blocked source."""
     for k in range(1, len(cand)):
         if not domain.transition_valid(agent, cand[k - 1], cand[k]):
-            return False
-    for k, q in enumerate(cand):
-        if k in (0, len(cand) - 1):
-            continue  # endpoints belong to the untouched path
-        if not domain.in_bounds(agent, q) or not domain.is_static_free(agent, q):
             return False
     for k in range(1, len(cand)):
         if count(cand[k - 1], cand[k], t0 + k):
@@ -267,6 +263,13 @@ def shortcut(solution: Sequence[Path], domain: Domain, passes: int = 1) -> Tuple
     fine = 2 * domain.substeps
     for _ in range(max(0, passes)):
         for agent in range(len(paths)):
+            # A move changes the heuristic (grid Manhattan, arm joint-index L1
+            # distance) by at most 1, so no segment shortens a path whose
+            # cost already equals it.
+            p = paths[agent]
+            cost_now = path_cost(p, domain)
+            if cost_now == domain.heuristic(agent, p.steps[0], domain.goals[agent]):
+                continue
             # The other paths stay fixed while this agent is shortcut.
             count = domain.conflict_counter(
                 agent, [None if i == agent else p for i, p in enumerate(paths)], substeps=fine
@@ -275,7 +278,6 @@ def shortcut(solution: Sequence[Path], domain: Domain, passes: int = 1) -> Tuple
             while improved:
                 improved = False
                 p = paths[agent]
-                cost_now = path_cost(p, domain)
                 horizon = p.horizon
                 # Unit costs make the cost the goal-arrival index, which a
                 # segment (a, b) can only lower when b >= that index: an
@@ -292,10 +294,11 @@ def shortcut(solution: Sequence[Path], domain: Domain, passes: int = 1) -> Tuple
                         continue
                     new_path = Path(agent, p.steps[:a] + tuple(cand) + p.steps[b + 1 :])
                     # Cheap test first; _segment_ok checks the transitions.
-                    if unchecked_path_cost(new_path, domain) >= cost_now:
+                    new_cost = unchecked_path_cost(new_path, domain)
+                    if new_cost >= cost_now:
                         continue
                     if _segment_ok(domain, agent, cand, a, count):
-                        paths[agent] = new_path
+                        paths[agent], cost_now = new_path, new_cost
                         improved = True
                         break
     return tuple(paths)

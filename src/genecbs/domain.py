@@ -166,6 +166,12 @@ class Domain(ABC):
                     raise ValueError(f"goals of agents {i} and {j} are in conflict")
 
 
+def _checked_substeps(substeps) -> int:
+    if not isinstance(substeps, int) or substeps < 1:
+        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
+    return substeps
+
+
 class GridDomain(Domain):
     """Unit-cell grid with point robots; cell (x, y) has workspace center
     (x + 0.5, y + 0.5)."""
@@ -185,7 +191,7 @@ class GridDomain(Domain):
         self.starts = tuple(starts)
         self.goals = tuple(goals)
         self.n_agents = len(self.starts)
-        self.substeps = substeps
+        self.substeps = _checked_substeps(substeps)
         if len(self.goals) != self.n_agents:
             raise ValueError("starts and goals must have the same length")
 
@@ -429,15 +435,17 @@ class PlanarArmDomain(Domain):
         goals: Sequence[Configuration],
         substeps: int = 4,
     ):
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < delta < math.inf:  # also rejects NaN
+            raise ValueError(f"delta must be a finite number > 0, got {delta!r}")
+        if not arms or not all(a.link_lengths for a in arms):
+            raise ValueError("an arm domain needs at least one arm, each with at least one link")
         self.arms = tuple(arms)
         self.obstacles = tuple(((float(c[0]), float(c[1])), float(r)) for c, r in obstacles)
         self.delta = float(delta)
         self.starts = tuple(starts)
         self.goals = tuple(goals)
         self.n_agents = len(self.arms)
-        self.substeps = substeps
+        self.substeps = _checked_substeps(substeps)
         if not (len(self.starts) == len(self.goals) == self.n_agents):
             raise ValueError("arms, starts, and goals must have the same length")
         self._fk_cache: Dict[Tuple[int, Tuple[float, ...]], Tuple[Segment, ...]] = {}

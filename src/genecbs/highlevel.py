@@ -1,9 +1,11 @@
 """High-level constraint-tree solvers.
 
 One engine drives the whole family. The algorithms differ only in data: each
-row of `PRESETS` sets the engine's flags, and `solve` looks the row up.
+row of `PRESETS` sets the engine's flags, and `solve` looks the row up. Every
+row picks nodes through the same focal loop over one open set.
 
-  cbs           best-first on cost, complete constraints, eager children
+  cbs           the focal loop at w = 1 with a cost-only key, which pops the
+                cheapest open node; complete constraints, eager children
   ecbs          focal search (conflict count within w of the lower bound)
   ac-ecbs       ecbs branching over every enabled constraint type (eager)
   ac-ecbs-lazy  same, children generated lazily with inherited values
@@ -33,6 +35,7 @@ import heapq
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -200,10 +203,9 @@ class _CTEngine:
         prior = resolve_prior(config.dts_prior, menu) if preset.multi_queue and config.dts_prior else None
         self.dts = DTSState(self.queue_keys, cap=10.0, prior=prior, seed=config.seed)
 
-        self.nodes: Dict[int, CTNode] = {}
-        self.in_open: set = set()
+        self.nodes: Dict[int, CTNode] = {}  # open nodes only
         self.open_lb: List[tuple] = []  # (lb, id)
-        self.open_cost: List[tuple] = []  # (cost, id); CBS open or focal feed
+        self.open_cost: List[tuple] = []  # (cost, id); feeds the focal queues
         self.focal: Dict[str, List[tuple]] = {k: [] for k in self.queue_keys}
         self.next_id = 0
 
@@ -211,6 +213,8 @@ class _CTEngine:
         self.evaluations = 0
         self.ll_calls = 0
         self.min_lb_final: float = 0.0
+        # node id -> its constraints counted per menu key, for `_f_key`.
+        self.type_counts: Dict[int, Counter] = {}
         # (agent, frozenset of its constraints, other paths) -> LLResult.
         self.ll_memo: Dict[tuple, lowlevel.LLResult] = {}
 
@@ -218,7 +222,7 @@ class _CTEngine:
 
     def _f_key(self, node: CTNode, k: str) -> tuple:
         parts: List = []
-        if self.preset.count_conflicts:
+        if self.preset.count_conflicts and not self.preset.order_by_cost:
             parts.append(len(node.conflicts))
         parts.append(node.cost)
         if k != COMPLETE:
@@ -226,19 +230,17 @@ class _CTEngine:
             if total == 0:
                 rho = 1.0
             else:
-                rho = 1.0 - sum(1 for c in node.constraints if c.menu_key() == k) / total
+                counts = self.type_counts.get(node.id)
+                if counts is None:
+                    counts = self.type_counts[node.id] = Counter(
+                        c.menu_key() for c in node.constraints
+                    )
+                rho = 1.0 - counts[k] / total
             parts.append(rho)
         parts.append(node.id)
         return tuple(parts)
 
     def _insert(self, node: CTNode) -> None:
-        self.nodes[node.id] = node
-        self.in_open.add(node.id)
-        heapq.heappush(self.open_lb, (node.lb, node.id))
-        heapq.heappush(self.open_cost, (node.cost, node.id))
-
-    def _requeue(self, node: CTNode) -> None:
-        """Refresh heap entries after an in-place update (same id)."""
         self.nodes[node.id] = node
         heapq.heappush(self.open_lb, (node.lb, node.id))
         heapq.heappush(self.open_cost, (node.cost, node.id))
@@ -246,7 +248,8 @@ class _CTEngine:
     def _min_lb(self) -> Optional[float]:
         while self.open_lb:
             lb, nid = self.open_lb[0]
-            if nid in self.in_open and self.nodes[nid].lb == lb:
+            node = self.nodes.get(nid)
+            if node is not None and node.lb == lb:
                 return lb
             heapq.heappop(self.open_lb)
         return None
@@ -256,11 +259,9 @@ class _CTEngine:
         queues, keyed by their current priorities."""
         while self.open_cost and self.open_cost[0][0] <= bound:
             cost, nid = heapq.heappop(self.open_cost)
-            if nid not in self.in_open:
-                continue
-            node = self.nodes[nid]
-            if node.cost != cost:
-                continue  # stale entry; a fresh one exists
+            node = self.nodes.get(nid)
+            if node is None or node.cost != cost:
+                continue  # closed, or stale with a fresh entry queued
             for k in self.queue_keys:
                 heapq.heappush(self.focal[k], (self._f_key(node, k), nid))
 
@@ -268,23 +269,9 @@ class _CTEngine:
         heap = self.focal[k]
         while heap:
             key, nid = heapq.heappop(heap)
-            if nid not in self.in_open:
-                continue
-            node = self.nodes[nid]
-            if self._f_key(node, k) != key:
-                continue
-            return node
-        return None
-
-    def _pop_cheapest(self) -> Optional[CTNode]:
-        while self.open_cost:
-            cost, nid = heapq.heappop(self.open_cost)
-            if nid not in self.in_open:
-                continue
-            node = self.nodes[nid]
-            if node.cost != cost:
-                continue
-            return node
+            node = self.nodes.get(nid)
+            if node is not None and self._f_key(node, k) == key:
+                return node
         return None
 
     # ---- planning ------------------------------------------------------
@@ -332,21 +319,16 @@ class _CTEngine:
             paths[agent] = res.path
             lbs[agent] = max(lbs[agent], res.lb)
         paths_t = tuple(paths)
-        cost = float(sum(p.horizon for p in paths_t))
-        if len(node.agents_replan) < self.domain.n_agents:
-            # Inherited conflicts are the parent's true set; untouched pairs
-            # carry over.
-            conflicts = find_conflicts(
-                paths_t, self.domain, known=node.conflicts, replanned=node.agents_replan
-            )
-        else:
-            conflicts = find_conflicts(paths_t, self.domain)
+        # Inherited conflicts are the parent's true set, so pairs of untouched
+        # agents carry over; the root has none and replans every agent.
         return replace(
             node,
             paths=paths_t,
-            cost=cost,
+            cost=float(sum(p.horizon for p in paths_t)),
             lb_per_agent=tuple(lbs),
-            conflicts=conflicts,
+            conflicts=find_conflicts(
+                paths_t, self.domain, known=node.conflicts, replanned=node.agents_replan
+            ),
             agents_replan=(),
         )
 
@@ -421,38 +403,28 @@ class _CTEngine:
                 return finish(EXHAUSTED, None)
             self.min_lb_final = max(self.min_lb_final, min_lb)
 
-            if self.preset.order_by_cost:
-                node = self._pop_cheapest()
-                if node is None:
-                    return finish(EXHAUSTED, None)
-                self.in_open.discard(node.id)
-            else:
-                bound = self.w * min_lb + 1e-9
-                self._migrate(bound)
-                k = self.dts.sample()
-                node = self._pop_focal(k)
-                # The focal low level keeps every node's cost within w of its
-                # own lb (lazy children inherit both), so the min-lb open node
-                # is under the bound and focal cannot be empty here.
-                assert node is not None and node.cost <= bound, (k, bound)
+            bound = self.w * min_lb + 1e-9
+            self._migrate(bound)
+            k = self.dts.sample()
+            node = self._pop_focal(k)
+            # The focal low level keeps every node's cost within w of its own
+            # lb (lazy children inherit both), so the min-lb open node is
+            # under the bound and focal cannot be empty here.
+            assert node is not None and node.cost <= bound, (k, bound)
+            del self.nodes[node.id]
 
-                if node.agents_replan:
-                    inherited = len(node.conflicts)
-                    updated = self._evaluate_node(node)
-                    self.evaluations += 1
-                    if updated is None:
-                        self.in_open.discard(node.id)
-                        if self.preset.multi_queue:
-                            self.dts.penalize(k)
-                        continue
-                    self._requeue(updated)
-                    if self.preset.multi_queue:
-                        if len(updated.conflicts) < inherited:
-                            self.dts.reward(k)
-                        else:
-                            self.dts.penalize(k)
-                    continue
-                self.in_open.discard(node.id)
+            if node.agents_replan:
+                inherited = len(node.conflicts)
+                updated = self._evaluate_node(node)
+                self.evaluations += 1
+                if updated is not None:
+                    self._insert(updated)
+                if self.preset.multi_queue:
+                    if updated is not None and len(updated.conflicts) < inherited:
+                        self.dts.reward(k)
+                    else:
+                        self.dts.penalize(k)
+                continue
 
             if not node.conflicts:
                 return finish(SOLVED, node)
@@ -587,7 +559,8 @@ class Preset:
     multi_queue      one focal queue per menu entry, picked by DTS; only these
                      rows read `dts_prior`
     count_conflicts  focal queues and the low level order by conflict count
-    order_by_cost    best-first on cost instead of focal selection
+    order_by_cost    focal key (cost, id) without the conflict count; at
+                     w = 1 the focal pop is then the cheapest open node (CBS)
     complete_only    branch on vertex/edge only, whatever the configured menu
     unit_w           run at w = 1, whatever the configured w
     """

@@ -218,16 +218,18 @@ def _compile(domain: Domain, ctx: ConstraintContext):
     return priority, contexts(vertex), contexts(edge)
 
 
-def _earliest_rest_time(domain: Domain, ctx: ConstraintContext, goal: Configuration) -> Optional[int]:
+def _earliest_rest_time(
+    domain: Domain, ctx: ConstraintContext, goal: Configuration, horizon: int
+) -> Optional[int]:
     """Smallest T such that resting at the goal from T onward violates
     nothing; None when resting is forbidden forever (priority constraint
-    against an agent parked on a colliding configuration)."""
+    against an agent parked on a colliding configuration). `horizon` is
+    `_constraint_horizon(ctx)`."""
     for c in ctx.constraints:
         if c.ctype == CT_PRIORITY:
             other = ctx.other_path(c.other)
             if other is not None and domain.agents_collide(ctx.agent, goal, c.other, other.steps[-1]) is not None:
                 return None
-    horizon = _constraint_horizon(ctx)
     rest = 0
     for t in range(horizon + 2):
         if is_forbidden(domain, ctx, goal, t) or is_forbidden_edge(domain, ctx, goal, goal, t):
@@ -243,7 +245,6 @@ def plan(
     ctx: ConstraintContext,
     mode=Focal(1.0),
     max_expansions: int = 200_000,
-    horizon_factor: int = 4,
 ) -> LLResult:
     """Find a constraint-satisfying path from start to goal.
 
@@ -251,18 +252,18 @@ def plan(
     is exhausted under the horizon cap, or BUDGET when the expansion cap is
     hit. The invariant cost <= w * lb is asserted per call.
     """
-    rest_time = _earliest_rest_time(domain, ctx, goal)
+    horizon = _constraint_horizon(ctx)
+    rest_time = _earliest_rest_time(domain, ctx, goal, horizon)
     if rest_time is None:
         return LLResult(INFEASIBLE)
     if is_forbidden(domain, ctx, start, 0):
         return LLResult(INFEASIBLE)
 
     h0 = domain.heuristic(agent, start, goal)
-    horizon = _constraint_horizon(ctx)
     longest_other = max(
         (p.horizon for p in ctx.other_paths if p is not None), default=0
     )
-    t_max = horizon + longest_other + domain.state_slack(agent) + horizon_factor * max(int(h0), 1)
+    t_max = horizon + longest_other + domain.state_slack(agent) + 4 * max(int(h0), 1)
 
     w = mode.w
     count = domain.conflict_counter(agent, ctx.other_paths) if mode.count_conflicts else None

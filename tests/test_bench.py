@@ -472,6 +472,40 @@ class TestShortcutParity:
                 improved += sum_of_costs(out, d) < sum_of_costs(solution, d)
         assert revisits > 0 and improved > 0
 
+    def test_agents_at_their_heuristic_are_skipped(self, monkeypatch):
+        # Random grid solutions with some starts delayed: the agents left at
+        # their heuristic get no counter, and the output is the reference's.
+        built = []
+        original = GridDomain.conflict_counter
+
+        def counted(self, agent, *args, **kwargs):
+            built.append(agent)
+            return original(self, agent, *args, **kwargs)
+
+        monkeypatch.setattr(GridDomain, "conflict_counter", counted)
+        rng = random.Random(4)
+        params = {"width": 6, "height": 6, "n_agents": 4, "obstacle_density": 0.2}
+        skipped = improved = 0
+        for scenario in generate_instances("grid-random", 12, seed=11, params=params):
+            d = scenario.build_domain()
+            r = solve(d, SolverConfig(algorithm="pp", seed=0))
+            assert r.solved
+            solution = tuple(
+                Path(p.agent, (p.steps[0],) * rng.choice((0, 0, 2)) + p.steps) for p in r.solution
+            )
+            at_bound = {
+                p.agent for p in solution
+                if path_cost(p, d) == d.heuristic(p.agent, p.steps[0], d.goals[p.agent])
+            }
+            for passes in (1, 2):
+                built.clear()
+                out = shortcut(solution, d, passes=passes)
+                assert not at_bound & set(built)
+                assert out == reference_shortcut(solution, d, passes=passes), (solution, passes)
+                improved += sum_of_costs(out, d) < sum_of_costs(solution, d)
+            skipped += len(at_bound)
+        assert skipped > 0 and improved > 0
+
     def test_segment_check_matches_reference_on_random_segments(self):
         rng = random.Random(3)
         d = GridDomain(4, 4, [(1, 1)], [C(0, 0)] * 5, [C(3, 3)] * 5)
@@ -629,6 +663,31 @@ class TestCLI:
             assert cli_main(["solve", str(bad)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_malformed_domain_numbers_return_two_with_one_line(self, tmp_path, capsys):
+        def edited(obj, **fields):
+            obj = json.loads(json.dumps(obj))
+            obj["domain"].update(fields)
+            return obj
+
+        grid = hallway_scenario().to_obj()
+        arm = generate_instances("arm-pair", 1, seed=0)[0].to_obj()
+        linkless = [dict(a, link_lengths=[], joint_limits=[]) for a in arm["domain"]["arms"]]
+        cases = [
+            edited(grid, substeps=0),
+            edited(grid, substeps=-1),
+            edited(arm, substeps=0),
+            edited(arm, delta=math.nan),
+            edited(arm, arms=[]),
+            edited(arm, arms=linkless),
+        ]
+        for obj in cases:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(obj))
+            for algo in ("gen-ecbs", "ecbs"):
+                assert cli_main(["solve", str(bad), "--algo", algo]) == 2, obj["domain"]
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_conflicting_starts_return_two_with_one_line(self, tmp_path, capsys):
         good = self._write_scenario(tmp_path)

@@ -409,6 +409,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             d.validate_instance()
 
+    @pytest.mark.parametrize("substeps", [0, -1, 2.5, None])
+    def test_substeps_must_be_a_positive_integer(self, substeps):
+        with pytest.raises(ValueError, match="substeps"):
+            GridDomain(4, 4, [], [C(0, 0)], [C(1, 1)], substeps=substeps)
+        arm = ArmSpec(base=(0.0, 0.0), link_lengths=(1.0,), joint_limits=((-6, 6),), thickness=0.1)
+        with pytest.raises(ValueError, match="substeps"):
+            PlanarArmDomain([arm], [], DELTA, [C(0)], [C(1)], substeps=substeps)
+        assert GridDomain(4, 4, [], [C(0, 0)], [C(1, 1)], substeps=1).substeps == 1
+
+    @pytest.mark.parametrize("delta", [0.0, -DELTA, math.nan, math.inf])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        arm = ArmSpec(base=(0.0, 0.0), link_lengths=(1.0,), joint_limits=((-6, 6),), thickness=0.1)
+        with pytest.raises(ValueError, match="delta"):
+            PlanarArmDomain([arm], [], delta, [C(0)], [C(1)])
+
+    def test_arm_domain_needs_an_arm_with_links(self):
+        with pytest.raises(ValueError, match="arm"):
+            PlanarArmDomain([], [], DELTA, [], [])
+        no_links = ArmSpec(base=(0.0, 0.0), link_lengths=(), joint_limits=(), thickness=0.1)
+        with pytest.raises(ValueError, match="link"):
+            PlanarArmDomain([no_links], [], DELTA, [C()], [C()])
+
 
 class TestSegmentGeometry:
     def test_parallel_segments(self):

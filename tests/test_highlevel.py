@@ -535,6 +535,52 @@ class TestDeepTreeParity:
         assert digest == DEEP_DIGESTS[(name, algo)]
 
 
+def record_expansions(engine):
+    """Wrap `engine._children`; returns the list each expanded node is
+    appended to, with the open nodes at that moment."""
+    expanded = []
+    original = engine._children
+
+    def recorded(node):
+        expanded.append((node, list(engine.nodes.values())))
+        return original(node)
+
+    engine._children = recorded
+    return expanded
+
+
+class TestSingleSelectionPath:
+    """Every preset selects through the focal loop over one open set."""
+
+    def test_cbs_expands_the_cheapest_open_node(self, deep_scenarios):
+        # The s300 tree is shallow; the crowded grid runs into the cap with
+        # many equal-cost open nodes.
+        crowd = generate_instances(
+            "grid-random", 1, seed=1,
+            params={"width": 10, "height": 10, "n_agents": 14, "obstacle_density": 0.15},
+        )[0]
+        for scenario, least in ((deep_scenarios["grid-random-s300-018"], 4), (crowd, 300)):
+            engine = _CTEngine(scenario.build_domain(), deep_config(scenario, "cbs"))
+            expanded = record_expansions(engine)
+            engine.run()
+            assert len(expanded) >= least
+            previous = None
+            for node, open_nodes in expanded:
+                key = (node.cost, node.id)
+                assert previous is None or key > previous
+                assert all(key < (n.cost, n.id) for n in open_nodes)
+                previous = key
+
+    @pytest.mark.parametrize("algo", ["cbs", "ecbs", "ac-ecbs", "ac-ecbs-lazy", "gen-ecbs", "gen-cbs"])
+    def test_expanded_nodes_leave_the_open_set(self, deep_scenarios, algo):
+        scenario = deep_scenarios["grid-random-s300-018"]
+        engine = _CTEngine(scenario.build_domain(), deep_config(scenario, algo))
+        expanded = record_expansions(engine)
+        engine.run()
+        assert expanded
+        assert not {node.id for node, _ in expanded} & set(engine.nodes)
+
+
 def record_plans(monkeypatch):
     """Wrap `lowlevel.plan`; returns the list each search that runs is
     appended to, as (domain, agent, ctx, keyword arguments)."""
