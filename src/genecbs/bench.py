@@ -30,8 +30,8 @@ from .core import (
     sum_of_costs,
     unchecked_path_cost,
 )
-from .domain import ArmSpec, Domain, GridDomain, PlanarArmDomain, domain_from_obj
-from .highlevel import SolverConfig, solve
+from .domain import Domain, GridDomain, PlanarArmDomain, domain_from_obj, free_configurations
+from .highlevel import PRESETS, SolverConfig, solve
 
 SCENARIO_VERSION = 1
 
@@ -421,14 +421,8 @@ def _arm_poses(
     inside the shared task disk) and home poses (end effector retracted
     beyond the home radius)."""
     task, home = [], []
-    limits = domain.arms[agent].joint_limits
-    import itertools
-
-    for coords in itertools.product(*[range(lo, hi + 1) for lo, hi in limits]):
-        q = Configuration(coords)
-        if not domain.is_static_free(agent, q):
-            continue
-        tip = domain.fk_segments(agent, coords)[-1][1]
+    for q in free_configurations(domain, agent):
+        tip = domain.fk_segments(agent, q.coords)[-1][1]
         dist = math.hypot(tip[0] - task_center[0], tip[1] - task_center[1])
         if dist <= task_radius:
             task.append(q)
@@ -451,9 +445,10 @@ def _arm_reachable(domain: PlanarArmDomain, agent: int, start: Configuration, go
     return False
 
 
-def _root_conflicts(domain: Domain) -> int:
-    """Pairwise conflicts between the agents' individually optimal paths;
-    a cheap solver-neutral proxy for coordination depth."""
+def _root_conflicts(domain: Domain, starts, goals) -> int:
+    """Pairwise conflicts between the agents' individually optimal paths
+    from `starts` to `goals`; a cheap solver-neutral proxy for coordination
+    depth."""
     from . import lowlevel
     from .highlevel import find_conflicts
 
@@ -465,8 +460,8 @@ def _root_conflicts(domain: Domain) -> int:
         res = lowlevel.plan(
             domain,
             agent,
-            domain.starts[agent],
-            domain.goals[agent],
+            starts[agent],
+            goals[agent],
             ctx,
             mode=lowlevel.Focal(1.0, count_conflicts=False),
         )
@@ -493,7 +488,8 @@ def _sample_arm_instance(
     forever. `max_root_conflicts` caps the interaction density of emitted
     instances (measured on individually optimal paths)."""
     n = len(domain_obj["arms"])
-    # Placeholder endpoints; the probe domain is only used for geometry queries.
+    # Placeholder endpoints: the probe domain answers geometry queries and
+    # plans the root paths, and neither reads its starts or goals.
     rest = [
         Configuration(tuple(lo for lo, _ in arm["joint_limits"]))
         for arm in domain_obj["arms"]
@@ -531,10 +527,8 @@ def _sample_arm_instance(
             continue
         if not all(_arm_reachable(probe, i, starts[i], goals[i]) for i in range(n)):
             continue
-        if max_root_conflicts is not None:
-            instance = domain_from_obj(domain_obj, starts, goals)
-            if _root_conflicts(instance) > max_root_conflicts:
-                continue
+        if max_root_conflicts is not None and _root_conflicts(probe, starts, goals) > max_root_conflicts:
+            continue
         return list(zip(starts, goals))
     raise ScenarioError("arm generation rejection limit exceeded")
 
@@ -693,11 +687,17 @@ def run_cell(
         success = check.clean
         if success:
             cost = sum_of_costs(result.solution, domain)
-            shorter = shortcut(result.solution, domain, passes=shortcut_passes)
-            if not verify(domain, shorter).clean:
-                shorter = result.solution  # never emit a worse-than-input artifact
-            cost_short = sum_of_costs(shorter, domain)
             lb = result.stats.lb or 0.0
+            shorter = result.solution
+            # Every preset branches on the complete pair, so its lb is at
+            # most the optimum: a solution at its lb is optimal, and
+            # `shortcut`, which takes only strictly cheaper segments, would
+            # return it unchanged.
+            if not (algo in PRESETS and cost <= lb):
+                shorter = shortcut(result.solution, domain, passes=shortcut_passes)
+                if not verify(domain, shorter).clean:
+                    shorter = result.solution  # never emit a worse-than-input artifact
+            cost_short = sum_of_costs(shorter, domain)
             subopt = (cost / lb) if lb > 0 else 1.0
             horizon = max(p.horizon for p in shorter)
             frames = [

@@ -11,9 +11,8 @@ expansion for K incomplete types.
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .core import (
@@ -25,13 +24,12 @@ from .core import (
     CT_VERTEX,
     COMPLETE,
     EDGE,
-    VERTEX,
     Configuration,
     Conflict,
     Constraint,
     menu_key,
 )
-from .domain import Domain, GridDomain
+from .domain import Domain, GridDomain, free_configurations
 
 INCOMPLETE_KINDS = (CT_SPHERE, CT_AVOIDANCE, CT_STEP_PRIORITY, CT_PRIORITY)
 
@@ -135,56 +133,50 @@ def default_menu(domain: Domain) -> ConstraintMenu:
     )
 
 
-def _pair_for_entry(entry: MenuEntry, conflict: Conflict) -> Tuple[Constraint, Constraint]:
-    i, j = conflict.agents
+def _constraint_for(
+    entry: MenuEntry,
+    conflict: Conflict,
+    agent: int,
+    other: int,
+    mine: Tuple[Configuration, ...],
+    theirs: Tuple[Configuration, ...],
+) -> Constraint:
+    """The constraint of `entry` on `agent` for `conflict`, where `mine` and
+    `theirs` are the conflict's configurations of `agent` and `other`."""
     t = conflict.time
     is_edge = conflict.kind == EDGE
     if entry.kind == COMPLETE:
-        if is_edge:
-            return (
-                Constraint(agent=i, ctype=CT_EDGE, time=t, q=conflict.configs_i[0], q2=conflict.configs_i[1]),
-                Constraint(agent=j, ctype=CT_EDGE, time=t, q=conflict.configs_j[0], q2=conflict.configs_j[1]),
-            )
-        return (
-            Constraint(agent=i, ctype=CT_VERTEX, time=t, q=conflict.configs_i[0]),
-            Constraint(agent=j, ctype=CT_VERTEX, time=t, q=conflict.configs_j[0]),
+        return Constraint(
+            agent=agent, ctype=CT_EDGE if is_edge else CT_VERTEX, time=t,
+            q=mine[0], q2=mine[1] if is_edge else None,
         )
     if entry.kind == CT_SPHERE:
-        mk = lambda a: Constraint(
-            agent=a, ctype=CT_SPHERE, time=t, point=conflict.point, radius=entry.radius, from_edge=is_edge
+        return Constraint(
+            agent=agent, ctype=CT_SPHERE, time=t, point=conflict.point, radius=entry.radius, from_edge=is_edge
         )
-        return mk(i), mk(j)
     if entry.kind == CT_AVOIDANCE:
         # Snapshot the other agent's conflicting configuration(s); the
         # constraint keeps forbidding this volume even after the other
         # agent replans away from it.
-        return (
-            Constraint(
-                agent=i, ctype=CT_AVOIDANCE, time=t, other=j,
-                q_other=conflict.configs_j[0],
-                q_other2=conflict.configs_j[1] if is_edge else None,
-                from_edge=is_edge,
-            ),
-            Constraint(
-                agent=j, ctype=CT_AVOIDANCE, time=t, other=i,
-                q_other=conflict.configs_i[0],
-                q_other2=conflict.configs_i[1] if is_edge else None,
-                from_edge=is_edge,
-            ),
+        return Constraint(
+            agent=agent, ctype=CT_AVOIDANCE, time=t, other=other,
+            q_other=theirs[0], q_other2=theirs[1] if is_edge else None, from_edge=is_edge,
         )
     if entry.kind == CT_STEP_PRIORITY:
         # No snapshot: resolved against the other agent's current path at
         # satisfaction-check time.
-        return (
-            Constraint(agent=i, ctype=CT_STEP_PRIORITY, time=t, other=j, from_edge=is_edge),
-            Constraint(agent=j, ctype=CT_STEP_PRIORITY, time=t, other=i, from_edge=is_edge),
-        )
+        return Constraint(agent=agent, ctype=CT_STEP_PRIORITY, time=t, other=other, from_edge=is_edge)
     if entry.kind == CT_PRIORITY:
-        return (
-            Constraint(agent=i, ctype=CT_PRIORITY, time=None, other=j),
-            Constraint(agent=j, ctype=CT_PRIORITY, time=None, other=i),
-        )
+        return Constraint(agent=agent, ctype=CT_PRIORITY, time=None, other=other)
     raise ValueError(f"unknown menu entry kind: {entry.kind!r}")
+
+
+def _pair_for_entry(entry: MenuEntry, conflict: Conflict) -> Tuple[Constraint, Constraint]:
+    i, j = conflict.agents
+    return (
+        _constraint_for(entry, conflict, i, j, conflict.configs_i, conflict.configs_j),
+        _constraint_for(entry, conflict, j, i, conflict.configs_j, conflict.configs_i),
+    )
 
 
 def make_constraints(
@@ -206,10 +198,8 @@ def _violates(domain: Domain, c: Constraint, q: Configuration, other_q: Optional
     Step-priority and priority constraints depend on the other agent's path;
     here the other agent's probe configuration stands in for it.
     """
-    if c.ctype == CT_VERTEX:
-        return c.q == q
-    if c.ctype == CT_EDGE:
-        return c.q == q  # edge start occupancy; probe is per configuration
+    if c.ctype in (CT_VERTEX, CT_EDGE):
+        return c.q == q  # an edge's start occupancy; the probe is per configuration
     if c.ctype == CT_SPHERE:
         return domain.occupancy_intersects_circle(c.agent, q, c.point, c.radius)
     if c.ctype == CT_AVOIDANCE:
@@ -217,21 +207,6 @@ def _violates(domain: Domain, c: Constraint, q: Configuration, other_q: Optional
     if c.ctype in (CT_STEP_PRIORITY, CT_PRIORITY):
         return other_q is not None and domain.agents_collide(c.agent, q, c.other, other_q) is not None
     raise ValueError(c.ctype)
-
-
-def _all_configs(domain: Domain, agent: int):
-    if isinstance(domain, GridDomain):
-        for x in range(domain.width):
-            for y in range(domain.height):
-                q = Configuration((x, y))
-                if domain.is_static_free(agent, q):
-                    yield q
-    else:
-        limits = domain.arms[agent].joint_limits
-        for coords in itertools.product(*[range(lo, hi + 1) for lo, hi in limits]):
-            q = Configuration(coords)
-            if domain.is_static_free(agent, q):
-                yield q
 
 
 def mutually_disjunctive_check(
@@ -259,8 +234,8 @@ def mutually_disjunctive_check(
             return DisjunctiveCheck(confirmed=False, counterexample=(q_i, q_j))
         return None
 
-    configs_i = list(_all_configs(domain, i))
-    configs_j = list(_all_configs(domain, j))
+    configs_i = list(free_configurations(domain, i))
+    configs_j = list(free_configurations(domain, j))
     n_pairs = len(configs_i) * len(configs_j)
     if isinstance(domain, GridDomain) or n_pairs <= sample_budget:
         for q_i in configs_i:

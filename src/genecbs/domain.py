@@ -17,10 +17,11 @@ link-pair scan of two sample poses is memoised per threshold.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Configuration, Path
 
@@ -439,8 +440,18 @@ class PlanarArmDomain(Domain):
             raise ValueError(f"delta must be a finite number > 0, got {delta!r}")
         if not arms or not all(a.link_lengths for a in arms):
             raise ValueError("an arm domain needs at least one arm, each with at least one link")
+        for a in arms:
+            if not all(map(math.isfinite, a.base)):
+                raise ValueError(f"arm bases must be finite, got {a.base!r}")
+            if not all(0 < x < math.inf for x in a.link_lengths):
+                raise ValueError(f"link lengths must be finite numbers > 0, got {a.link_lengths!r}")
+            if not 0 <= a.thickness < math.inf:
+                raise ValueError(f"arm thickness must be a finite number >= 0, got {a.thickness!r}")
         self.arms = tuple(arms)
         self.obstacles = tuple(((float(c[0]), float(c[1])), float(r)) for c, r in obstacles)
+        for center, radius in self.obstacles:
+            if not (all(map(math.isfinite, center)) and 0 <= radius < math.inf):
+                raise ValueError(f"obstacles need a finite center and radius >= 0, got {center!r}, {radius!r}")
         self.delta = float(delta)
         self.starts = tuple(starts)
         self.goals = tuple(goals)
@@ -869,6 +880,19 @@ class PlanarArmDomain(Domain):
 
     def state_slack(self, agent: int) -> int:
         return 2 * sum(hi - lo for lo, hi in self.arms[agent].joint_limits) + 2
+
+
+def free_configurations(domain: Domain, agent: int) -> Iterator[Configuration]:
+    """The agent's static-free configurations in `itertools.product` order:
+    grid cells (x, y), arm joint indices within their limits."""
+    if isinstance(domain, GridDomain):
+        ranges = [range(domain.width), range(domain.height)]
+    else:
+        ranges = [range(lo, hi + 1) for lo, hi in domain.arms[agent].joint_limits]
+    for coords in itertools.product(*ranges):
+        q = Configuration(coords)
+        if domain.is_static_free(agent, q):
+            yield q
 
 
 def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[Configuration]) -> Domain:

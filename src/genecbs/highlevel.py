@@ -56,6 +56,7 @@ from .core import (
 )
 from .constraints import (
     COMPLETE,
+    INCOMPLETE_KINDS,
     ConstraintMenu,
     MenuEntry,
     default_menu,
@@ -287,25 +288,21 @@ class _CTEngine:
         constraints, once per agent, so those requests skip the memo."""
         ctx = ConstraintContext.for_agent(agent, constraints, paths)
         self.ll_calls += 1
-        if not ctx.constraints:
-            return self._plan(ctx)
-        key = (agent, frozenset(ctx.constraints), ctx.other_paths)
-        res = self.ll_memo.get(key)
+        key = (agent, frozenset(ctx.constraints), ctx.other_paths) if ctx.constraints else None
+        res = None if key is None else self.ll_memo.get(key)
         if res is None:
-            res = self.ll_memo[key] = self._plan(ctx)
+            res = lowlevel.plan(
+                self.domain,
+                agent,
+                self.domain.starts[agent],
+                self.domain.goals[agent],
+                ctx,
+                mode=self.ll_mode,
+                max_expansions=self.config.ll_max_expansions,
+            )
+            if key is not None:
+                self.ll_memo[key] = res
         return res
-
-    def _plan(self, ctx: ConstraintContext) -> lowlevel.LLResult:
-        agent = ctx.agent
-        return lowlevel.plan(
-            self.domain,
-            agent,
-            self.domain.starts[agent],
-            self.domain.goals[agent],
-            ctx,
-            mode=self.ll_mode,
-            max_expansions=self.config.ll_max_expansions,
-        )
 
     def _evaluate_node(self, node: CTNode) -> Optional[CTNode]:
         """Replan the pending agents; None when any subproblem is infeasible
@@ -452,8 +449,6 @@ def parse_sub_type(spec: str, menu: ConstraintMenu) -> MenuEntry:
     """
     spec = spec.strip().replace("(", ":").replace(")", "")
     radii = sorted(e.radius for e in menu.enabled if e.kind == "sphere")
-    if spec in ("avoidance", "step-priority", "priority"):
-        return MenuEntry(spec)
     if spec.startswith("sphere"):
         if not radii:
             raise ValueError("no sphere radii configured in the menu")
@@ -463,6 +458,8 @@ def parse_sub_type(spec: str, menu: ConstraintMenu) -> MenuEntry:
             return MenuEntry("sphere", radius=radii[aliases[suffix.lower()]])
         radius = float(suffix)
         return MenuEntry("sphere", radius=radius)
+    if spec in INCOMPLETE_KINDS:
+        return MenuEntry(spec)
     raise ValueError(f"unknown substitution type: {spec!r}")
 
 
@@ -615,14 +612,19 @@ def solve_pp(
     start_time = time.perf_counter()
     ll_calls = 0
 
+    def finish(status: str, solution: Optional[Tuple[Path, ...]] = None) -> SolverResult:
+        solved = solution is not None
+        stats = SolverStats(
+            runtime_ms=(time.perf_counter() - start_time) * 1000.0,
+            ll_calls=ll_calls,
+            cost=float(sum(p.horizon for p in solution)) if solved else None,
+            lb=0.0 if solved else None,
+        )
+        return SolverResult(status, solution, stats)
+
     for attempt in range(1 + config.pp_retries):
         if (time.perf_counter() - start_time) * 1000.0 > config.timeout_ms:
-            return SolverResult(
-                TIMEOUT, None, SolverStats(
-                    runtime_ms=(time.perf_counter() - start_time) * 1000.0,
-                    ll_calls=ll_calls,
-                )
-            )
+            return finish(TIMEOUT)
         if attempt == 0 and order is not None:
             perm = list(order)
             if sorted(perm) != list(range(n)):
@@ -657,18 +659,8 @@ def solve_pp(
             paths[agent] = res.path
             planned.append(agent)
         if not failed:
-            solution = tuple(paths)  # type: ignore[arg-type]
-            cost = float(sum(p.horizon for p in solution))
-            runtime_ms = (time.perf_counter() - start_time) * 1000.0
-            return SolverResult(
-                SOLVED,
-                solution,
-                SolverStats(runtime_ms=runtime_ms, ll_calls=ll_calls, cost=cost, lb=0.0),
-            )
-    runtime_ms = (time.perf_counter() - start_time) * 1000.0
-    return SolverResult(
-        EXHAUSTED, None, SolverStats(runtime_ms=runtime_ms, ll_calls=ll_calls)
-    )
+            return finish(SOLVED, tuple(paths))  # type: ignore[arg-type]
+    return finish(EXHAUSTED)
 
 
 def solve(domain: Domain, config: SolverConfig) -> SolverResult:

@@ -98,8 +98,6 @@ def is_forbidden(domain: Domain, ctx: ConstraintContext, q: Configuration, t: in
         if ctype == CT_VERTEX:
             if c.time == t and c.q == q:
                 return True
-        elif ctype == CT_EDGE:
-            continue
         elif ctype == CT_SPHERE:
             if c.time == t and domain.occupancy_intersects_circle(agent, q, c.point, c.radius):
                 return True
@@ -113,13 +111,9 @@ def is_forbidden(domain: Domain, ctx: ConstraintContext, q: Configuration, t: in
                 and domain.agents_collide(agent, q, c.other, c.q_other2) is not None
             ):
                 return True
-        elif ctype == CT_STEP_PRIORITY:
-            times = (c.time, c.time + 1) if c.from_edge else (c.time,)
-            if t in times:
-                other = ctx.other_path(c.other)
-                if other is not None and domain.agents_collide(agent, q, c.other, other.at(t)) is not None:
-                    return True
-        elif ctype == CT_PRIORITY:
+        elif ctype == CT_PRIORITY or (
+            ctype == CT_STEP_PRIORITY and (t == c.time or (c.from_edge and t == c.time + 1))
+        ):
             other = ctx.other_path(c.other)
             if other is not None and domain.agents_collide(agent, q, c.other, other.at(t)) is not None:
                 return True
@@ -139,9 +133,7 @@ def is_forbidden_edge(
     agent = ctx.agent
     for c in ctx.constraints:
         ctype = c.ctype
-        if ctype == CT_VERTEX:
-            continue
-        elif ctype == CT_EDGE:
+        if ctype == CT_EDGE:
             if c.time == t and c.q == q and c.q2 == q2:
                 return True
         elif ctype == CT_SPHERE:
@@ -152,54 +144,38 @@ def is_forbidden_edge(
                 other_to = c.q_other2 if c.from_edge else c.q_other
                 if domain.edge_collides(agent, q, q2, c.other, c.q_other, other_to) is not None:
                     return True
-        elif ctype == CT_STEP_PRIORITY:
-            if c.time == t:
-                other = ctx.other_path(c.other)
-                if other is not None:
-                    other_to = other.at(t + 1) if c.from_edge else other.at(t)
-                    if domain.edge_collides(agent, q, q2, c.other, other.at(t), other_to) is not None:
-                        return True
-        elif ctype == CT_PRIORITY:
+        elif ctype == CT_PRIORITY or (ctype == CT_STEP_PRIORITY and c.time == t):
             other = ctx.other_path(c.other)
             if other is not None:
-                if domain.edge_collides(agent, q, q2, c.other, other.at(t), other.at(t + 1)) is not None:
+                other_to = other.at(t + 1) if (ctype == CT_PRIORITY or c.from_edge) else other.at(t)
+                if domain.edge_collides(agent, q, q2, c.other, other.at(t), other_to) is not None:
                     return True
     return False
-
-
-def _constraint_horizon(ctx: ConstraintContext) -> int:
-    """Latest timestep any constraint can still bite."""
-    h = 0
-    for c in ctx.constraints:
-        if c.time is not None:
-            h = max(h, c.time + (2 if c.from_edge else 1))
-        if c.ctype in (CT_PRIORITY,):
-            other = ctx.other_path(c.other)
-            if other is not None:
-                h = max(h, other.horizon)
-    return h
 
 
 def _compile(domain: Domain, ctx: ConstraintContext):
     """The constraint checks of one `plan` call.
 
-    Returns (priority, vertex_at, edge_at). `priority(q, q2, t2)` is nonzero
-    iff the move q -> q2 into t2 conflicts with the path of an agent that a
-    priority constraint names (None without such constraints). `vertex_at[t]`
-    and `edge_at[t]` are contexts holding the other constraints that
-    `is_forbidden` at t and `is_forbidden_edge` over [t, t + 1] can fire on.
+    Returns (priority, vertex_at, edge_at, horizon). `priority(q, q2, t2)` is
+    nonzero iff the move q -> q2 into t2 conflicts with the path of an agent
+    that a priority constraint names (None without such constraints).
+    `vertex_at[t]` and `edge_at[t]` are contexts holding the other
+    constraints that `is_forbidden` at t and `is_forbidden_edge` over
+    [t, t + 1] can fire on. `horizon` is the latest timestep any constraint
+    can still bite.
     """
     prio_paths: List[Optional[Path]] = [None] * len(ctx.other_paths)
     vertex: Dict[int, List[Constraint]] = {}
     edge: Dict[int, List[Constraint]] = {}
+    horizon = 0
     for c in ctx.constraints:
         if c.ctype == CT_PRIORITY:
             other = ctx.other_path(c.other)
             if other is not None:
                 prio_paths[c.other] = other
+                horizon = max(horizon, other.horizon)
             continue
-        if c.time is None:
-            continue
+        horizon = max(horizon, c.time + (2 if c.from_edge else 1))
         if c.ctype != CT_EDGE:
             vertex.setdefault(c.time, []).append(c)
             if c.from_edge and c.ctype in (CT_AVOIDANCE, CT_STEP_PRIORITY):
@@ -215,7 +191,7 @@ def _compile(domain: Domain, ctx: ConstraintContext):
             t: ConstraintContext(ctx.agent, tuple(cs), ctx.other_paths) for t, cs in buckets.items()
         }
 
-    return priority, contexts(vertex), contexts(edge)
+    return priority, contexts(vertex), contexts(edge), horizon
 
 
 def _earliest_rest_time(
@@ -223,8 +199,8 @@ def _earliest_rest_time(
 ) -> Optional[int]:
     """Smallest T such that resting at the goal from T onward violates
     nothing; None when resting is forbidden forever (priority constraint
-    against an agent parked on a colliding configuration). `horizon` is
-    `_constraint_horizon(ctx)`."""
+    against an agent parked on a colliding configuration). `horizon` is the
+    one `_compile` returns."""
     for c in ctx.constraints:
         if c.ctype == CT_PRIORITY:
             other = ctx.other_path(c.other)
@@ -252,7 +228,7 @@ def plan(
     is exhausted under the horizon cap, or BUDGET when the expansion cap is
     hit. The invariant cost <= w * lb is asserted per call.
     """
-    horizon = _constraint_horizon(ctx)
+    priority, vertex_at, edge_at, horizon = _compile(domain, ctx)
     rest_time = _earliest_rest_time(domain, ctx, goal, horizon)
     if rest_time is None:
         return LLResult(INFEASIBLE)
@@ -267,7 +243,6 @@ def plan(
 
     w = mode.w
     count = domain.conflict_counter(agent, ctx.other_paths) if mode.count_conflicts else None
-    priority, vertex_at, edge_at = _compile(domain, ctx)
     h_cache: Dict[Tuple[int, ...], float] = {}
     succ_cache: Dict[Tuple[int, ...], List[Tuple[Configuration, float]]] = {}
 

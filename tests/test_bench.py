@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path as FsPath
 import pytest
 
 import genecbs
+from genecbs import bench as bench_module
 from genecbs.bench import (
     CSV_COLUMNS,
     RunRecord,
@@ -23,6 +25,7 @@ from genecbs.bench import (
     cell_seed,
     generate_instances,
     run_benchmark,
+    run_cell,
     shortcut,
     verify,
 )
@@ -131,6 +134,40 @@ class TestGeneration:
     def test_unknown_template(self):
         with pytest.raises(ScenarioError):
             generate_instances("nope", 1, seed=0)
+
+
+ORACLE_PARAMS = (
+    {"width": 5, "height": 5, "n_agents": 2, "obstacle_density": 0.12},
+    {"width": 6, "height": 6, "n_agents": 2, "obstacle_density": 0.15},
+    {"width": 5, "height": 5, "n_agents": 3, "obstacle_density": 0.12},
+)
+CROWD_PARAMS = {"width": 10, "height": 10, "n_agents": 14, "obstacle_density": 0.15}
+
+
+class TestSuiteDigests:
+    """Generated suites are fixed by their seeds; the digests were recorded
+    before arm generation planned its root paths on the template's probe
+    domain and enumerated poses through `free_configurations`."""
+
+    @pytest.mark.parametrize("template,seed,count,params,digest", [
+        ("arm-quad", 2024, 50, None, "bce23988fe5a75e8"),
+        ("arm-quad", 5, 3, None, "cad20dcb07f73a98"),
+        ("arm-quad", 3, 1, None, "20abec0f5aa71de7"),
+        ("arm-quad", 7, 5, None, "c4b147da9ac4fc4d"),
+        ("arm-pair", 0, 5, None, "85c6771e5277acee"),
+        ("arm-pair", 1, 3, None, "0765e0ad7976fce7"),
+        ("grid-random", 100, 120, ORACLE_PARAMS[0], "a5f2427fec7e9e42"),
+        ("grid-random", 200, 44, ORACLE_PARAMS[1], "ca5387646d9094ca"),
+        ("grid-random", 300, 44, ORACLE_PARAMS[2], "9c0a2480635e3d27"),
+        ("grid-random", 7, 20, CROWD_PARAMS, "d8f91bd76b55fa92"),
+        ("grid-random", 42, 10, None, "cbc2f2825d9f870a"),
+        ("grid-random", 17, 5, {"width": 7, "height": 7, "n_agents": 6}, "053d1fd15d5ae0c4"),
+        ("hallway-swap", 0, 2, None, "91d3e1f68854096b"),
+    ])
+    def test_suite_bytes(self, template, seed, count, params, digest):
+        suite = generate_instances(template, count, seed=seed, params=params)
+        text = "".join(canonical_json(s.to_obj()) for s in suite)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 class TestVerify:
@@ -615,6 +652,54 @@ class TestRunBenchmark:
         assert cell_seed(s, "cbs") != cell_seed(s, "ecbs")
 
 
+class TestShortcutSkip:
+    """`run_cell` does not shortcut a preset's solution at its certified
+    lower bound; the records are the ones recorded when it still did."""
+
+    @staticmethod
+    def _counted_shortcut(monkeypatch):
+        calls = []
+        original = bench_module.shortcut
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench_module, "shortcut", counted)
+        return calls
+
+    def test_optimal_preset_solution_is_not_shortcut(self, monkeypatch):
+        calls = self._counted_shortcut(monkeypatch)
+        scenario = generate_instances("hallway-swap", 1, seed=0)[0]
+        record, frames = run_cell(scenario.to_obj(), "cbs")
+        record.pop("runtime_ms")
+        assert calls == []
+        assert record == {
+            "scenario": "hallway-swap-s0-000", "algo": "cbs", "success": True,
+            "hl_expansions": 10, "ll_calls": 22, "cost": 11.0, "cost_shortcut": 11.0,
+            "lb": 11.0, "subopt": 1.0,
+            "dts_rewards": {"complete": 0}, "dts_penalties": {"complete": 0},
+        }
+        assert frames == [
+            [[0, 1], [4, 1]], [[1, 1], [3, 1]], [[1, 1], [2, 1]], [[2, 1], [2, 0]],
+            [[3, 1], [2, 1]], [[4, 1], [1, 1]], [[4, 1], [0, 1]],
+        ]
+
+    def test_pp_solution_is_still_shortcut(self, monkeypatch):
+        calls = self._counted_shortcut(monkeypatch)
+        scenario = generate_instances(
+            "grid-random", 1, seed=17, params={"width": 7, "height": 7, "n_agents": 6}
+        )[0]
+        record, _ = run_cell(scenario.to_obj(), "pp")
+        record.pop("runtime_ms")
+        assert calls == [1]
+        assert record == {
+            "scenario": "grid-random-s17-000", "algo": "pp", "success": True,
+            "hl_expansions": 0, "ll_calls": 6, "cost": 32.0, "cost_shortcut": 32.0,
+            "lb": 0.0, "subopt": 1.0, "dts_rewards": {}, "dts_penalties": {},
+        }
+
+
 class TestCLI:
     def _write_scenario(self, tmp_path):
         path = tmp_path / "hallway.json"
@@ -688,6 +773,33 @@ class TestCLI:
                 assert cli_main(["solve", str(bad), "--algo", algo]) == 2, obj["domain"]
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_non_finite_or_negative_arm_geometry_returns_two_with_one_line(self, tmp_path, capsys):
+        arm = generate_instances("arm-pair", 1, seed=0)[0].to_obj()
+
+        def edited(arm_fields=None, obstacle_fields=None):
+            obj = json.loads(json.dumps(arm))
+            for a in obj["domain"]["arms"]:
+                a.update(arm_fields or {})
+            for o in obj["domain"]["obstacles"]:
+                o.update(obstacle_fields or {})
+            return obj
+
+        cases = [
+            edited(arm_fields={"thickness": math.nan}),
+            edited(arm_fields={"thickness": -0.15}),
+            edited(arm_fields={"base": [math.nan, 0.0]}),
+            edited(arm_fields={"link_lengths": [math.inf, 1.0]}),
+            edited(obstacle_fields={"radius": math.nan}),
+        ]
+        for obj in cases:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(obj))
+            for algo in ("gen-ecbs", "ecbs"):
+                assert cli_main(["solve", str(bad), "--algo", algo]) == 2, obj["domain"]
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert "finite" in err, err
 
     def test_conflicting_starts_return_two_with_one_line(self, tmp_path, capsys):
         good = self._write_scenario(tmp_path)

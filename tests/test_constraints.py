@@ -1,4 +1,5 @@
 import math
+import types
 
 import pytest
 
@@ -10,7 +11,7 @@ from genecbs.constraints import (
     make_constraints,
     mutually_disjunctive_check,
 )
-from genecbs.core import EDGE, VERTEX, Configuration, Conflict
+from genecbs.core import EDGE, VERTEX, Configuration, Conflict, Constraint
 from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain
 from genecbs.lowlevel import ConstraintContext, is_forbidden, is_forbidden_edge
 
@@ -241,3 +242,105 @@ class TestDefaultMenu:
         menu = default_menu(d)
         radii = sorted(e.radius for e in menu.enabled if e.kind == "sphere")
         assert radii == [pytest.approx(0.12), pytest.approx(0.36), pytest.approx(0.72)]
+
+
+def every_kind_menu():
+    return ConstraintMenu.of(
+        MenuEntry(COMPLETE),
+        MenuEntry("avoidance"),
+        MenuEntry("step-priority"),
+        MenuEntry("priority"),
+        MenuEntry("sphere", radius=1.0),
+    )
+
+
+def swapped(conflict):
+    return Conflict(
+        kind=conflict.kind,
+        agents=conflict.agents[::-1],
+        time=conflict.time,
+        configs_i=conflict.configs_j,
+        configs_j=conflict.configs_i,
+        point=conflict.point,
+    )
+
+
+# A vertex conflict whose agents stand in different configurations (as arms
+# do), so a pair that swaps "mine" and "theirs" would show.
+UNEVEN_VERTEX = Conflict(
+    kind=VERTEX, agents=(0, 1), time=3, configs_i=(C(2, 2),), configs_j=(C(3, 2),), point=(3.0, 2.5)
+)
+
+
+class TestConstraintPairs:
+    """Each kind's pair, written out field by field."""
+
+    def test_vertex_conflict_pairs(self):
+        pairs = {e.key: (ci, cj) for e, ci, cj in make_constraints(UNEVEN_VERTEX, every_kind_menu())}
+        assert pairs == {
+            "complete": (
+                Constraint(agent=0, ctype="vertex", time=3, q=C(2, 2)),
+                Constraint(agent=1, ctype="vertex", time=3, q=C(3, 2)),
+            ),
+            "avoidance": (
+                Constraint(agent=0, ctype="avoidance", time=3, other=1, q_other=C(3, 2)),
+                Constraint(agent=1, ctype="avoidance", time=3, other=0, q_other=C(2, 2)),
+            ),
+            "step-priority": (
+                Constraint(agent=0, ctype="step-priority", time=3, other=1),
+                Constraint(agent=1, ctype="step-priority", time=3, other=0),
+            ),
+            "priority": (
+                Constraint(agent=0, ctype="priority", time=None, other=1),
+                Constraint(agent=1, ctype="priority", time=None, other=0),
+            ),
+            "sphere:1": (
+                Constraint(agent=0, ctype="sphere", time=3, point=(3.0, 2.5), radius=1.0),
+                Constraint(agent=1, ctype="sphere", time=3, point=(3.0, 2.5), radius=1.0),
+            ),
+        }
+
+    def test_edge_conflict_pairs(self):
+        pairs = {e.key: (ci, cj) for e, ci, cj in make_constraints(edge_conflict(), every_kind_menu())}
+        assert pairs == {
+            "complete": (
+                Constraint(agent=0, ctype="edge", time=2, q=C(1, 1), q2=C(2, 1)),
+                Constraint(agent=1, ctype="edge", time=2, q=C(2, 1), q2=C(1, 1)),
+            ),
+            "avoidance": (
+                Constraint(
+                    agent=0, ctype="avoidance", time=2, other=1,
+                    q_other=C(2, 1), q_other2=C(1, 1), from_edge=True,
+                ),
+                Constraint(
+                    agent=1, ctype="avoidance", time=2, other=0,
+                    q_other=C(1, 1), q_other2=C(2, 1), from_edge=True,
+                ),
+            ),
+            "step-priority": (
+                Constraint(agent=0, ctype="step-priority", time=2, other=1, from_edge=True),
+                Constraint(agent=1, ctype="step-priority", time=2, other=0, from_edge=True),
+            ),
+            "priority": (
+                Constraint(agent=0, ctype="priority", time=None, other=1),
+                Constraint(agent=1, ctype="priority", time=None, other=0),
+            ),
+            "sphere:1": (
+                Constraint(agent=0, ctype="sphere", time=2, point=(2.5, 1.5), radius=1.0, from_edge=True),
+                Constraint(agent=1, ctype="sphere", time=2, point=(2.5, 1.5), radius=1.0, from_edge=True),
+            ),
+        }
+
+    @pytest.mark.parametrize("conflict", [UNEVEN_VERTEX, edge_conflict()], ids=["vertex", "edge"])
+    def test_second_constraint_is_the_first_of_the_swapped_conflict(self, conflict):
+        menu = every_kind_menu()
+        for (e, _, cj), (e2, ci2, _) in zip(
+            make_constraints(conflict, menu), make_constraints(swapped(conflict), menu)
+        ):
+            assert e == e2
+            assert cj == ci2
+
+    def test_unknown_kind_raises(self):
+        menu = types.SimpleNamespace(enabled=(MenuEntry("bogus"),))
+        with pytest.raises(ValueError, match="unknown menu entry kind: 'bogus'"):
+            make_constraints(UNEVEN_VERTEX, menu)

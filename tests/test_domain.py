@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import pytest
 from genecbs.bench import generate_instances
 from genecbs.core import Configuration, Path
 from genecbs import domain as domain_module
-from genecbs.domain import ArmSpec, Domain, GridDomain, PlanarArmDomain, _seg_seg_closest
+from genecbs.domain import ArmSpec, Domain, GridDomain, PlanarArmDomain, _seg_seg_closest, free_configurations
 from genecbs.highlevel import SolverConfig, solve
 
 from oracles import bfs_distances
@@ -738,3 +739,74 @@ class TestPairGapMemo:
             d._pair_gap(*pose, math.inf, math.inf)  # never the box shortcut
         assert len(d._gap_cache) == 25
         assert len(d._fk_cache) <= 25 and len(d._bbox_cache) <= 25
+
+
+class TestFreeConfigurations:
+    def test_grid_with_obstacles_matches_brute_force(self):
+        d = make_grid(blocked=[(0, 1), (2, 2), (5, 5), (3, 0)])
+        brute = []
+        for x in range(d.width):
+            for y in range(d.height):
+                if (x, y) not in {(0, 1), (2, 2), (5, 5), (3, 0)}:
+                    brute.append(C(x, y))
+        assert list(free_configurations(d, 0)) == brute
+        assert len(brute) == 32
+
+    def test_arm_with_obstacle_matches_brute_force(self):
+        d = make_arms(obstacles=[((1.5, 1.0), 0.3)])
+        for agent in range(d.n_agents):
+            (lo0, hi0), (lo1, hi1) = d.arms[agent].joint_limits
+            brute = []
+            for a in range(lo0, hi0 + 1):
+                for b in range(lo1, hi1 + 1):
+                    segs = d.fk_segments(agent, (a, b))
+                    clear = all(
+                        _seg_point_distance(seg, center) > radius + d.arms[agent].thickness
+                        for center, radius in d.obstacles
+                        for seg in segs
+                    )
+                    if clear:
+                        brute.append(C(a, b))
+            got = list(free_configurations(d, agent))
+            assert got == brute
+            assert 0 < len(got) < (hi0 - lo0 + 1) * (hi1 - lo1 + 1)  # the obstacle removes some
+
+
+def _seg_point_distance(seg, p):
+    (ax, ay), (bx, by) = seg
+    dx, dy = bx - ax, by - ay
+    u = max(0.0, min(1.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / (dx * dx + dy * dy)))
+    return math.hypot(ax + u * dx - p[0], ay + u * dy - p[1])
+
+
+ARM = ArmSpec(base=(0.0, 0.0), link_lengths=(1.0, 1.0), joint_limits=((-6, 6), (-6, 6)), thickness=0.1)
+BAD_ARM_GEOMETRY = {
+    "nan thickness": dict(arm=dict(thickness=math.nan)),
+    "negative thickness": dict(arm=dict(thickness=-0.1)),
+    "infinite thickness": dict(arm=dict(thickness=math.inf)),
+    "nan base": dict(arm=dict(base=(math.nan, 0.0))),
+    "infinite base": dict(arm=dict(base=(0.0, -math.inf))),
+    "infinite link": dict(arm=dict(link_lengths=(math.inf, 1.0))),
+    "nan link": dict(arm=dict(link_lengths=(1.0, math.nan))),
+    "zero link": dict(arm=dict(link_lengths=(1.0, 0.0))),
+    "negative link": dict(arm=dict(link_lengths=(-1.0, 1.0))),
+    "nan obstacle radius": dict(obstacle=((1.5, 1.0), math.nan)),
+    "negative obstacle radius": dict(obstacle=((1.5, 1.0), -0.2)),
+    "infinite obstacle center": dict(obstacle=((math.inf, 1.0), 0.2)),
+    "nan obstacle center": dict(obstacle=((1.5, math.nan), 0.2)),
+}
+
+
+class TestArmGeometryValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_ARM_GEOMETRY))
+    def test_non_finite_or_negative_geometry_rejected(self, case):
+        spec = BAD_ARM_GEOMETRY[case]
+        arm = dataclasses.replace(ARM, **spec.get("arm", {}))
+        obstacles = [spec["obstacle"]] if "obstacle" in spec else []
+        with pytest.raises(ValueError, match="finite"):
+            PlanarArmDomain([arm], obstacles, DELTA, [C(0, 0)], [C(1, 0)])
+
+    def test_zero_thickness_and_radius_accepted(self):
+        arm = dataclasses.replace(ARM, thickness=0.0)
+        d = PlanarArmDomain([arm], [((1.5, 1.0), 0.0)], DELTA, [C(0, 0)], [C(1, 0)])
+        assert d.arms[0].thickness == 0.0 and d.obstacles[0][1] == 0.0

@@ -12,6 +12,7 @@ from genecbs.lowlevel import (
     OK,
     ConstraintContext,
     Focal,
+    _compile,
     is_forbidden,
     is_forbidden_edge,
     plan,
@@ -406,3 +407,70 @@ class TestRearrivalChecks:
         for t in range(max(p.horizon, *(o.horizon for o in ctx.other_paths[1:])) + 7):
             assert not is_forbidden(d, ctx, p.at(t), t), t
             assert not is_forbidden_edge(d, ctx, p.at(t), p.at(t + 1), t), t
+
+
+def reference_constraint_horizon(ctx):
+    """Latest timestep any constraint can still bite, computed in a pass of
+    its own (the rule `_compile` folds into its filing loop)."""
+    h = 0
+    for c in ctx.constraints:
+        if c.time is not None:
+            h = max(h, c.time + (2 if c.from_edge else 1))
+        if c.ctype in ("priority",):
+            other = ctx.other_path(c.other)
+            if other is not None:
+                h = max(h, other.horizon)
+    return h
+
+
+def _random_context(rng, d, n):
+    free = [C(x, y) for x in range(d.width) for y in range(d.height)]
+
+    def walk(agent):
+        steps = [rng.choice(free)]
+        for _ in range(rng.randint(0, 12)):
+            steps.append(rng.choice(d.successors(agent, steps[-1]))[0])
+        return Path(agent, tuple(steps))
+
+    # Some other agents have no path, so priority constraints on them name
+    # a missing path.
+    others = (None,) + tuple(walk(j) if rng.random() < 0.7 else None for j in range(1, n))
+    cs = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.choice(("vertex", "edge", "sphere", "avoidance", "step-priority", "priority"))
+        t, q, b = rng.randint(0, 15), rng.choice(free), rng.randint(1, n - 1)
+        from_edge = rng.random() < 0.5
+        if kind == "vertex":
+            c = Constraint(agent=0, ctype=kind, time=t, q=q)
+        elif kind == "edge":
+            c = Constraint(agent=0, ctype=kind, time=t, q=q, q2=rng.choice(d.successors(0, q))[0])
+        elif kind == "sphere":
+            c = Constraint(agent=0, ctype=kind, time=t, point=(q.coords[0] + 0.5, q.coords[1] + 0.5),
+                           radius=1.0, from_edge=from_edge)
+        elif kind == "avoidance":
+            c = Constraint(agent=0, ctype=kind, time=t, other=b, q_other=q,
+                           q_other2=q if from_edge else None, from_edge=from_edge)
+        elif kind == "step-priority":
+            c = Constraint(agent=0, ctype=kind, time=t, other=b, from_edge=from_edge)
+        else:
+            c = Constraint(agent=0, ctype=kind, time=None, other=b)
+        cs.append(c)
+    return ConstraintContext(agent=0, constraints=tuple(cs), other_paths=others)
+
+
+class TestCompiledHorizon:
+    def test_matches_reference_on_random_contexts(self):
+        d = make_grid(blocked=[(2, 2)], size=(6, 6), starts=((0, 0),) * 4, goals=((5, 5),) * 4)
+        rng = random.Random(11)
+        kinds = set()
+        for _ in range(500):
+            ctx = _random_context(rng, d, 4)
+            kinds.update(
+                (c.ctype, c.from_edge, c.other is not None and ctx.other_path(c.other) is None)
+                for c in ctx.constraints
+            )
+            assert _compile(d, ctx)[3] == reference_constraint_horizon(ctx), ctx
+        # Every kind was drawn, from-edge constraints and priority
+        # constraints against a missing path among them.
+        assert {k for k, _, _ in kinds} == {"vertex", "edge", "sphere", "avoidance", "step-priority", "priority"}
+        assert ("step-priority", True, False) in kinds and ("priority", False, True) in kinds
