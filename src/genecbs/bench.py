@@ -620,6 +620,8 @@ class RunRecord:
     cost_shortcut: Optional[float]
     lb: Optional[float]
     subopt: Optional[float]
+    ll_searches: int = 0
+    stopped_by: Optional[str] = None
     dts_rewards: Dict[str, int] = field(default_factory=dict)
     dts_penalties: Dict[str, int] = field(default_factory=dict)
 
@@ -635,6 +637,8 @@ class RunRecord:
             "" if self.cost_shortcut is None else f"{self.cost_shortcut:g}",
             "" if self.lb is None else f"{self.lb:g}",
             "" if self.subopt is None else f"{self.subopt:.6f}",
+            self.ll_searches,
+            self.stopped_by or "",
         ]
 
 
@@ -649,6 +653,8 @@ CSV_COLUMNS = [
     "cost_shortcut",
     "lb",
     "subopt",
+    "ll_searches",
+    "stopped_by",
 ]
 
 
@@ -715,6 +721,8 @@ def run_cell(
         cost_shortcut=cost_short,
         lb=result.stats.lb,
         subopt=subopt,
+        ll_searches=result.stats.ll_searches,
+        stopped_by=result.stats.stopped_by,
         dts_rewards=dict(result.stats.dts_rewards),
         dts_penalties=dict(result.stats.dts_penalties),
     )

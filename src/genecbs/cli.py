@@ -102,13 +102,16 @@ def _cmd_solve(args) -> int:
     if args.out:
         FsPath(args.out).write_text(canonical_json(run_obj))
     status = result.status if not result.solved else ("solved" if clean else "solved-dirty")
-    cost = result.stats.cost
+    stats = result.stats
+    if stats.stopped_by is not None:
+        status += f" ({stats.stopped_by})"
+    cost = stats.cost
     print(
         f"{scenario.name} {config.algorithm}: {status}"
         f" cost={'-' if cost is None else f'{cost:g}'}"
-        f" lb={'-' if result.stats.lb is None else f'{result.stats.lb:g}'}"
-        f" expansions={result.stats.hl_expansions} ll_calls={result.stats.ll_calls}"
-        f" runtime_ms={result.stats.runtime_ms:.1f}"
+        f" lb={'-' if stats.lb is None else f'{stats.lb:g}'}"
+        f" expansions={stats.hl_expansions} ll_calls={stats.ll_calls}"
+        f" ll_searches={stats.ll_searches} runtime_ms={stats.runtime_ms:.1f}"
     )
     return 0 if (result.solved and clean) else 1
 

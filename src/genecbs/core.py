@@ -212,6 +212,11 @@ class SolverStats:
     lb: Optional[float] = None
     dts_rewards: Tuple[Tuple[str, int], ...] = ()
     dts_penalties: Tuple[Tuple[str, int], ...] = ()
+    # Runtime form only: low-level searches run (requests the tree engine's
+    # memo did not answer), and which limit ended an unsolved search:
+    # "cap" (max_expansions), "clock" (timeout_ms) or None.
+    ll_searches: int = 0
+    stopped_by: Optional[str] = None
 
     def to_obj(self, include_runtime: bool = True) -> dict:
         obj = {
@@ -225,6 +230,8 @@ class SolverStats:
         }
         if include_runtime:
             obj["runtime_ms"] = self.runtime_ms
+            obj["ll_searches"] = self.ll_searches
+            obj["stopped_by"] = self.stopped_by
         return obj
 
     @staticmethod
@@ -238,6 +245,8 @@ class SolverStats:
             lb=obj.get("lb"),
             dts_rewards=tuple(sorted(obj.get("dts_rewards", {}).items())),
             dts_penalties=tuple(sorted(obj.get("dts_penalties", {}).items())),
+            ll_searches=int(obj.get("ll_searches", 0)),
+            stopped_by=obj.get("stopped_by"),
         )
 
 

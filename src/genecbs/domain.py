@@ -21,9 +21,9 @@ import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import Configuration, Path
+from .core import CT_AVOIDANCE, CT_EDGE, CT_VERTEX, Configuration, Constraint, Path
 
 Point = Tuple[float, float]
 Segment = Tuple[Point, Point]
@@ -140,6 +140,14 @@ class Domain(ABC):
 
         return count
 
+    def constraint_key(self, c: Constraint) -> Hashable:
+        """A hashable value that two constraints share only when they forbid
+        the same (configuration, t) and (move, t) sets and can bite up to
+        the same horizon, `c.time + (2 if c.from_edge else 1)` as
+        `lowlevel._compile` computes it. The tree engine keys its low-level
+        memo on these values. This default is the constraint itself."""
+        return c
+
     def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
         """b must be a (wait or primitive) successor of a. Every transition
         costs 1: the low level's g is its timestep, and `path_cost` is a
@@ -233,6 +241,33 @@ class GridDomain(Domain):
         if len(c) != 2 or abs(c[0] - x) + abs(c[1] - y) != 1:
             return False
         return 0 <= c[0] < width and 0 <= c[1] < height and c not in blocked
+
+    def constraint_key(self, c: Constraint) -> Hashable:
+        """What a vertex, edge or avoidance constraint forbids, as the tuple
+        (horizon, item, ...): cells (cell, t) and moves (cell, cell2, t),
+        in a fixed order per kind. A point robot collides only on a cell or
+        in a swap, so the avoidance constraint of a vertex conflict forbids
+        the cell of the vertex constraint and gets its key. One from an
+        edge conflict, where the other agent moved q_other -> q_other2 over
+        [t, t + 1], forbids q_other at t, q_other2 at t + 1 and the swap
+        q_other2 -> q_other over [t, t + 1]. Spheres and the priority kinds
+        keep their identity: a sphere's cells would take a scan of the grid
+        to list, and the priority kinds read the other agents' paths."""
+        ctype, t = c.ctype, c.time
+        if ctype not in (CT_VERTEX, CT_EDGE, CT_AVOIDANCE):
+            return c
+        horizon = t + (2 if c.from_edge else 1)
+        if ctype == CT_VERTEX:
+            return (horizon, (c.q.coords, t))
+        if ctype == CT_EDGE:
+            return (horizon, (c.q.coords, c.q2.coords, t))
+        a = c.q_other.coords
+        if not c.from_edge:
+            return (horizon, (a, t))
+        b = c.q_other2.coords
+        if a == b:
+            return (horizon, (a, t), (b, t + 1))
+        return (horizon, (a, t), (b, t + 1), (b, a, t))
 
     def cell_center(self, q: Configuration) -> Point:
         return (q.coords[0] + 0.5, q.coords[1] + 0.5)

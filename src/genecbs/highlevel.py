@@ -25,8 +25,10 @@ focal condition cost <= w * min lb(OPEN) keeps the w-bound proof intact.
 
 Sibling subtrees that forbid the same thing under two constraint types repeat
 their replans call for call, so each engine answers a low-level request that
-repeats one of the same solve from a table (`_CTEngine._plan_agent`).
-`ll_calls` counts every request, answered from the table or not.
+repeats one of the same solve from a table (`_CTEngine._plan_agent`), keyed
+on what the constraints forbid (`Domain.constraint_key`) rather than on how
+they are named. `ll_calls` counts every request, answered from the table or
+not; `ll_searches` counts the searches that ran.
 """
 
 from __future__ import annotations
@@ -213,10 +215,11 @@ class _CTEngine:
         self.hl_expansions = 0
         self.evaluations = 0
         self.ll_calls = 0
+        self.ll_searches = 0
         self.min_lb_final: float = 0.0
         # node id -> its constraints counted per menu key, for `_f_key`.
         self.type_counts: Dict[int, Counter] = {}
-        # (agent, frozenset of its constraints, other paths) -> LLResult.
+        # (agent, frozenset of its constraints' keys, other paths) -> LLResult.
         self.ll_memo: Dict[tuple, lowlevel.LLResult] = {}
 
     # ---- node plumbing -------------------------------------------------
@@ -282,15 +285,21 @@ class _CTEngine:
         it repeats one of this solve.
 
         `plan` reads only the context and per-solve constants (start, goal,
-        mode, budget), and its constraint checks depend neither on order nor
-        on repeats, so the agent, its constraint set and the other paths
-        decide the result, whatever its status. Only the root plans without
+        mode, budget). It reads the constraints only through what they
+        forbid at each timestep, the priority counter and the horizon, and
+        neither order nor repeats matter, so the agent, the set of its
+        constraints' `constraint_key`s and the other paths decide the
+        result, whatever its status. Only the root plans without
         constraints, once per agent, so those requests skip the memo."""
         ctx = ConstraintContext.for_agent(agent, constraints, paths)
         self.ll_calls += 1
-        key = (agent, frozenset(ctx.constraints), ctx.other_paths) if ctx.constraints else None
+        key = None
+        if ctx.constraints:
+            forbids = frozenset(map(self.domain.constraint_key, ctx.constraints))
+            key = (agent, forbids, ctx.other_paths)
         res = None if key is None else self.ll_memo.get(key)
         if res is None:
+            self.ll_searches += 1
             res = lowlevel.plan(
                 self.domain,
                 agent,
@@ -372,7 +381,7 @@ class _CTEngine:
         def out_of_time() -> bool:
             return (time.perf_counter() - start_time) * 1000.0 > self.config.timeout_ms
 
-        def finish(status: str, node: Optional[CTNode]) -> SolverResult:
+        def finish(status: str, node: Optional[CTNode], stopped_by: Optional[str] = None) -> SolverResult:
             runtime_ms = (time.perf_counter() - start_time) * 1000.0
             stats = SolverStats(
                 runtime_ms=runtime_ms,
@@ -383,6 +392,8 @@ class _CTEngine:
                 lb=self.min_lb_final,
                 dts_rewards=tuple(sorted(self.dts.rewards.items())),
                 dts_penalties=tuple(sorted(self.dts.penalties.items())),
+                ll_searches=self.ll_searches,
+                stopped_by=stopped_by,
             )
             solution = None if node is None else node.paths
             return SolverResult(status=status, solution=solution, stats=stats)
@@ -394,7 +405,7 @@ class _CTEngine:
 
         while True:
             if out_of_time():
-                return finish(TIMEOUT, None)
+                return finish(TIMEOUT, None, "clock")
             min_lb = self._min_lb()
             if min_lb is None:
                 return finish(EXHAUSTED, None)
@@ -427,7 +438,7 @@ class _CTEngine:
                 return finish(SOLVED, node)
 
             if self.hl_expansions >= self.config.max_expansions:
-                return finish(TIMEOUT, None)
+                return finish(TIMEOUT, None, "cap")
             self.hl_expansions += 1
 
             for child in self._children(node):
@@ -619,6 +630,8 @@ def solve_pp(
             ll_calls=ll_calls,
             cost=float(sum(p.horizon for p in solution)) if solved else None,
             lb=0.0 if solved else None,
+            ll_searches=ll_calls,
+            stopped_by="clock" if status == TIMEOUT else None,
         )
         return SolverResult(status, solution, stats)
 

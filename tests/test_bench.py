@@ -631,6 +631,18 @@ class TestRunBenchmark:
         plot = json.loads((tmp_path / "r.plot.json").read_text())
         assert len(plot["runs"]) == len(algos)
 
+    def test_csv_ends_with_ll_searches_and_stopped_by(self, tmp_path):
+        scenario = hallway_scenario()
+        out = tmp_path / "r.csv"
+        run_benchmark([scenario], ["cbs", "pp"], out_csv=out, overrides={"max_expansions": 2})
+        header, *rows = list(csv.reader(out.open()))
+        assert header[-3:] == ["subopt", "ll_searches", "stopped_by"]
+        cells = {row[1]: dict(zip(header, row)) for row in rows}
+        assert cells["cbs"]["success"] == "0" and cells["cbs"]["stopped_by"] == "cap"
+        assert 0 < int(cells["cbs"]["ll_searches"]) <= int(cells["cbs"]["ll_calls"])
+        assert cells["pp"]["stopped_by"] == ""
+        assert cells["pp"]["ll_searches"] == cells["pp"]["ll_calls"]
+
     def test_aggregate_arithmetic_recomputable(self, tmp_path):
         records = [
             RunRecord("s1", "x", True, 10.0, 1, 2, 4.0, 4.0, 4.0, 1.0),
@@ -677,7 +689,7 @@ class TestShortcutSkip:
         assert record == {
             "scenario": "hallway-swap-s0-000", "algo": "cbs", "success": True,
             "hl_expansions": 10, "ll_calls": 22, "cost": 11.0, "cost_shortcut": 11.0,
-            "lb": 11.0, "subopt": 1.0,
+            "lb": 11.0, "subopt": 1.0, "ll_searches": 22, "stopped_by": None,
             "dts_rewards": {"complete": 0}, "dts_penalties": {"complete": 0},
         }
         assert frames == [
@@ -696,7 +708,8 @@ class TestShortcutSkip:
         assert record == {
             "scenario": "grid-random-s17-000", "algo": "pp", "success": True,
             "hl_expansions": 0, "ll_calls": 6, "cost": 32.0, "cost_shortcut": 32.0,
-            "lb": 0.0, "subopt": 1.0, "dts_rewards": {}, "dts_penalties": {},
+            "lb": 0.0, "subopt": 1.0, "ll_searches": 6, "stopped_by": None,
+            "dts_rewards": {}, "dts_penalties": {},
         }
 
 
@@ -725,6 +738,14 @@ class TestCLI:
         assert rc == 0
         rc = cli_main(["verify", str(files[0]), str(run_file)])
         assert rc == 0
+
+    def test_solve_prints_the_limit_that_stopped_it(self, tmp_path, capsys):
+        scen = self._write_scenario(tmp_path)
+        run_file = tmp_path / "r.json"
+        rc = cli_main(["solve", str(scen), "--algo", "cbs", "--max-expansions", "1", "--out", str(run_file)])
+        assert rc == 1
+        assert ": timeout (cap) " in capsys.readouterr().out
+        assert "stopped_by" not in run_file.read_text()
 
     def test_solve_unsolvable_returns_one(self, tmp_path):
         scen = self._write_scenario(tmp_path)

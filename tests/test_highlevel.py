@@ -11,7 +11,7 @@ import genecbs
 from genecbs import lowlevel
 from genecbs.bench import cell_seed, generate_instances
 from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, default_menu
-from genecbs.core import Configuration, Path, canonical_json, sum_of_costs
+from genecbs.core import Configuration, Path, SolverResult, canonical_json, sum_of_costs
 from genecbs.lowlevel import ConstraintContext
 from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain
 from genecbs.highlevel import (
@@ -509,6 +509,7 @@ DEEP_DIGESTS = {
 }
 
 GRID_S300 = {"width": 5, "height": 5, "n_agents": 3, "obstacle_density": 0.12}
+GRID_S100 = {"width": 5, "height": 5, "n_agents": 2, "obstacle_density": 0.12}
 
 
 @pytest.fixture(scope="module")
@@ -634,12 +635,92 @@ class TestLowLevelMemo:
         keys = [(agent, frozenset(ctx.constraints), ctx.other_paths) for _, agent, ctx, _ in calls]
         assert len(set(keys)) == len(keys)  # no search ran twice
 
+    @pytest.mark.parametrize("name", ["grid-random-s300-018", "grid-random-s100-045"])
+    def test_requests_with_equal_constraint_keys_get_equal_plans(self, deep_scenarios, monkeypatch, name):
+        # s100-045 is a plateau cell: its avoidance and vertex siblings
+        # forbid the same cells under two names.
+        s100 = generate_instances("grid-random", 46, seed=100, params=GRID_S100)[45]
+        scenario = {**deep_scenarios, s100.name: s100}[name]
+        config = deep_config(scenario, "ac-ecbs")
+        config.max_expansions = 40
+        engine = _CTEngine(scenario.build_domain(), config)
+        domain = engine.domain
+        requests = []
+        original = engine._plan_agent
+
+        def recorded(agent, constraints, paths):
+            ctx = ConstraintContext.for_agent(agent, constraints, paths)
+            if ctx.constraints:
+                requests.append(ctx)
+            return original(agent, constraints, paths)
+
+        engine._plan_agent = recorded
+        calls = record_plans(monkeypatch)
+        result = engine.run()
+        monkeypatch.undo()
+
+        def key(ctx):
+            return (ctx.agent, frozenset(map(domain.constraint_key, ctx.constraints)), ctx.other_paths)
+
+        searched = [key(ctx) for _, _, ctx, _ in calls if ctx.constraints]
+        assert len(set(searched)) == len(searched)  # no search ran twice
+        assert result.stats.ll_searches == len(calls) < result.stats.ll_calls
+
+        groups = {}
+        for ctx in requests:
+            groups.setdefault(key(ctx), {})[frozenset(ctx.constraints)] = ctx
+        renamed = 0
+        for variants in groups.values():
+            if len(variants) < 2:
+                continue
+            renamed += 1
+            plans = {
+                lowlevel.plan(
+                    domain, ctx.agent, domain.starts[ctx.agent], domain.goals[ctx.agent], ctx,
+                    mode=engine.ll_mode, max_expansions=config.ll_max_expansions,
+                )
+                for ctx in variants.values()
+            }
+            assert len(plans) == 1
+        assert renamed >= 1
+
     def test_conflict_free_root_searches_once_per_agent(self, monkeypatch):
         d = grid(3, 3, [], [(0, 0), (0, 2)], [(2, 0), (2, 2)])
         calls = record_plans(monkeypatch)
         r = solve(d, SolverConfig(algorithm="ac-ecbs", w=1.0))
         assert r.solved and r.stats.hl_expansions == 0
         assert len(calls) == r.stats.ll_calls == 2
+
+
+class TestRuntimeStats:
+    """`ll_searches` and `stopped_by` appear in the runtime form of the
+    stats only, so RUN.json bytes do not carry them."""
+
+    def test_stopped_by_names_the_limit_that_ended_the_search(self, deep_scenarios):
+        scenario = deep_scenarios["grid-random-s300-018"]
+        for overrides, stopped_by in (
+            ({}, None),
+            ({"max_expansions": 3}, "cap"),
+            ({"timeout_ms": 0.0}, "clock"),
+        ):
+            config = deep_config(scenario, "gen-ecbs")
+            for name, value in overrides.items():
+                setattr(config, name, value)
+            r = solve(scenario.build_domain(), config)
+            assert r.status == ("solved" if stopped_by is None else "timeout")
+            assert r.stats.stopped_by == stopped_by
+            full, stored = r.to_obj(), r.to_obj(include_runtime=False)
+            assert full["stats"]["stopped_by"] == stopped_by
+            assert SolverResult.from_obj(full).stats == r.stats
+            assert "stopped_by" not in stored["stats"] and "ll_searches" not in stored["stats"]
+
+    def test_pp_counts_every_request_as_a_search_and_stops_on_the_clock(self):
+        d = hallway_swap()
+        r = solve_pp(d, SolverConfig(pp_retries=0), order=(0, 1))
+        assert r.status == "exhausted" and r.stats.stopped_by is None
+        assert r.stats.ll_searches == r.stats.ll_calls == 2
+        r = solve_pp(d, SolverConfig(timeout_ms=0.0))
+        assert r.status == "timeout" and r.stats.stopped_by == "clock"
 
 
 class TestPathHash:

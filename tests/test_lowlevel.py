@@ -5,7 +5,8 @@ import random
 import pytest
 
 from genecbs.bench import generate_instances
-from genecbs.core import Configuration, Constraint, Path, canonical_json, path_cost
+from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, make_constraints
+from genecbs.core import VERTEX, Configuration, Conflict, Constraint, Path, canonical_json, path_cost
 from genecbs.domain import ArmSpec, Domain, GridDomain, PlanarArmDomain
 from genecbs.lowlevel import (
     INFEASIBLE,
@@ -474,3 +475,85 @@ class TestCompiledHorizon:
         # constraints against a missing path among them.
         assert {k for k, _, _ in kinds} == {"vertex", "edge", "sphere", "avoidance", "step-priority", "priority"}
         assert ("step-priority", True, False) in kinds and ("priority", False, True) in kinds
+
+
+def brute_force_forbidden(d, c):
+    """The (cell, t) and (cell, cell2, t) items that `c` forbids on grid `d`,
+    found by asking `is_forbidden` and `is_forbidden_edge` about every free
+    cell, every successor move (waits included) and every t up to one past
+    the constraint's horizon."""
+    ctx = ConstraintContext(agent=c.agent, constraints=(c,), other_paths=(None,) * d.n_agents)
+    horizon = _compile(d, ctx)[3]
+    free = [C(x, y) for x in range(d.width) for y in range(d.height) if (x, y) not in d.blocked]
+    items = set()
+    for t in range(horizon + 2):
+        for q in free:
+            if is_forbidden(d, ctx, q, t):
+                items.add((q.coords, t))
+            for q2, _ in d.successors(c.agent, q):
+                if is_forbidden_edge(d, ctx, q, q2, t):
+                    items.add((q.coords, q2.coords, t))
+    return frozenset(items), horizon
+
+
+class TestConstraintKey:
+    """`GridDomain.constraint_key` lists what a vertex, edge or avoidance
+    constraint forbids, with its horizon; other kinds keep their identity."""
+
+    def test_matches_brute_force_on_random_grids(self):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(60):
+            w, h = rng.randint(3, 6), rng.randint(3, 6)
+            cells = [(x, y) for x in range(w) for y in range(h)]
+            blocked = rng.sample(cells, rng.randint(0, len(cells) // 4))
+            free = [C(*xy) for xy in cells if xy not in blocked]
+            d = GridDomain(w, h, blocked, [free[0], free[-1]], [free[-1], free[0]])
+            for _ in range(6):
+                kind = rng.choice(("vertex", "edge", "avoidance", "avoidance-edge"))
+                t, q = rng.randint(0, 6), rng.choice(free)
+                q2 = rng.choice(d.successors(0, q))[0]
+                if kind == "vertex":
+                    c = Constraint(agent=0, ctype="vertex", time=t, q=q)
+                elif kind == "edge":
+                    c = Constraint(agent=0, ctype="edge", time=t, q=q, q2=q2)
+                elif kind == "avoidance":
+                    c = Constraint(agent=0, ctype="avoidance", time=t, other=1, q_other=q)
+                else:
+                    c = Constraint(agent=0, ctype="avoidance", time=t, other=1, q_other=q,
+                                   q_other2=q2, from_edge=True)
+                horizon, *items = d.constraint_key(c)
+                assert len(set(items)) == len(items)
+                assert (frozenset(items), horizon) == brute_force_forbidden(d, c), c
+                seen.add((kind, q == q2))
+        assert {k for k, _ in seen} == {"vertex", "edge", "avoidance", "avoidance-edge"}
+        assert ("avoidance-edge", False) in seen and ("avoidance-edge", True) in seen
+
+    def test_vertex_and_avoidance_of_one_vertex_conflict_share_a_key(self):
+        d = make_grid(blocked=[(1, 1)])
+        conflict = Conflict(VERTEX, (0, 1), 3, (C(2, 2),), (C(2, 2),), (2.5, 2.5))
+        menu = ConstraintMenu.of(MenuEntry(COMPLETE), MenuEntry("avoidance"))
+        (_, v_i, v_j), (_, a_i, a_j) = make_constraints(conflict, menu)
+        assert (v_i.ctype, a_i.ctype) == ("vertex", "avoidance")
+        assert d.constraint_key(v_i) == d.constraint_key(a_i)
+        assert d.constraint_key(v_j) == d.constraint_key(a_j)
+        assert v_i != a_i
+
+    def test_other_kinds_keep_their_identity(self):
+        grid = make_grid()
+        arm = PlanarArmDomain(
+            [ArmSpec((0.0, 0.0), (1.0,), ((0, 7),), 0.1), ArmSpec((5.0, 0.0), (1.0,), ((0, 7),), 0.1)],
+            [], math.pi / 4, [C(0), C(4)], [C(2), C(6)],
+        )
+        cs = (
+            Constraint(agent=0, ctype="sphere", time=2, point=(1.5, 1.5), radius=1.0),
+            Constraint(agent=0, ctype="step-priority", time=2, other=1, from_edge=True),
+            Constraint(agent=0, ctype="priority", time=None, other=1),
+        )
+        for c in cs:
+            assert grid.constraint_key(c) is c
+        for c in cs + (
+            Constraint(agent=0, ctype="vertex", time=1, q=C(3)),
+            Constraint(agent=0, ctype="avoidance", time=1, other=1, q_other=C(3)),
+        ):
+            assert arm.constraint_key(c) is c
