@@ -3,8 +3,9 @@ verification, shortcutting, and the benchmark runner.
 
 Scenario files are strict JSON: a `version` field is required and unknown
 fields are rejected so format drift fails loudly. All files are written in a
-canonical byte form, which makes generation and solve outputs reproducible
-byte for byte under a fixed seed.
+canonical byte form, which makes generation outputs, and the solve outputs
+of runs the clock does not stop, reproducible byte for byte under a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     Configuration,
-    MalformedSolutionError,
     Path,
-    SolverResult,
     canonical_json,
     path_cost,
     sum_of_costs,
@@ -241,9 +240,10 @@ def _segment_ok(
 ) -> bool:
     """Whether the candidate segment, run from t0, has valid transitions and
     no conflict that `count(q, q2, t2)`, a `Domain.conflict_counter` over
-    the other paths, finds on any of its moves. Every interior pose is the
-    source of a move, and `transition_valid` rejects an out-of-bounds or
-    static-blocked source."""
+    the other paths, finds on any of its moves; that count certifies each
+    motion, as the solvers do. Every interior pose is the source of a move,
+    and `transition_valid` rejects an out-of-bounds or static-blocked
+    source."""
     for k in range(1, len(cand)):
         if not domain.transition_valid(agent, cand[k - 1], cand[k]):
             return False
@@ -256,11 +256,10 @@ def _segment_ok(
 def shortcut(solution: Sequence[Path], domain: Domain, passes: int = 1) -> Tuple[Path, ...]:
     """Replace path segments with straight-line joint-index interpolations of
     the same duration when doing so lowers the cost and is collision-free
-    against obstacles and the other agents' current paths, checked at twice
-    the domain's sampling resolution. Costs never increase; a pass over
-    every agent is repeated `passes` times."""
+    against obstacles and the other agents' current paths over every whole
+    motion. Costs never increase; a pass over every agent is repeated
+    `passes` times."""
     paths: List[Path] = sorted(solution, key=lambda p: p.agent)
-    fine = 2 * domain.substeps
     for _ in range(max(0, passes)):
         for agent in range(len(paths)):
             # A move changes the heuristic (grid Manhattan, arm joint-index L1
@@ -271,9 +270,7 @@ def shortcut(solution: Sequence[Path], domain: Domain, passes: int = 1) -> Tuple
             if cost_now == domain.heuristic(agent, p.steps[0], domain.goals[agent]):
                 continue
             # The other paths stay fixed while this agent is shortcut.
-            count = domain.conflict_counter(
-                agent, [None if i == agent else p for i, p in enumerate(paths)], substeps=fine
-            )
+            count = domain.conflict_counter(agent, [None if i == agent else p for i, p in enumerate(paths)])
             improved = True
             while improved:
                 improved = False

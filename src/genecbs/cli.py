@@ -17,17 +17,15 @@ from pathlib import Path as FsPath
 from typing import Optional, Tuple
 
 from .bench import (
-    RunRecord,
     Scenario,
     ScenarioError,
-    aggregate_records,
     format_aggregate,
     generate_instances,
     run_benchmark,
     shortcut,
     verify,
 )
-from .core import Path, SolverResult, canonical_json, sum_of_costs
+from .core import SolverResult, canonical_json, sum_of_costs
 from .highlevel import SolverConfig, solve
 
 RUN_VERSION = 1
@@ -95,8 +93,9 @@ def _cmd_solve(args) -> int:
         "scenario": scenario.to_obj(),
         "algorithm": config.algorithm,
         "seed": config.seed,
-        # Wall-clock runtime is intentionally left out: a run file is a
-        # deterministic function of (scenario, algorithm, seed, budgets).
+        # Runtime is left out, so a run that ends solved, exhausted or on the
+        # expansion cap is a deterministic function of (scenario, algorithm,
+        # seed, budgets). A clock stop is not; a low --max-expansions avoids it.
         "result": result.to_obj(include_runtime=False),
     }
     if args.out:

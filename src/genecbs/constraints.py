@@ -11,6 +11,7 @@ expansion for K incomplete types.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -38,6 +39,10 @@ INCOMPLETE_KINDS = (CT_SPHERE, CT_AVOIDANCE, CT_STEP_PRIORITY, CT_PRIORITY)
 class MenuEntry:
     kind: str  # "complete" or one of INCOMPLETE_KINDS
     radius: Optional[float] = None  # spheres only
+
+    def __post_init__(self):
+        if self.kind == CT_SPHERE and not (self.radius is not None and 0 < self.radius < math.inf):
+            raise ValueError(f"sphere radii must be finite and > 0, got {self.radius!r}")
 
     @property
     def key(self) -> str:
@@ -80,8 +85,6 @@ class ConstraintMenu:
         if len(set(keys)) != len(keys):
             raise ValueError(f"duplicate menu entries: {keys}")
         for e in self.enabled:
-            if e.kind == CT_SPHERE and (e.radius is None or e.radius <= 0):
-                raise ValueError("sphere radii must be strictly positive")
             if e.kind not in (COMPLETE,) + INCOMPLETE_KINDS:
                 raise ValueError(f"unknown constraint type: {e.kind!r}")
         if not self.allow_incomplete_only:

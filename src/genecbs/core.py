@@ -11,8 +11,8 @@ copying. JSON conversion lives next to each type that files store
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 # Conflict kinds.
 VERTEX = "vertex"
@@ -156,9 +156,9 @@ class Constraint:
       step-priority other
       priority      other (time is None; applies at every timestep)
 
-    `from_edge` marks constraints created from an edge conflict; volume-style
-    constraints then also cover time + 1 and the swept transition, so the
-    originating motion is always forbidden.
+    `from_edge` marks constraints created from an edge conflict; each kind
+    forbids the originating motion over [time, time + 1], and only
+    avoidance and step-priority also cover time + 1 (a sphere does not).
     """
 
     agent: int

@@ -111,16 +111,16 @@ class Domain(ABC):
         cap low-level horizons."""
 
     def conflict_counter(
-        self, agent: int, other_paths: Sequence[Optional[Path]], substeps: Optional[int] = None
+        self, agent: int, other_paths: Sequence[Optional[Path]]
     ) -> Callable[[Configuration, Configuration, int], int]:
         """Build, once per set of other paths, the conflict count against
         them; other_paths[j] is agent j's path or None.
 
         The returned `count(q, q2, t2)` is the number of non-None paths that
         the agent's move q -> q2 into timestep t2 conflicts with: a vertex
-        collision at t2, else an edge collision over [t2 - 1, t2]. This
-        default checks every path with `agents_collide` and `edge_collides`,
-        which it passes `substeps`.
+        collision at t2, else an edge collision over [t2 - 1, t2], certified
+        over the whole motion. This default checks every path with
+        `agents_collide` and `edge_collides`.
         """
         others = [(j, p.steps, len(p.steps) - 1) for j, p in enumerate(other_paths) if p is not None]
         agents_collide = self.agents_collide
@@ -132,9 +132,7 @@ class Domain(ABC):
                 at_t2 = steps[t2 if t2 < last else last]
                 if agents_collide(agent, q2, j, at_t2) is not None:
                     n += 1
-                elif edge_collides(
-                    agent, q, q2, j, steps[t2 - 1 if t2 <= last else last], at_t2, substeps
-                ) is not None:
+                elif edge_collides(agent, q, q2, j, steps[t2 - 1 if t2 <= last else last], at_t2) is not None:
                     n += 1
             return n
 
@@ -301,11 +299,10 @@ class GridDomain(Domain):
                 return True
         return False
 
-    def conflict_counter(self, agent, other_paths, substeps=None):
+    def conflict_counter(self, agent, other_paths):
         """Count conflicts from two tables built from the other paths, each
         padded to H, the longest other horizon: how many agents occupy each
         cell at t, and how many move from cell a at t - 1 to cell b at t.
-        `substeps` is ignored: a swap is a conflict at any resolution.
 
         One agent cannot both sit on q2 at t2 (a vertex hit) and move
         q2 -> q into t2 (a swap), so the per-agent "vertex, else edge" count
@@ -810,7 +807,7 @@ class PlanarArmDomain(Domain):
             self._edge_cache[key] = out
         return out
 
-    def conflict_counter(self, agent, other_paths, substeps=None):
+    def conflict_counter(self, agent, other_paths):
         """The default's count ("vertex, else edge" per other arm), with
         each part decided by the first of these that applies:
 
@@ -824,12 +821,11 @@ class PlanarArmDomain(Domain):
            SWEEP_CERT_MARGIN);
         3. the primitive itself.
 
-        A certified-clear motion is clear at every sub-time, so the count
-        equals the default's at any `substeps`. Box-certified answers are
-        not stored in the memos. Each other arm in reach has its poses,
-        boxes and step speeds tabled once per call; past its last step it
-        waits, with speed 0. Arms out of reach can never conflict and are
-        dropped.
+        A box-certified motion is clear at every sub-time, so the count
+        equals the default's. Box-certified answers are not stored in the
+        memos. Each other arm in reach has its poses, boxes and step speeds
+        tabled once per call; past its last step it waits, with speed 0.
+        Arms out of reach can never conflict and are dropped.
         """
         bbox = self._bbox
         sweep_speed = self._sweep_speed
@@ -871,7 +867,7 @@ class PlanarArmDomain(Domain):
                     n += 1
                     continue
                 k1 = t2 - 1 if t2 <= last else last
-                hit = edge_cache.get(_edge_key(agent, c, c2, j, coords[k1], coords[k2], substeps), miss)
+                hit = edge_cache.get(_edge_key(agent, c, c2, j, coords[k1], coords[k2], None), miss)
                 if hit is miss:
                     if motion is None:
                         motion = motions.get((c, c2))
@@ -882,7 +878,7 @@ class PlanarArmDomain(Domain):
                     g = _box_gap(box, boxes[k1]) + _box_gap(box2, boxes[k2])
                     if g - (speed + speeds[k1]) > cert:
                         continue
-                    hit = edge_collides(agent, q, q2, j, steps[k1], steps[k2], substeps)
+                    hit = edge_collides(agent, q, q2, j, steps[k1], steps[k2])
                 if hit is not None:
                     n += 1
             return n

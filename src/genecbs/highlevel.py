@@ -551,10 +551,13 @@ class SolverConfig:
         if "dts_prior" in obj:
             cfg.dts_prior = {k: (float(v[0]), float(v[1])) for k, v in obj["dts_prior"].items()}
         cfg.seed = int(obj.get("seed", cfg.seed))
-        cfg.timeout_ms = float(obj.get("timeout_ms", cfg.timeout_ms))
-        cfg.max_expansions = int(obj.get("max_expansions", cfg.max_expansions))
-        cfg.ll_max_expansions = int(obj.get("ll_max_expansions", cfg.ll_max_expansions))
-        cfg.pp_retries = int(obj.get("pp_retries", cfg.pp_retries))
+        # Caps and the timeout keep their default's type: float or int.
+        for name in ("timeout_ms", "max_expansions", "ll_max_expansions", "pp_retries"):
+            default = getattr(cfg, name)
+            value = type(default)(obj.get(name, default))
+            if not value >= 0:  # also rejects NaN
+                raise ValueError(f"{name} must be >= 0, got {value:g}")
+            setattr(cfg, name, value)
         return cfg
 
 

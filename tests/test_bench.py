@@ -40,7 +40,7 @@ from genecbs.core import (
     path_cost,
     sum_of_costs,
 )
-from genecbs.domain import GridDomain
+from genecbs.domain import GridDomain, domain_from_obj
 from genecbs.highlevel import SolverConfig, solve, find_conflicts
 
 
@@ -377,7 +377,6 @@ class TestShortcut:
 def reference_segment_ok(domain, agent, cand, t0, others):
     """Reference segment check for `shortcut`: every other path, pairwise,
     through `Path.at`, without `Domain.conflict_counter`."""
-    fine = 2 * domain.substeps
     for k in range(1, len(cand)):
         if not domain.transition_valid(agent, cand[k - 1], cand[k]):
             return False
@@ -393,9 +392,7 @@ def reference_segment_ok(domain, agent, cand, t0, others):
             if k > 0 and domain.agents_collide(agent, cand[k], o, other.at(t)) is not None:
                 return False
             if k < len(cand) - 1:
-                hit = domain.edge_collides(
-                    agent, cand[k], cand[k + 1], o, other.at(t), other.at(t + 1), substeps=fine
-                )
+                hit = domain.edge_collides(agent, cand[k], cand[k + 1], o, other.at(t), other.at(t + 1))
                 if hit is not None:
                     return False
     return True
@@ -557,7 +554,7 @@ class TestShortcutParity:
         seen = set()
         for _ in range(400):
             others = [None] + [walk(j, rng.randint(0, 6)) for j in range(1, 5)]
-            count = d.conflict_counter(0, others, substeps=2 * d.substeps)
+            count = d.conflict_counter(0, others)
             for _ in range(10):
                 cand = _staircase(rng.choice(cells), rng.choice(cells), rng.randint(1, 6))
                 if cand is None:
@@ -568,42 +565,54 @@ class TestShortcutParity:
                 seen.add(ok)
         assert seen == {True, False}
 
-    def test_shortcut_checks_at_twice_the_resolution(self, monkeypatch):
+    def test_shortcut_builds_certified_counters(self, monkeypatch):
+        # Counters take no sample count; the verifier alone resamples, at
+        # twice the resolution.
         d = hallway_scenario().build_domain()
         solution = solve(d, SolverConfig(algorithm="cbs")).solution
         asked = []
         counter = GridDomain.conflict_counter
 
-        def spy(self, agent, other_paths, substeps=None):
-            asked.append(substeps)
-            return counter(self, agent, other_paths, substeps)
+        def spy(self, agent, other_paths, *args, **kwargs):
+            asked.append((args, kwargs))
+            return counter(self, agent, other_paths, *args, **kwargs)
 
         monkeypatch.setattr(GridDomain, "conflict_counter", spy)
         shortcut(solution, d)
-        assert asked and set(asked) == {2 * d.substeps}
+        assert asked and all(call == ((), {}) for call in asked)
 
-    def test_arm_counter_keeps_the_sampled_resolution(self):
+    def test_arm_counter_sees_contacts_between_samples(self):
         # Two motions of arm-quad-s2024-037 whose contact falls between
         # sampled poses: agents 2 and 3 at t = 4 (missed by 4 samples) and a
-        # pair of agents 0 and 1 (missed by 8). The counter must see each
-        # contact exactly as `edge_collides` does at the same resolution.
+        # pair of agents 0 and 1 (missed by 8). The certified counter sees
+        # each contact.
         d = generate_instances("arm-quad", 38, seed=2024)[37].build_domain()
         motions = [
             (2, C(13, -3), C(12, -3), 3, C(25, 6), C(24, 6)),
             (0, C(2, 3), C(1, 3), 1, C(8, 4), C(9, 4)),
         ]
-        differ = set()
         for i, q, q2, j, p, p2 in motions:
             assert d.agents_collide(i, q2, j, p2) is None
             others = [None] * d.n_agents
             others[j] = Path(j, (p, p2))
-            for substeps in (4, 8, None):
-                count = d.conflict_counter(i, others, substeps=substeps)
-                hit = d.edge_collides(i, q, q2, j, p, p2, substeps=substeps) is not None
-                assert count(q, q2, 1) == int(hit), (i, j, substeps)
-                if not hit:
-                    differ.add(substeps)
-        assert differ == {4, 8}
+            assert d.edge_collides(i, q, q2, j, p, p2) is not None
+            assert d.conflict_counter(i, others)(q, q2, 1) == 1, (i, j)
+
+    def test_shortcut_keeps_a_motion_that_collides_between_samples(self):
+        # The first two arms of arm-quad-s2024-037. Waiting one step keeps
+        # agent 0 clear of agent 1; moving at once is the 0/1 motion pair
+        # above, whose contact the verifier's 8 samples miss, so no segment
+        # may replace the wait.
+        s = generate_instances("arm-quad", 38, seed=2024)[37]
+        obj = dict(s.domain_obj, arms=s.domain_obj["arms"][:2])
+        d = domain_from_obj(obj, [C(2, 3), C(8, 4)], [C(1, 3), C(9, 4)])
+        d.validate_instance()
+        assert d.edge_collides(0, C(2, 3), C(1, 3), 1, C(8, 4), C(9, 4), substeps=2 * d.substeps) is None
+        solution = (Path(0, (C(2, 3), C(2, 3), C(1, 3))), Path(1, (C(8, 4), C(9, 4))))
+        assert find_conflicts(solution, d) == ()
+        out = shortcut(solution, d)
+        assert out == solution
+        assert find_conflicts(out, d) == ()
 
 
 class TestRunBenchmark:
@@ -932,6 +941,51 @@ class TestCLI:
         assert not run_file.exists()
         # The unit-w rows ignore the configured w.
         assert cli_main(["solve", str(scen), "--algo", "gen-cbs", "--w", "nan"]) == 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timeout_ms", -1.0),
+            ("timeout_ms", float("nan")),
+            ("max_expansions", -1),
+            ("ll_max_expansions", -2),
+            ("pp_retries", -3),
+        ],
+    )
+    def test_bad_solver_caps_in_a_scenario_return_two_with_one_line(self, tmp_path, capsys, field, value):
+        obj = hallway_scenario().to_obj()
+        obj["solver"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))  # NaN is written as NaN, which json reads back
+        run_file = tmp_path / "run.json"
+        capsys.readouterr()
+        assert cli_main(["solve", str(bad), "--algo", "pp", "--out", str(run_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: malformed scenario: {field} must be >= 0, got {value:g}\n"
+        assert captured.out == "" and not run_file.exists()
+        obj["solver"][field] = 0  # zero is a valid cap
+        bad.write_text(json.dumps(obj))
+        assert cli_main(["solve", str(bad), "--algo", "pp"]) in (0, 1)
+
+    def test_non_finite_sphere_radius_returns_two_with_one_line(self, tmp_path, capsys):
+        scen = self._write_scenario(tmp_path)
+        obj = hallway_scenario().to_obj()
+        obj["solver"]["menu"] = [{"type": "complete"}, {"type": "sphere", "radius": float("nan")}]
+        from_file = tmp_path / "nan-radius.json"
+        from_file.write_text(json.dumps(obj))
+        for argv, shown in (
+            (["solve", str(scen), "--algo", "ecbs-sub:sphere:nan"], "nan"),
+            (["solve", str(scen), "--algo", "ecbs-sub:sphere:inf"], "inf"),
+            (["solve", str(scen), "--algo", "ecbs-sub:sphere:-1"], "-1.0"),
+            (["solve", str(from_file), "--algo", "gen-ecbs"], "nan"),
+        ):
+            capsys.readouterr()
+            assert cli_main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+            assert captured.err.endswith(f"sphere radii must be finite and > 0, got {shown}\n"), argv
+            assert captured.out == "", argv
+        assert cli_main(["solve", str(scen), "--algo", "ecbs-sub:sphere:1.5"]) in (0, 1)
 
     def test_solve_and_verify_build_the_domain_once(self, tmp_path, monkeypatch):
         scen = self._write_scenario(tmp_path)

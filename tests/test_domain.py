@@ -448,7 +448,7 @@ class TestSegmentGeometry:
         assert dist == pytest.approx(2.0)
 
 
-def reference_conflicts(d, agent, other_paths, q, q2, t2, substeps=None):
+def reference_conflicts(d, agent, other_paths, q, q2, t2):
     """(vertex hits, edge-only hits) of the move q -> q2 into t2, one
     other path at a time, straight from the pairwise primitives."""
     vertex = edge = 0
@@ -457,7 +457,7 @@ def reference_conflicts(d, agent, other_paths, q, q2, t2, substeps=None):
             continue
         if d.agents_collide(agent, q2, j, path.at(t2)) is not None:
             vertex += 1
-        elif d.edge_collides(agent, q, q2, j, path.at(t2 - 1), path.at(t2), substeps) is not None:
+        elif d.edge_collides(agent, q, q2, j, path.at(t2 - 1), path.at(t2)) is not None:
             edge += 1
     return vertex, edge
 
@@ -531,15 +531,14 @@ class TestConflictCounter:
             q = C(rng.randint(-12, 12), rng.randint(-12, 12))
             q2 = rng.choice(d.successors(0, q))[0]
             queries.append((q, q2, rng.randint(1, 8)))
-        for substeps in (None, 8):
-            count = d.conflict_counter(0, others, substeps)
-            loop = Domain.conflict_counter(d, 0, others, substeps)
-            hits = 0
-            for q, q2, t2 in queries:
-                n = count(q, q2, t2)
-                assert n == loop(q, q2, t2) == sum(reference_conflicts(ref, 0, others, q, q2, t2, substeps))
-                hits += n
-            assert hits > 0
+        count = d.conflict_counter(0, others)
+        loop = Domain.conflict_counter(d, 0, others)
+        hits = 0
+        for q, q2, t2 in queries:
+            n = count(q, q2, t2)
+            assert n == loop(q, q2, t2) == sum(reference_conflicts(ref, 0, others, q, q2, t2))
+            hits += n
+        assert hits > 0
         assert d.agents_collide(0, C(0, 0), 3, C(12, 0)) is None  # out of reach
 
 
@@ -554,7 +553,7 @@ def solved_arm_moves(n_instances=3):
     return out
 
 
-def counter_decisions(d, agent, others, substeps, queries):
+def counter_decisions(d, agent, others, queries):
     """Yield (q, q2, t2, calls) per query of d's counter over `others`,
     where calls is the set of (part, other arm) the counter passed to a
     primitive. d's memos are emptied before each query, so a part missing
@@ -566,12 +565,12 @@ def counter_decisions(d, agent, others, substeps, queries):
         calls.add(("vertex", j))
         return agents_collide(i, q_i, j, q_j)
 
-    def edge(i, q_i, q_i2, j, q_j, q_j2, substeps=None):
+    def edge(i, q_i, q_i2, j, q_j, q_j2):
         calls.add(("edge", j))
-        return edge_collides(i, q_i, q_i2, j, q_j, q_j2, substeps)
+        return edge_collides(i, q_i, q_i2, j, q_j, q_j2)
 
     d.agents_collide, d.edge_collides = vertex, edge
-    count = d.conflict_counter(agent, others, substeps)
+    count = d.conflict_counter(agent, others)
     for q, q2, t2 in queries:
         d._pair_cache.clear()
         d._edge_cache.clear()
@@ -581,12 +580,12 @@ def counter_decisions(d, agent, others, substeps, queries):
 
 
 class TestArmCounterCertificate:
-    def check_skips_are_clear(self, build, agent, others, queries, substeps):
+    def check_skips_are_clear(self, build, agent, others, queries):
         """Every part the counter skips is clear for the primitives of a
         fresh domain; returns (vertex skips, edge skips, contacts found)."""
         ref = build()
         skipped_vertex = skipped_edge = contacts = 0
-        for q, q2, t2, calls in counter_decisions(build(), agent, others, substeps, queries):
+        for q, q2, t2, calls in counter_decisions(build(), agent, others, queries):
             for j, path in enumerate(others):
                 if path is None:
                     continue
@@ -599,9 +598,9 @@ class TestArmCounterCertificate:
                     contacts += 1
                     continue
                 motion = (agent, q, q2, j, path.at(t2 - 1), at_t2)
-                edge = ref.edge_collides(*motion, substeps)
+                edge = ref.edge_collides(*motion)
                 if ("edge", j) not in calls:
-                    assert edge is None and ref.edge_collides(*motion) is None, (motion, t2)
+                    assert edge is None, (motion, t2)
                     skipped_edge += 1
                 contacts += edge is not None
         return skipped_vertex, skipped_edge, contacts
@@ -620,9 +619,8 @@ class TestArmCounterCertificate:
                     for shift in (-2, -1, 0, 1, 2)
                     if t + shift >= 1
                 ]
-                for substeps in (None, 8):
-                    found = self.check_skips_are_clear(scenario.build_domain, agent, others, queries, substeps)
-                    totals = [a + b for a, b in zip(totals, found)]
+                found = self.check_skips_are_clear(scenario.build_domain, agent, others, queries)
+                totals = [a + b for a, b in zip(totals, found)]
         skipped_vertex, skipped_edge, contacts = totals
         assert skipped_vertex > 0 and skipped_edge > 0 and contacts > 0
 
@@ -635,9 +633,8 @@ class TestArmCounterCertificate:
         for move, _ in d.successors(j, q_j):
             others = [None] * d.n_agents
             others[j] = Path(agent=j, steps=(q_j, move))
-            for substeps in (None, 8):
-                found = self.check_skips_are_clear(arm_quad_037, i, others, queries, substeps)
-                totals = [x + y for x, y in zip(totals, found)]
+            found = self.check_skips_are_clear(arm_quad_037, i, others, queries)
+            totals = [x + y for x, y in zip(totals, found)]
         assert all(n > 0 for n in totals), totals
 
     def test_skipped_pairs_are_clear_on_fast_passes(self):
@@ -650,9 +647,8 @@ class TestArmCounterCertificate:
             for agent, q, q2, other, steps in ((i, a_i, b_i, j, (a_j, b_j)), (j, a_j, b_j, i, (a_i, b_i))):
                 others = [None] * d.n_agents
                 others[other] = Path(agent=other, steps=(C(*steps[0]), C(*steps[1])))
-                for substeps in (None, 8):
-                    found = self.check_skips_are_clear(arm_quad_037, agent, others, [(C(*q), C(*q2), 1)], substeps)
-                    assert found[2] == 1
+                found = self.check_skips_are_clear(arm_quad_037, agent, others, [(C(*q), C(*q2), 1)])
+                assert found[2] == 1
 
     def test_tangent_arms_are_never_skipped(self):
         # Both arms lie along the x axis, 0.25 apart: exactly the threshold
@@ -669,13 +665,12 @@ class TestArmCounterCertificate:
         assert d.agents_collide(0, C(0, 0), 1, C(0, 0)) is not None
         others = [None, Path(agent=1, steps=(C(0, 0),))]
         queries = [(q, q2, 1) for q, q2 in motions_near(d, 0, (0, 0))]
-        for substeps in (None, 8):
-            count = d.conflict_counter(0, others, substeps)
-            assert [count(*query) for query in queries] == [
-                sum(reference_conflicts(build(), 0, others, *query, substeps)) for query in queries
-            ]
-            _, _, contacts = self.check_skips_are_clear(build, 0, others, queries, substeps)
-            assert contacts > 0
+        count = d.conflict_counter(0, others)
+        assert [count(*query) for query in queries] == [
+            sum(reference_conflicts(build(), 0, others, *query)) for query in queries
+        ]
+        _, _, contacts = self.check_skips_are_clear(build, 0, others, queries)
+        assert contacts > 0
 
 
 class TestPairGapMemo:
