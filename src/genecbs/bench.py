@@ -147,8 +147,10 @@ class VerifyResult:
 def verify(domain: Domain, solution: Sequence[Path]) -> VerifyResult:
     """Independent re-check of a solution: endpoints, transition validity,
     static collisions, and pairwise conflicts at twice the solver's
-    interpolation resolution. Shares nothing with the solvers beyond the
-    domain geometry primitives."""
+    interpolation resolution. Shares with the solvers only the domain's
+    primitives and their pose-level memos (link segments, boxes, exact
+    link-pair scans keyed by their full input), never a memoised collision
+    answer: its sampled edge checks are memoised under their own count."""
     out: List[Violation] = []
     n = domain.n_agents
     agents = sorted(p.agent for p in solution)

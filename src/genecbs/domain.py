@@ -4,15 +4,16 @@ Two implementations share one interface: a 2D grid with point robots (the
 fast oracle domain) and a planar N-link arm domain where each link is a
 segment inflated to a capsule of radius ``thickness``. All collision
 predicates are closed (<= thresholds) so tangency behaves deterministically.
-Arm motion checks are certified over the whole motion unless a sample count
-is given; sampled checks are the verifier's independent reference.
-Domains are immutable after construction; the internal memo caches only store
-results of pure queries.
+Grid motion checks are exact. Arm motion checks are certified over the whole
+motion unless a sample count is given; sampled checks are the verifier's
+independent reference. Domains are immutable after construction; the
+internal memo caches only store results of pure queries.
 
-The arm domain's conflict counter decides each (move, other arm) part from
-the primitives' memo entry, else from a bounding-box certificate, and calls
-the primitive only when neither settles it. Below the primitives, the exact
-link-pair scan of two sample poses is memoised per threshold.
+The arm domain's conflict counter skips each (move, other arm) part that a
+bounding-box certificate proves clear and asks the primitive otherwise; it
+reads no memo itself. Below the primitives, the forward kinematics, boxes
+and exact link-pair scan of a pose pair are memoised by their full input,
+and `edge_collides` memoises its answers.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ SWEEP_MIN_WIDTH = 1.0 / 1024
 SWEEP_CERT_MARGIN = 1e-9
 # Size cap of each arm pose memo: link segments, boxes and exact pair gaps.
 POSE_MEMO_CAP = 400_000
+# Size cap of the arm motion memo: certified and sampled edge answers.
+EDGE_MEMO_CAP = 1_000_000
 
 
 class Domain(ABC):
@@ -288,16 +291,9 @@ class GridDomain(Domain):
         return math.hypot(cx - center[0], cy - center[1]) <= radius
 
     def edge_intersects_circle(self, agent, q, q2, center, radius, substeps=None) -> bool:
-        m = self.substeps if substeps is None else substeps
-        ax, ay = self.cell_center(q)
-        bx, by = self.cell_center(q2)
-        for k in range(m + 1):
-            s = k / m
-            x = ax + (bx - ax) * s
-            y = ay + (by - ay) * s
-            if math.hypot(x - center[0], y - center[1]) <= radius:
-                return True
-        return False
+        """Exact at any `substeps`: the robot's centre sweeps the segment
+        between the two cell centres."""
+        return _seg_point_dist((self.cell_center(q), self.cell_center(q2)), center) <= radius
 
     def conflict_counter(self, agent, other_paths):
         """Count conflicts from two tables built from the other paths, each
@@ -355,18 +351,6 @@ def _segs_bbox(segs: Sequence[Segment]) -> Box:
     xs = [p[0] for seg in segs for p in seg]
     ys = [p[1] for seg in segs for p in seg]
     return (min(xs), min(ys), max(xs), max(ys))
-
-
-def _pair_key(i: int, c_i: tuple, j: int, c_j: tuple) -> tuple:
-    """Memo key of arms i and j at poses c_i and c_j, lower index first."""
-    return (i, c_i, j, c_j) if i < j else (j, c_j, i, c_i)
-
-
-def _edge_key(i: int, a_i: tuple, b_i: tuple, j: int, a_j: tuple, b_j: tuple, substeps) -> tuple:
-    """Memo key of the simultaneous motions a_i -> b_i and a_j -> b_j."""
-    if i < j:
-        return (i, a_i, b_i, j, a_j, b_j, substeps)
-    return (j, a_j, b_j, i, a_i, b_i, substeps)
 
 
 def _boxes_apart(a: Box, b: Box, enough: float) -> bool:
@@ -495,7 +479,6 @@ class PlanarArmDomain(Domain):
         self._bbox_cache: Dict[Tuple[int, Tuple[float, ...]], Box] = {}
         self._static_cache: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
         self._succ_cache: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[Configuration, float]]] = {}
-        self._pair_cache: Dict[tuple, Optional[Point]] = {}
         self._edge_cache: Dict[tuple, Optional[Tuple[Point, float]]] = {}
         # Exact branch of _pair_gap: (i, coords_i, j, coords_j, threshold)
         # -> (distance bound, contact point).
@@ -756,16 +739,10 @@ class PlanarArmDomain(Domain):
     def agents_collide(self, i, q_i, j, q_j) -> Optional[Point]:
         if not self._in_reach[i][j]:
             return None
-        key = _pair_key(i, q_i.coords, j, q_j.coords)
-        if key in self._pair_cache:
-            return self._pair_cache[key]
         if i > j:
             i, j, q_i, q_j = j, i, q_j, q_i
         threshold = self.arms[i].thickness + self.arms[j].thickness
-        out = self._pair_gap(i, q_i.coords, j, q_j.coords, threshold, threshold)[1]
-        if len(self._pair_cache) < 1_000_000:
-            self._pair_cache[key] = out
-        return out
+        return self._pair_gap(i, q_i.coords, j, q_j.coords, threshold, threshold)[1]
 
     def edge_collides(self, i, q_i, q_i2, j, q_j, q_j2, substeps=None):
         """First contact of the two simultaneous linear motions, as (point,
@@ -775,16 +752,17 @@ class PlanarArmDomain(Domain):
         means contact-free at every sub-time. With `substeps` only the
         substeps + 1 evenly spaced poses are tested; that sampled check is
         the independent reference the verifier uses at twice the resolution.
+        Answers are memoised under both motions, lower arm index first, and
+        the sample count.
         """
         if not self._in_reach[i][j]:
             return None
-        key = _edge_key(i, q_i.coords, q_i2.coords, j, q_j.coords, q_j2.coords, substeps)
+        a_i, b_i, a_j, b_j = q_i.coords, q_i2.coords, q_j.coords, q_j2.coords
+        if i > j:
+            i, j, a_i, b_i, a_j, b_j = j, i, a_j, b_j, a_i, b_i
+        key = (i, a_i, b_i, j, a_j, b_j, substeps)
         if key in self._edge_cache:
             return self._edge_cache[key]
-        if i > j:
-            i, j, q_i, q_j, q_i2, q_j2 = j, i, q_j, q_i, q_j2, q_i2
-        a_i, b_i = q_i.coords, q_i2.coords
-        a_j, b_j = q_j.coords, q_j2.coords
         threshold = self.arms[i].thickness + self.arms[j].thickness
 
         def gap(s, memo, thr, enough):
@@ -803,29 +781,24 @@ class PlanarArmDomain(Domain):
                 if point is not None:
                     out = (point, s)
                     break
-        if len(self._edge_cache) < 1_000_000:
+        if len(self._edge_cache) < EDGE_MEMO_CAP:
             self._edge_cache[key] = out
         return out
 
     def conflict_counter(self, agent, other_paths):
         """The default's count ("vertex, else edge" per other arm), with
-        each part decided by the first of these that applies:
+        each part skipped when the bounding boxes already prove it clear
+        and asked of `agents_collide` / `edge_collides` otherwise.
 
-        1. the answer `agents_collide` / `edge_collides` would read from
-           their memos;
-        2. on a miss, the bounding boxes, when they already prove the part
-           clear: the vertex part when the boxes are more than the
-           threshold apart on an axis (`_pair_gap`'s shortcut), the edge
-           part when the box gaps g0, g1 at both ends pass `_sweep`'s
-           top-level test g0 + g1 - speed > 2 * (threshold +
-           SWEEP_CERT_MARGIN);
-        3. the primitive itself.
-
-        A box-certified motion is clear at every sub-time, so the count
-        equals the default's. Box-certified answers are not stored in the
-        memos. Each other arm in reach has its poses, boxes and step speeds
-        tabled once per call; past its last step it waits, with speed 0.
-        Arms out of reach can never conflict and are dropped.
+        The vertex part is clear when the boxes at t2 are more than the
+        threshold apart on an axis (`_pair_gap`'s shortcut). The edge part
+        is clear when the box gaps g0, g1 at both ends of the motion pass
+        `_sweep`'s top-level test g0 + g1 - speed > 2 * (threshold +
+        SWEEP_CERT_MARGIN); a motion certified this way is clear at every
+        sub-time, so the count equals the default's. Each other arm in
+        reach has its poses, boxes and step speeds tabled once per call;
+        past its last step it waits, with speed 0. Arms out of reach can
+        never conflict and are dropped.
         """
         bbox = self._bbox
         sweep_speed = self._sweep_speed
@@ -838,48 +811,31 @@ class PlanarArmDomain(Domain):
             speeds = [sweep_speed(j, a, b) for a, b in zip(coords, coords[1:])] + [0.0]
             threshold = thickness + self.arms[j].thickness
             others.append((
-                j, p.steps, coords, [bbox(j, c) for c in coords], speeds, len(coords) - 1,
+                j, p.steps, [bbox(j, c) for c in coords], speeds, len(coords) - 1,
                 threshold, 2.0 * (threshold + SWEEP_CERT_MARGIN),
             ))
-        pair_cache = self._pair_cache
-        edge_cache = self._edge_cache
         agents_collide = self.agents_collide
         edge_collides = self.edge_collides
-        miss = object()
         # (q, q2) -> the planning arm's boxes at q and q2 and its speed.
         motions: Dict[tuple, Tuple[Box, Box, float]] = {}
 
         def count(q: Configuration, q2: Configuration, t2: int) -> int:
             c, c2 = q.coords, q2.coords
-            box2 = motion = None  # looked up on a first miss
+            motion = motions.get((c, c2))
+            if motion is None:
+                motion = motions[(c, c2)] = (bbox(agent, c), bbox(agent, c2), sweep_speed(agent, c, c2))
+            box, box2, speed = motion
             n = 0
-            for j, steps, coords, boxes, speeds, last, threshold, cert in others:
+            for j, steps, boxes, speeds, last, threshold, cert in others:
                 k2 = t2 if t2 < last else last
-                hit = pair_cache.get(_pair_key(agent, c2, j, coords[k2]), miss)
-                if hit is miss:
-                    if box2 is None:
-                        box2 = bbox(agent, c2)
-                    if _boxes_apart(box2, boxes[k2], threshold):
-                        hit = None
-                    else:
-                        hit = agents_collide(agent, q2, j, steps[k2])
-                if hit is not None:
-                    n += 1
-                    continue
-                k1 = t2 - 1 if t2 <= last else last
-                hit = edge_cache.get(_edge_key(agent, c, c2, j, coords[k1], coords[k2], None), miss)
-                if hit is miss:
-                    if motion is None:
-                        motion = motions.get((c, c2))
-                        if motion is None:
-                            motion = (bbox(agent, c), bbox(agent, c2), sweep_speed(agent, c, c2))
-                            motions[(c, c2)] = motion
-                    box, box2, speed = motion
-                    g = _box_gap(box, boxes[k1]) + _box_gap(box2, boxes[k2])
-                    if g - (speed + speeds[k1]) > cert:
+                if not _boxes_apart(box2, boxes[k2], threshold):
+                    if agents_collide(agent, q2, j, steps[k2]) is not None:
+                        n += 1
                         continue
-                    hit = edge_collides(agent, q, q2, j, steps[k1], steps[k2])
-                if hit is not None:
+                k1 = t2 - 1 if t2 <= last else last
+                if _box_gap(box, boxes[k1]) + _box_gap(box2, boxes[k2]) - (speed + speeds[k1]) > cert:
+                    continue
+                if edge_collides(agent, q, q2, j, steps[k1], steps[k2]) is not None:
                     n += 1
             return n
 

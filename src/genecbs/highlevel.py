@@ -545,17 +545,22 @@ class SolverConfig:
             raise ValueError(f"unknown solver fields: {sorted(unknown)}")
         cfg = SolverConfig()
         cfg.algorithm = obj.get("algorithm", cfg.algorithm)
-        cfg.w = float(obj.get("w", cfg.w))
         if "menu" in obj:
             cfg.menu = ConstraintMenu.from_obj(obj["menu"])
         if "dts_prior" in obj:
             cfg.dts_prior = {k: (float(v[0]), float(v[1])) for k, v in obj["dts_prior"].items()}
-        cfg.seed = int(obj.get("seed", cfg.seed))
-        # Caps and the timeout keep their default's type: float or int.
-        for name in ("timeout_ms", "max_expansions", "ll_max_expansions", "pp_retries"):
-            default = getattr(cfg, name)
-            value = type(default)(obj.get(name, default))
-            if not value >= 0:  # also rejects NaN
+        # Numbers keep their default's type: w and the timeout are floats,
+        # the seed and the caps integers. Bools, strings and fractional
+        # counts are rejected rather than converted.
+        for name in ("w", "seed", "timeout_ms", "max_expansions", "ll_max_expansions", "pp_retries"):
+            value = obj.get(name, getattr(cfg, name))
+            integral = isinstance(getattr(cfg, name), int)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if integral and not (isinstance(value, int) or value.is_integer()):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = int(value) if integral else float(value)
+            if name not in ("w", "seed") and not value >= 0:  # also rejects NaN
                 raise ValueError(f"{name} must be >= 0, got {value:g}")
             setattr(cfg, name, value)
         return cfg

@@ -185,6 +185,49 @@ class TestVerify:
         assert r.solved
         assert verify(d, r.solution).clean
 
+    def test_shares_no_memoised_answer_with_the_solver(self):
+        # The solve leaves the domain's memos full. The verifier may read
+        # its pose-level memos (FK, boxes, exact link-pair scans), but not
+        # one of the certified motion answers the solvers stored.
+        scenario = generate_instances("arm-quad", 1, seed=2024)[0]
+        d = scenario.build_domain()
+        r = solve(d, SolverConfig(algorithm="pp", w=1.3, max_expansions=300))
+        assert r.solved
+
+        class Lookups(dict):
+            certified = sampled = 0
+
+            def seen(self, key):
+                if key[-1] is None:
+                    self.certified += 1
+                else:
+                    self.sampled += 1
+
+            def __contains__(self, key):
+                self.seen(key)
+                return super().__contains__(key)
+
+            def __getitem__(self, key):
+                self.seen(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.seen(key)
+                return super().get(key, default)
+
+        d._edge_cache = Lookups(d._edge_cache)
+        assert any(key[-1] is None for key in d._edge_cache)
+        assert verify(d, r.solution).clean
+        assert d._edge_cache.certified == 0 and d._edge_cache.sampled > 0
+        # Agent 1 starts three steps late: vertex and edge conflicts, found
+        # alike by the dirty domain and by a fresh one.
+        paths = sorted(r.solution, key=lambda p: p.agent)
+        paths[1] = Path(1, (paths[1].steps[0],) * 3 + paths[1].steps)
+        dirty = verify(d, paths).violations
+        assert {v.kind for v in dirty} >= {"vertex-conflict", "edge-conflict"}
+        assert dirty == verify(scenario.build_domain(), paths).violations
+        assert d._edge_cache.certified == 0
+
     def test_wrong_goal_endpoint(self):
         d = hallway_scenario().build_domain()
         r = solve(d, SolverConfig(algorithm="cbs"))
@@ -966,6 +1009,36 @@ class TestCLI:
         obj["solver"][field] = 0  # zero is a valid cap
         bad.write_text(json.dumps(obj))
         assert cli_main(["solve", str(bad), "--algo", "pp"]) in (0, 1)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("w", True, "w must be a number, got True"),
+            ("seed", 1.9, "seed must be an integer, got 1.9"),
+            ("timeout_ms", "10", "timeout_ms must be a number, got '10'"),
+            ("max_expansions", 2.7, "max_expansions must be an integer, got 2.7"),
+            ("ll_max_expansions", "50", "ll_max_expansions must be a number, got '50'"),
+            ("pp_retries", True, "pp_retries must be a number, got True"),
+        ],
+    )
+    def test_solver_fields_of_the_wrong_type_return_two_with_one_line(
+        self, tmp_path, capsys, field, value, message
+    ):
+        obj = hallway_scenario().to_obj()
+        obj["solver"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        run_file = tmp_path / "run.json"
+        capsys.readouterr()
+        assert cli_main(["solve", str(bad), "--algo", "pp", "--out", str(run_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: malformed scenario: {message}\n"
+        assert captured.out == "" and not run_file.exists()
+
+    def test_solver_numbers_keep_their_type(self):
+        cfg = SolverConfig.from_obj({"w": 2, "seed": 3.0, "timeout_ms": 5, "max_expansions": 7.0})
+        assert (cfg.w, cfg.seed, cfg.timeout_ms, cfg.max_expansions) == (2.0, 3, 5.0, 7)
+        assert [type(x) for x in (cfg.w, cfg.seed, cfg.timeout_ms, cfg.max_expansions)] == [float, int, float, int]
 
     def test_non_finite_sphere_radius_returns_two_with_one_line(self, tmp_path, capsys):
         scen = self._write_scenario(tmp_path)

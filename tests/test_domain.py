@@ -376,6 +376,46 @@ class TestCircleIntersection:
         assert not d.occupancy_intersects_circle(0, C(2, 2), (3.5, 2.5), 0.999)
 
 
+def sampled_grid_motion_hits(d, q, q2, center, radius, m):
+    """The grid's former sphere motion check: m + 1 evenly spaced points of
+    the straight move between the two cell centres."""
+    (ax, ay), (bx, by) = d.cell_center(q), d.cell_center(q2)
+    return any(
+        math.hypot(ax + (bx - ax) * k / m - center[0], ay + (by - ay) * k / m - center[1]) <= radius
+        for k in range(m + 1)
+    )
+
+
+class TestGridSphereMotion:
+    def test_contact_between_samples_is_found(self):
+        d = GridDomain(6, 6, [], [C(0, 0)], [C(5, 5)], substeps=1)
+        # The disk touches the move only at its midpoint (1.0, 0.5).
+        case = (C(0, 0), C(1, 0), (1.0, 1.5), 1.0)
+        assert not sampled_grid_motion_hits(d, *case, m=1)
+        assert d.edge_intersects_circle(0, *case)
+        assert not d.edge_intersects_circle(0, C(0, 0), C(1, 0), (1.0, 1.5), 0.999)
+
+    def test_matches_four_samples_on_the_lattice(self):
+        # Sphere centres of the grid solvers: cell centres and swap
+        # midpoints. Every move and wait of a 6x6 grid, radii 0.25 to 3.
+        d = make_grid()
+        cells = [C(x, y) for x in range(6) for y in range(6)]
+        centers = {d.cell_center(q) for q in cells}
+        motions = [(q, q2) for q in cells for q2, _ in d.successors(0, q)]
+        for q, q2 in motions:
+            a, b = d.cell_center(q), d.cell_center(q2)
+            centers.add(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
+        radii = [k / 4 for k in range(1, 13)]
+        hits = 0
+        for q, q2 in motions:
+            for center in centers:
+                for radius in radii:
+                    got = d.edge_intersects_circle(0, q, q2, center, radius)
+                    assert got == sampled_grid_motion_hits(d, q, q2, center, radius, 4), (q, q2, center, radius)
+                    hits += got
+        assert 0 < hits < len(motions) * len(centers) * len(radii)
+
+
 class TestForwardKinematics:
     def test_total_reach(self):
         d = make_arms(links=((1.5, 0.75), (1.0, 1.0)))
@@ -556,8 +596,8 @@ def solved_arm_moves(n_instances=3):
 def counter_decisions(d, agent, others, queries):
     """Yield (q, q2, t2, calls) per query of d's counter over `others`,
     where calls is the set of (part, other arm) the counter passed to a
-    primitive. d's memos are emptied before each query, so a part missing
-    from calls was decided by the bounding-box certificate alone."""
+    primitive. The counter reads no memo, so a part missing from calls was
+    decided by the bounding-box certificate alone."""
     calls = set()
     agents_collide, edge_collides = d.agents_collide, d.edge_collides
 
@@ -572,8 +612,6 @@ def counter_decisions(d, agent, others, queries):
     d.agents_collide, d.edge_collides = vertex, edge
     count = d.conflict_counter(agent, others)
     for q, q2, t2 in queries:
-        d._pair_cache.clear()
-        d._edge_cache.clear()
         calls.clear()
         count(q, q2, t2)
         yield q, q2, t2, set(calls)
