@@ -25,6 +25,7 @@ from .core import (
     Configuration,
     Path,
     canonical_json,
+    json_number,
     path_cost,
     sum_of_costs,
     unchecked_path_cost,
@@ -93,7 +94,7 @@ class Scenario:
             solver = SolverConfig.from_obj(obj["solver"]) if "solver" in obj else None
             return Scenario(
                 name=str(obj["name"]),
-                seed=int(obj["seed"]),
+                seed=json_number(obj["seed"], "seed", int),
                 domain_obj=obj["domain"],
                 agents=agents,
                 solver=solver,
@@ -456,14 +457,7 @@ def _root_conflicts(domain: Domain, starts, goals) -> int:
         ctx = lowlevel.ConstraintContext(
             agent=agent, constraints=(), other_paths=(None,) * domain.n_agents
         )
-        res = lowlevel.plan(
-            domain,
-            agent,
-            starts[agent],
-            goals[agent],
-            ctx,
-            mode=lowlevel.Focal(1.0, count_conflicts=False),
-        )
+        res = lowlevel.plan(domain, agent, starts[agent], goals[agent], ctx, count_conflicts=False)
         if res.status != lowlevel.OK:
             return 10**9
         paths.append(res.path)
@@ -487,8 +481,10 @@ def _sample_arm_instance(
     forever. `max_root_conflicts` caps the interaction density of emitted
     instances (measured on individually optimal paths)."""
     n = len(domain_obj["arms"])
-    # Placeholder endpoints: the probe domain answers geometry queries and
-    # plans the root paths, and neither reads its starts or goals.
+    # Placeholder endpoints: the probe domain samples poses, checks
+    # reachability and plans the root paths, and none of these reads its
+    # starts or goals. Drawn endpoints are checked on their own domain by
+    # `validate_instance`, as `_grid_random` checks its draws.
     rest = [
         Configuration(tuple(lo for lo, _ in arm["joint_limits"]))
         for arm in domain_obj["arms"]
@@ -511,18 +507,9 @@ def _sample_arm_instance(
             goals.append(b)
         if any(s == g for s, g in zip(starts, goals)):
             continue
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (
-                    probe.agents_collide(i, starts[i], j, starts[j]) is not None
-                    or probe.agents_collide(i, goals[i], j, goals[j]) is not None
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        try:
+            domain_from_obj(domain_obj, starts, goals).validate_instance()
+        except ValueError:
             continue
         if not all(_arm_reachable(probe, i, starts[i], goals[i]) for i in range(n)):
             continue

@@ -66,24 +66,25 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _solver_config(scenario: Scenario, args) -> SolverConfig:
-    config = scenario.solver or SolverConfig()
-    if args.algo is not None:
-        config.algorithm = args.algo
-    if args.w is not None:
-        config.w = args.w
-    if args.timeout_ms is not None:
-        config.timeout_ms = args.timeout_ms
-    if args.max_expansions is not None:
-        config.max_expansions = args.max_expansions
-    if args.seed is not None:
-        config.seed = args.seed
-    return config
+# Solver options of `solve` and `bench`: argparse dest -> the SolverConfig
+# field that the option, when given, overrides.
+OVERRIDES = {
+    "algo": "algorithm", "w": "w", "seed": "seed",
+    "timeout_ms": "timeout_ms", "max_expansions": "max_expansions",
+}
+
+
+def _overrides(args) -> dict:
+    """SolverConfig field -> value, for each solver option given."""
+    return {f: getattr(args, d) for d, f in OVERRIDES.items() if getattr(args, d, None) is not None}
 
 
 def _cmd_solve(args) -> int:
     scenario, domain = Scenario.load_with_domain(args.scenario)
-    config = _solver_config(scenario, args)
+    # Set in place, so the run file's scenario carries the overridden solver.
+    config = scenario.solver or SolverConfig()
+    for field, value in _overrides(args).items():
+        setattr(config, field, value)
     result = solve(domain, config)
     clean = False
     if result.solved:
@@ -122,16 +123,11 @@ def _cmd_bench(args) -> int:
         raise ScenarioError(f"no scenario files in {scenario_dir}")
     scenarios = [Scenario.load(f) for f in files]
     algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
-    overrides = {}
-    if args.timeout_ms is not None:
-        overrides["timeout_ms"] = args.timeout_ms
-    if args.max_expansions is not None:
-        overrides["max_expansions"] = args.max_expansions
     records, aggregate = run_benchmark(
         scenarios,
         algorithms,
         out_csv=args.out,
-        overrides=overrides,
+        overrides=_overrides(args),
         shortcut_passes=args.shortcut_passes,
         jobs=args.jobs,
     )

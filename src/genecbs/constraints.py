@@ -28,6 +28,7 @@ from .core import (
     Configuration,
     Conflict,
     Constraint,
+    json_number,
     menu_key,
 )
 from .domain import Domain, GridDomain, free_configurations
@@ -62,7 +63,7 @@ class MenuEntry:
             raise ValueError(f"unknown menu entry fields: {sorted(unknown)}")
         kind = obj["type"]
         if kind == CT_SPHERE:
-            return MenuEntry(kind=kind, radius=float(obj["radius"]))
+            return MenuEntry(kind=kind, radius=json_number(obj["radius"], "sphere radius"))
         if "radius" in obj:
             raise ValueError(f"radius only applies to sphere entries, not {kind!r}")
         return MenuEntry(kind=kind)

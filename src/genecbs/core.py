@@ -43,6 +43,24 @@ def menu_key(kind: str, radius: Optional[float] = None) -> str:
     return kind
 
 
+def json_number(value, name: str, kind: type = float):
+    """A number read from a file, as `kind` (float or int). JSON numbers
+    only, never bools or strings; an int must be integral, and an integral
+    float such as 3.0 loads as 3. Raises ValueError naming `name`."""
+    if type(value) is kind:  # the common case, and never a bool
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if kind is int:
+        if not (isinstance(value, int) or value.is_integer()):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of range, got {value!r}") from None
+
+
 class MalformedPathError(ValueError):
     """A path contains an invalid transition or is empty."""
 
@@ -74,7 +92,7 @@ class Configuration:
 
     @staticmethod
     def from_obj(obj: Sequence[int]) -> "Configuration":
-        return Configuration(tuple(int(c) for c in obj))
+        return Configuration(tuple(json_number(c, "coordinates", int) for c in obj))
 
 
 @dataclass(frozen=True)
@@ -118,7 +136,7 @@ class Path:
     @staticmethod
     def from_obj(obj: dict) -> "Path":
         return Path(
-            agent=int(obj["agent"]),
+            agent=json_number(obj["agent"], "path agent", int),
             steps=tuple(Configuration.from_obj(s) for s in obj["steps"]),
         )
 
@@ -237,15 +255,15 @@ class SolverStats:
     @staticmethod
     def from_obj(obj: dict) -> "SolverStats":
         return SolverStats(
-            runtime_ms=float(obj.get("runtime_ms", 0.0)),
-            hl_expansions=int(obj["hl_expansions"]),
-            evaluations=int(obj["evaluations"]),
-            ll_calls=int(obj["ll_calls"]),
+            runtime_ms=json_number(obj.get("runtime_ms", 0.0), "runtime_ms"),
+            hl_expansions=json_number(obj["hl_expansions"], "hl_expansions", int),
+            evaluations=json_number(obj["evaluations"], "evaluations", int),
+            ll_calls=json_number(obj["ll_calls"], "ll_calls", int),
             cost=obj.get("cost"),
             lb=obj.get("lb"),
             dts_rewards=tuple(sorted(obj.get("dts_rewards", {}).items())),
             dts_penalties=tuple(sorted(obj.get("dts_penalties", {}).items())),
-            ll_searches=int(obj.get("ll_searches", 0)),
+            ll_searches=json_number(obj.get("ll_searches", 0), "ll_searches", int),
             stopped_by=obj.get("stopped_by"),
         )
 

@@ -4,10 +4,10 @@ Two implementations share one interface: a 2D grid with point robots (the
 fast oracle domain) and a planar N-link arm domain where each link is a
 segment inflated to a capsule of radius ``thickness``. All collision
 predicates are closed (<= thresholds) so tangency behaves deterministically.
-Grid motion checks are exact. Arm motion checks are certified over the whole
-motion unless a sample count is given; sampled checks are the verifier's
-independent reference. Domains are immutable after construction; the
-internal memo caches only store results of pure queries.
+Grid motion checks are exact, and arm motion checks are certified over the
+whole motion. `edge_collides` alone also takes a sample count: its sampled
+check is the verifier's independent reference. Domains are immutable after
+construction; the internal memo caches only store results of pure queries.
 
 The arm domain's conflict counter skips each (move, other arm) part that a
 bounding-box certificate proves clear and asks the primitive otherwise; it
@@ -24,7 +24,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import CT_AVOIDANCE, CT_EDGE, CT_VERTEX, Configuration, Constraint, Path
+from .core import CT_AVOIDANCE, CT_EDGE, CT_VERTEX, Configuration, Constraint, Path, json_number
 
 Point = Tuple[float, float]
 Segment = Tuple[Point, Point]
@@ -104,9 +104,9 @@ class Domain(ABC):
         q2: Configuration,
         center: Point,
         radius: float,
-        substeps: Optional[int] = None,
     ) -> bool:
-        """Whether the motion touches the disk."""
+        """Whether the motion q -> q2 touches the disk at any sub-time,
+        certified over the whole motion."""
 
     @abstractmethod
     def state_slack(self, agent: int) -> int:
@@ -290,9 +290,9 @@ class GridDomain(Domain):
         cx, cy = self.cell_center(q)
         return math.hypot(cx - center[0], cy - center[1]) <= radius
 
-    def edge_intersects_circle(self, agent, q, q2, center, radius, substeps=None) -> bool:
-        """Exact at any `substeps`: the robot's centre sweeps the segment
-        between the two cell centres."""
+    def edge_intersects_circle(self, agent, q, q2, center, radius) -> bool:
+        """Exact: the robot's centre sweeps the segment between the two cell
+        centres."""
         return _seg_point_dist((self.cell_center(q), self.cell_center(q2)), center) <= radius
 
     def conflict_counter(self, agent, other_paths):
@@ -848,10 +848,9 @@ class PlanarArmDomain(Domain):
             for seg in self.fk_segments(agent, q.coords)
         )
 
-    def edge_intersects_circle(self, agent, q, q2, center, radius, substeps=None) -> bool:
-        """Whether the arm's motion q -> q2 touches the disk. Certified over
-        the whole motion without `substeps` (see `_sweep`), sampled at
-        substeps + 1 poses with it."""
+    def edge_intersects_circle(self, agent, q, q2, center, radius) -> bool:
+        """Whether the arm's motion q -> q2 touches the disk, certified over
+        the whole motion (see `_sweep`)."""
         threshold = self.arms[agent].thickness + radius
         a, b = q.coords, q2.coords
 
@@ -859,11 +858,7 @@ class PlanarArmDomain(Domain):
             coords = tuple(x + (y - x) * s for x, y in zip(a, b))
             return self._circle_gap(agent, coords, center, thr, enough, memo)
 
-        if substeps is None:
-            return self._sweep(gap, self._sweep_speed(agent, a, b), threshold) is not None
-        return any(
-            gap(k / substeps, True, threshold, threshold)[1] is not None for k in range(substeps + 1)
-        )
+        return self._sweep(gap, self._sweep_speed(agent, a, b), threshold) is not None
 
     def state_slack(self, agent: int) -> int:
         return 2 * sum(hi - lo for lo, hi in self.arms[agent].joint_limits) + 2
@@ -883,6 +878,13 @@ def free_configurations(domain: Domain, agent: int) -> Iterator[Configuration]:
 
 
 def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[Configuration]) -> Domain:
+    """The domain a scenario's `domain` object describes; every number goes
+    through `json_number`."""
+
+    def pair(values, name, number_type=float):
+        x, y = values
+        return json_number(x, name, number_type), json_number(y, name, number_type)
+
     kind = obj.get("type")
     if kind == "grid":
         allowed = {"type", "width", "height", "blocked", "substeps"}
@@ -890,12 +892,12 @@ def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[
         if unknown:
             raise ValueError(f"unknown grid domain fields: {sorted(unknown)}")
         return GridDomain(
-            width=int(obj["width"]),
-            height=int(obj["height"]),
-            blocked=[tuple(c) for c in obj.get("blocked", [])],
+            width=json_number(obj["width"], "width", int),
+            height=json_number(obj["height"], "height", int),
+            blocked=[pair(c, "blocked cells", int) for c in obj.get("blocked", [])],
             starts=starts,
             goals=goals,
-            substeps=int(obj.get("substeps", 4)),
+            substeps=json_number(obj.get("substeps", 4), "substeps", int),
         )
     if kind == "planar_arm":
         allowed = {"type", "delta", "substeps", "obstacles", "arms"}
@@ -904,23 +906,23 @@ def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[
             raise ValueError(f"unknown planar_arm domain fields: {sorted(unknown)}")
         arms = [
             ArmSpec(
-                base=(float(a["base"][0]), float(a["base"][1])),
-                link_lengths=tuple(float(x) for x in a["link_lengths"]),
-                joint_limits=tuple((int(lo), int(hi)) for lo, hi in a["joint_limits"]),
-                thickness=float(a["thickness"]),
+                base=pair(a["base"], "arm bases"),
+                link_lengths=tuple(json_number(x, "link lengths") for x in a["link_lengths"]),
+                joint_limits=tuple(pair(lim, "joint limits", int) for lim in a["joint_limits"]),
+                thickness=json_number(a["thickness"], "arm thickness"),
             )
             for a in obj["arms"]
         ]
         obstacles = [
-            ((float(o["center"][0]), float(o["center"][1])), float(o["radius"]))
+            (pair(o["center"], "obstacle centers"), json_number(o["radius"], "obstacle radii"))
             for o in obj.get("obstacles", [])
         ]
         return PlanarArmDomain(
             arms=arms,
             obstacles=obstacles,
-            delta=float(obj["delta"]),
+            delta=json_number(obj["delta"], "delta"),
             starts=starts,
             goals=goals,
-            substeps=int(obj.get("substeps", 4)),
+            substeps=json_number(obj.get("substeps", 4), "substeps", int),
         )
     raise ValueError(f"unknown domain type: {kind!r}")

@@ -54,6 +54,7 @@ from .core import (
     Path,
     SolverResult,
     SolverStats,
+    json_number,
     menu_key,
 )
 from .constraints import (
@@ -66,7 +67,7 @@ from .constraints import (
 )
 from .domain import Domain
 from . import lowlevel
-from .lowlevel import ConstraintContext, Focal
+from .lowlevel import ConstraintContext
 
 
 def _pair_conflicts(
@@ -200,7 +201,6 @@ class _CTEngine:
         self.preset = preset
         self.menu = menu
         self.w = w
-        self.ll_mode = Focal(w, count_conflicts=preset.count_conflicts)
 
         self.queue_keys: Tuple[str, ...] = menu.keys if preset.multi_queue else (menu.keys[0],)
         prior = resolve_prior(config.dts_prior, menu) if preset.multi_queue and config.dts_prior else None
@@ -285,10 +285,10 @@ class _CTEngine:
         it repeats one of this solve.
 
         `plan` reads only the context and per-solve constants (start, goal,
-        mode, budget). It reads the constraints only through what they
-        forbid at each timestep, the priority counter and the horizon, and
-        neither order nor repeats matter, so the agent, the set of its
-        constraints' `constraint_key`s and the other paths decide the
+        w, count_conflicts, budget). It reads the constraints only through
+        what they forbid at each timestep, the priority counter and the
+        horizon, and neither order nor repeats matter, so the agent, the set
+        of its constraints' `constraint_key`s and the other paths decide the
         result, whatever its status. Only the root plans without
         constraints, once per agent, so those requests skip the memo."""
         ctx = ConstraintContext.for_agent(agent, constraints, paths)
@@ -306,7 +306,8 @@ class _CTEngine:
                 self.domain.starts[agent],
                 self.domain.goals[agent],
                 ctx,
-                mode=self.ll_mode,
+                w=self.w,
+                count_conflicts=self.preset.count_conflicts,
                 max_expansions=self.config.ll_max_expansions,
             )
             if key is not None:
@@ -548,18 +549,15 @@ class SolverConfig:
         if "menu" in obj:
             cfg.menu = ConstraintMenu.from_obj(obj["menu"])
         if "dts_prior" in obj:
-            cfg.dts_prior = {k: (float(v[0]), float(v[1])) for k, v in obj["dts_prior"].items()}
+            cfg.dts_prior = {
+                k: (json_number(a, "dts_prior"), json_number(b, "dts_prior"))
+                for k, (a, b) in obj["dts_prior"].items()
+            }
         # Numbers keep their default's type: w and the timeout are floats,
-        # the seed and the caps integers. Bools, strings and fractional
-        # counts are rejected rather than converted.
+        # the seed and the caps integers.
         for name in ("w", "seed", "timeout_ms", "max_expansions", "ll_max_expansions", "pp_retries"):
-            value = obj.get(name, getattr(cfg, name))
-            integral = isinstance(getattr(cfg, name), int)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if integral and not (isinstance(value, int) or value.is_integer()):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            value = int(value) if integral else float(value)
+            default = getattr(cfg, name)
+            value = json_number(obj.get(name, default), name, type(default))
             if name not in ("w", "seed") and not value >= 0:  # also rejects NaN
                 raise ValueError(f"{name} must be >= 0, got {value:g}")
             setattr(cfg, name, value)
@@ -671,7 +669,7 @@ def solve_pp(
                 domain.starts[agent],
                 domain.goals[agent],
                 ctx,
-                mode=Focal(1.0, count_conflicts=False),
+                count_conflicts=False,
                 max_expansions=config.ll_max_expansions,
             )
             if res.status != lowlevel.OK:

@@ -50,14 +50,6 @@ BUDGET = "budget"
 
 
 @dataclass(frozen=True)
-class Focal:
-    """Focal search: returned cost <= w * lb with lb certified from OPEN."""
-
-    w: float = 1.0
-    count_conflicts: bool = True
-
-
-@dataclass(frozen=True)
 class ConstraintContext:
     """Everything the low level needs from a constraint-tree node: the
     constraints scoped to the planning agent and a read-only view of the
@@ -219,14 +211,19 @@ def plan(
     start: Configuration,
     goal: Configuration,
     ctx: ConstraintContext,
-    mode=Focal(1.0),
+    w: float = 1.0,
+    count_conflicts: bool = True,
     max_expansions: int = 200_000,
 ) -> LLResult:
     """Find a constraint-satisfying path from start to goal.
 
-    Returns OK with (path, lb), INFEASIBLE when the constrained search space
-    is exhausted under the horizon cap, or BUDGET when the expansion cap is
-    hit. The invariant cost <= w * lb is asserted per call.
+    States with f <= w * f_min form the focal list, which pops the fewest
+    accumulated conflicts with `ctx.other_paths` first when
+    `count_conflicts` is set, then the lowest f, then the deepest state.
+    Without counting the pop is the lowest f whatever w is. Returns OK with
+    (path, lb), INFEASIBLE when the constrained search space is exhausted
+    under the horizon cap, or BUDGET when the expansion cap is hit. The
+    invariant cost <= w * lb is asserted per call.
     """
     priority, vertex_at, edge_at, horizon = _compile(domain, ctx)
     rest_time = _earliest_rest_time(domain, ctx, goal, horizon)
@@ -241,8 +238,7 @@ def plan(
     )
     t_max = horizon + longest_other + domain.state_slack(agent) + 4 * max(int(h0), 1)
 
-    w = mode.w
-    count = domain.conflict_counter(agent, ctx.other_paths) if mode.count_conflicts else None
+    count = domain.conflict_counter(agent, ctx.other_paths) if count_conflicts else None
     h_cache: Dict[Tuple[int, ...], float] = {}
     succ_cache: Dict[Tuple[int, ...], List[Tuple[Configuration, float]]] = {}
 

@@ -695,6 +695,23 @@ class TestRunBenchmark:
         assert cells["pp"]["stopped_by"] == ""
         assert cells["pp"]["ll_searches"] == cells["pp"]["ll_calls"]
 
+    def test_process_pool_matches_serial_run(self, tmp_path):
+        # Two worker processes; every cell ends well inside its caps and clock.
+        scenarios = [
+            generate_instances("grid-random", 1, seed=17, params={"width": 7, "height": 7, "n_agents": 6})[0],
+            generate_instances("arm-quad", 2, seed=2024)[1],
+        ]
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}.csv"
+            records, _ = run_benchmark(scenarios, ["cbs", "pp", "gen-ecbs"], out_csv=out, jobs=jobs)
+            assert len(records) == 6 and all(r.success for r in records)
+            rows = list(csv.reader(out.open()))
+            runtime = rows[0].index("runtime_ms")
+            rows = [row[:runtime] + row[runtime + 1:] for row in rows]
+            outputs.append((rows, out.with_suffix(".plot.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_aggregate_arithmetic_recomputable(self, tmp_path):
         records = [
             RunRecord("s1", "x", True, 10.0, 1, 2, 4.0, 4.0, 4.0, 1.0),
@@ -830,7 +847,9 @@ class TestCLI:
 
         grid = hallway_scenario().to_obj()
         arm = generate_instances("arm-pair", 1, seed=0)[0].to_obj()
-        linkless = [dict(a, link_lengths=[], joint_limits=[]) for a in arm["domain"]["arms"]]
+        arms = arm["domain"]["arms"]
+        linkless = [dict(a, link_lengths=[], joint_limits=[]) for a in arms]
+        obstacle = arm["domain"]["obstacles"][0]
         cases = [
             edited(grid, substeps=0),
             edited(grid, substeps=-1),
@@ -838,6 +857,21 @@ class TestCLI:
             edited(arm, delta=math.nan),
             edited(arm, arms=[]),
             edited(arm, arms=linkless),
+            # Not a JSON number, or not integral where an integer is expected.
+            edited(grid, width=6.9),
+            edited(grid, height=True),
+            edited(grid, substeps=4.5),
+            edited(grid, blocked=[[0, 0], [1.5, 0]]),
+            edited(grid, blocked=[["3", 0]]),
+            edited(arm, substeps="4"),
+            edited(arm, delta=True),
+            edited(arm, arms=[dict(a, joint_limits=[[-2.5, 3.9], [-6, 6]]) for a in arms]),
+            edited(arm, arms=[dict(a, link_lengths=["1.2", 1.0]) for a in arms]),
+            edited(arm, arms=[dict(a, thickness=False) for a in arms]),
+            edited(arm, arms=[dict(a, base=[0, "0"]) for a in arms]),
+            edited(arm, obstacles=[dict(obstacle, center=[True, 1.8])]),
+            edited(arm, obstacles=[dict(obstacle, radius="0.2")]),
+            edited(arm, obstacles=[dict(obstacle, radius=10**400)]),
         ]
         for obj in cases:
             bad = tmp_path / "bad.json"
@@ -1039,6 +1073,22 @@ class TestCLI:
         cfg = SolverConfig.from_obj({"w": 2, "seed": 3.0, "timeout_ms": 5, "max_expansions": 7.0})
         assert (cfg.w, cfg.seed, cfg.timeout_ms, cfg.max_expansions) == (2.0, 3, 5.0, 7)
         assert [type(x) for x in (cfg.w, cfg.seed, cfg.timeout_ms, cfg.max_expansions)] == [float, int, float, int]
+
+    def test_dts_prior_numbers(self):
+        for prior in ([True, 2], [1, "2"], [None, 1.0]):
+            with pytest.raises(ValueError, match="dts_prior must be a number"):
+                SolverConfig.from_obj({"dts_prior": {"complete": prior}})
+        with pytest.raises(ValueError, match="too many values"):
+            SolverConfig.from_obj({"dts_prior": {"complete": [1, 2, 3]}})
+        cfg = SolverConfig.from_obj({"dts_prior": {"complete": [1, 2.5]}})
+        assert cfg.dts_prior == {"complete": (1.0, 2.5)}
+
+    def test_scenario_seed_must_be_an_integer(self):
+        obj = hallway_scenario().to_obj()
+        for seed in (1.5, "1", True):
+            with pytest.raises(ScenarioError, match="seed must be"):
+                Scenario.from_obj({**obj, "seed": seed})
+        assert Scenario.from_obj({**obj, "seed": 7.0}).seed == 7
 
     def test_non_finite_sphere_radius_returns_two_with_one_line(self, tmp_path, capsys):
         scen = self._write_scenario(tmp_path)

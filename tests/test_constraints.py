@@ -74,6 +74,12 @@ class TestMenu:
         menu = paper_style_menu()
         assert ConstraintMenu.from_obj(menu.to_obj()) == menu
 
+    def test_radius_must_be_a_json_number(self):
+        for radius in ("0.5", True, None):
+            with pytest.raises(ValueError, match="sphere radius must be a number"):
+                MenuEntry.from_obj({"type": "sphere", "radius": radius})
+        assert MenuEntry.from_obj({"type": "sphere", "radius": 1}) == MenuEntry("sphere", radius=1.0)
+
 
 class TestMakeConstraints:
     def test_complete_only_yields_two_children(self):

@@ -11,6 +11,7 @@ from genecbs.core import (
     SolverResult,
     SolverStats,
     canonical_json,
+    json_number,
     path_cost,
     sum_of_costs,
 )
@@ -141,6 +142,40 @@ class TestSerialization:
         blob = canonical_json(result.to_obj())
         again = SolverResult.from_obj(json.loads(blob))
         assert canonical_json(again.to_obj()) == blob
+
+    @pytest.mark.parametrize(
+        "value, kind, message",
+        [
+            (True, float, "x must be a number, got True"),
+            ("2", float, "x must be a number, got '2'"),
+            (None, int, "x must be a number, got None"),
+            (0.7, int, "x must be an integer, got 0.7"),
+            (float("inf"), int, "x must be an integer, got inf"),
+            (10**400, float, "x is out of range"),
+        ],
+    )
+    def test_json_number_rejects(self, value, kind, message):
+        with pytest.raises(ValueError, match=message):
+            json_number(value, "x", kind)
+
+    def test_json_number_keeps_the_kind(self):
+        assert [json_number(v, "x", int) for v in (3, 3.0, -2.0)] == [3, 3, -2]
+        assert all(type(json_number(v, "x", int)) is int for v in (3, 3.0))
+        assert json_number(2, "x") == 2.0 and type(json_number(2, "x")) is float
+
+    def test_configuration_numbers(self):
+        assert Configuration.from_obj([3.0, -2]).coords == (3, -2)
+        for bad in ([0.7, 1], [0, True], ["1", 2]):
+            with pytest.raises(ValueError, match="coordinates"):
+                Configuration.from_obj(bad)
+
+    def test_path_and_stats_numbers(self):
+        with pytest.raises(ValueError, match="path agent"):
+            Path.from_obj({"agent": 1.5, "steps": [[0, 0]]})
+        stats = SolverStats(hl_expansions=4, evaluations=9, ll_calls=13).to_obj()
+        for field, value in (("hl_expansions", 4.5), ("ll_calls", "13"), ("runtime_ms", False)):
+            with pytest.raises(ValueError, match=field):
+                SolverStats.from_obj({**stats, field: value})
 
     def test_canonical_json_is_stable(self):
         obj = {"b": [1.5, 2], "a": {"y": None, "x": "s"}}

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import random
@@ -8,7 +9,15 @@ import pytest
 from genecbs.bench import generate_instances
 from genecbs.core import Configuration, Path
 from genecbs import domain as domain_module
-from genecbs.domain import ArmSpec, Domain, GridDomain, PlanarArmDomain, _seg_seg_closest, free_configurations
+from genecbs.domain import (
+    ArmSpec,
+    Domain,
+    GridDomain,
+    PlanarArmDomain,
+    _seg_seg_closest,
+    domain_from_obj,
+    free_configurations,
+)
 from genecbs.highlevel import SolverConfig, solve
 
 from oracles import bfs_distances
@@ -44,6 +53,18 @@ def make_arms(
     starts = starts or [C(lims[0][0], lims[1][0]) for lims in limits]
     goals = goals or starts
     return PlanarArmDomain(arms, obstacles, DELTA, starts, goals)
+
+
+class TestInterface:
+    @pytest.mark.parametrize("cls", [GridDomain, PlanarArmDomain])
+    def test_every_abstract_method_is_defined_with_its_parameter_names(self, cls):
+        # perfbench's tracer patches the primitives by name on each class,
+        # and callers pass their arguments by the names the interface gives.
+        assert Domain.__abstractmethods__
+        for name in sorted(Domain.__abstractmethods__):
+            assert name in cls.__dict__, (cls.__name__, name)
+            expected = list(inspect.signature(getattr(Domain, name)).parameters)
+            assert list(inspect.signature(cls.__dict__[name]).parameters) == expected, (cls.__name__, name)
 
 
 class TestGridSuccessors:
@@ -285,6 +306,16 @@ def random_motion(rng, d, agent):
     return q, rng.choice(d.successors(agent, q))[0]
 
 
+def sampled_arm_motion_hits(d, agent, q, q2, center, radius, m):
+    """The arm's former sampled sphere motion check: the disk against m + 1
+    evenly spaced poses of the straight joint-space move."""
+    a, b = q.coords, q2.coords
+    return any(
+        d.occupancy_intersects_circle(agent, C(*(x + (y - x) * k / m for x, y in zip(a, b))), center, radius)
+        for k in range(m + 1)
+    )
+
+
 class TestCertifiedSweep:
     def test_reports_contact_between_default_samples(self):
         d = arm_quad_037()
@@ -340,7 +371,7 @@ class TestCertifiedSweep:
             cases.append((agent,) + random_motion(rng, d, agent) + (center, rng.choice((0.105, 0.315, 0.63))))
         sampled_hits = 0
         for case in cases:
-            if any(d.edge_intersects_circle(*case, substeps=m) for m in (8, 16, 64)):
+            if any(sampled_arm_motion_hits(d, *case, m=m) for m in (8, 16, 64)):
                 sampled_hits += 1
                 assert d.edge_intersects_circle(*case), case
         assert sampled_hits > 0
@@ -471,6 +502,33 @@ class TestValidation:
         no_links = ArmSpec(base=(0.0, 0.0), link_lengths=(), joint_limits=(), thickness=0.1)
         with pytest.raises(ValueError, match="link"):
             PlanarArmDomain([no_links], [], DELTA, [C()], [C()])
+
+
+class TestDomainFromObj:
+    GRID = {"type": "grid", "width": 6, "height": 4, "blocked": [[2, 1]], "substeps": 4}
+    ARM = {
+        "type": "planar_arm",
+        "delta": DELTA,
+        "substeps": 4,
+        "obstacles": [{"center": [1.5, 1.8], "radius": 0.2}],
+        "arms": [{"base": [0, 0], "link_lengths": [1.0, 1], "joint_limits": [[-6, 6], [-6.0, 6]], "thickness": 0.1}],
+    }
+
+    def test_integral_numbers_load_with_their_kind(self):
+        d = domain_from_obj({**self.GRID, "width": 6.0, "substeps": 2.0}, [C(0, 0)], [C(5, 3)])
+        assert (d.width, d.substeps, d.blocked) == (6, 2, frozenset({(2, 1)}))
+        assert type(d.width) is int and type(d.substeps) is int
+        d = domain_from_obj(self.ARM, [C(0, 0)], [C(1, 1)])
+        assert d.arms[0].joint_limits == ((-6, 6), (-6, 6))
+        assert d.arms[0].base == (0.0, 0.0) and d.arms[0].link_lengths == (1.0, 1.0)
+
+    def test_errors_name_the_field(self):
+        # Every other bad number is a case of the CLI's malformed-domain test.
+        with pytest.raises(ValueError, match="blocked cells must be an integer, got 1.5"):
+            domain_from_obj({**self.GRID, "blocked": [[2, 1.5]]}, [C(0, 0)], [C(5, 3)])
+        arm = {**self.ARM["arms"][0], "joint_limits": [[-2.5, 3.9], [-6, 6]]}
+        with pytest.raises(ValueError, match="joint limits must be an integer, got -2.5"):
+            domain_from_obj({**self.ARM, "arms": [arm]}, [C(0, 0)], [C(1, 1)])
 
 
 class TestSegmentGeometry:

@@ -677,7 +677,8 @@ class TestLowLevelMemo:
             plans = {
                 lowlevel.plan(
                     domain, ctx.agent, domain.starts[ctx.agent], domain.goals[ctx.agent], ctx,
-                    mode=engine.ll_mode, max_expansions=config.ll_max_expansions,
+                    w=engine.w, count_conflicts=engine.preset.count_conflicts,
+                    max_expansions=config.ll_max_expansions,
                 )
                 for ctx in variants.values()
             }

@@ -12,7 +12,6 @@ from genecbs.lowlevel import (
     INFEASIBLE,
     OK,
     ConstraintContext,
-    Focal,
     _compile,
     is_forbidden,
     is_forbidden_edge,
@@ -37,7 +36,7 @@ def empty_ctx(agent=0):
 class TestPlanBasics:
     def test_start_equals_goal(self):
         d = make_grid(starts=((2, 2), (4, 4)), goals=((2, 2), (0, 0)))
-        res = plan(d, 0, C(2, 2), C(2, 2), empty_ctx(), Focal(1.0))
+        res = plan(d, 0, C(2, 2), C(2, 2), empty_ctx())
         assert res.status == OK
         assert res.path.steps == (C(2, 2),)
         assert res.lb == 0.0
@@ -45,14 +44,14 @@ class TestPlanBasics:
     def test_unconstrained_focal_matches_bfs(self):
         d = make_grid(blocked=[(1, 1), (2, 2), (3, 1)], starts=((0, 0), (4, 4)), goals=((4, 0), (0, 4)))
         dist = bfs_distances(d, (4, 0))
-        res = plan(d, 0, C(0, 0), C(4, 0), empty_ctx(), Focal(1.0))
+        res = plan(d, 0, C(0, 0), C(4, 0), empty_ctx())
         assert res.status == OK
         assert path_cost(res.path, d) == dist[(0, 0)]
         assert res.lb == dist[(0, 0)]
 
     def test_unreachable_goal_is_infeasible(self):
         d = make_grid(blocked=[(1, 0), (0, 1), (1, 1)], starts=((0, 0), (4, 4)), goals=((4, 0), (0, 4)))
-        res = plan(d, 0, C(0, 0), C(4, 0), empty_ctx(), Focal(1.0))
+        res = plan(d, 0, C(0, 0), C(4, 0), empty_ctx())
         assert res.status == INFEASIBLE
 
 
@@ -75,7 +74,7 @@ class TestConstrainedPlanning:
             return False
 
         oracle = constrained_optimal_cost(d, 0, C(0, 0), C(4, 0), fv, fe, horizon=20)
-        res = plan(d, 0, C(0, 0), C(4, 0), ctx, Focal(1.0))
+        res = plan(d, 0, C(0, 0), C(4, 0), ctx)
         assert res.status == OK
         assert path_cost(res.path, d) == oracle == 5
         assert res.lb <= path_cost(res.path, d)
@@ -87,7 +86,7 @@ class TestConstrainedPlanning:
             constraints=(Constraint(agent=0, ctype="vertex", time=6, q=C(3, 0)),),
             other_paths=(None,),
         )
-        res = plan(d, 0, C(0, 0), C(3, 0), ctx, Focal(1.0))
+        res = plan(d, 0, C(0, 0), C(3, 0), ctx)
         assert res.status == OK
         # resting at the goal before t=6 would violate the constraint at t=6
         assert path_cost(res.path, d) == 7
@@ -117,7 +116,7 @@ class TestConstrainedPlanning:
                 return False
 
             oracle = constrained_optimal_cost(d, 0, C(0, 0), C(3, 3), fv, fe, horizon=24)
-            res = plan(d, 0, C(0, 0), C(3, 3), ctx, Focal(1.0))
+            res = plan(d, 0, C(0, 0), C(3, 3), ctx)
             if oracle is None:
                 assert res.status == INFEASIBLE
             else:
@@ -130,7 +129,7 @@ class TestConstrainedPlanning:
         other = Path(1, tuple(C(x, 0) for x in (4, 3, 2, 1, 0)))
         ctx = ConstraintContext(agent=0, constraints=(), other_paths=(None, other))
         for w in (1.0, 1.3, 1.5, 2.0):
-            res = plan(d, 0, C(0, 0), C(4, 0), ctx, Focal(w))
+            res = plan(d, 0, C(0, 0), C(4, 0), ctx, w=w)
             assert res.status == OK
             assert path_cost(res.path, d) <= w * res.lb + 1e-9
 
@@ -138,8 +137,8 @@ class TestConstrainedPlanning:
         d = make_grid(blocked=[(2, 1)])
         other = Path(1, tuple(C(4 - i, 4) for i in range(5)))
         ctx = ConstraintContext(agent=0, constraints=(), other_paths=(None, other))
-        a = plan(d, 0, C(0, 0), C(4, 0), ctx, Focal(1.4))
-        b = plan(d, 0, C(0, 0), C(4, 0), ctx, Focal(1.4))
+        a = plan(d, 0, C(0, 0), C(4, 0), ctx, w=1.4)
+        b = plan(d, 0, C(0, 0), C(4, 0), ctx, w=1.4)
         assert a.path == b.path and a.lb == b.lb
 
 
@@ -207,7 +206,7 @@ class TestConstraintSoundness:
             Constraint(agent=0, ctype="priority", time=None, other=1),
         )
         ctx = ConstraintContext(agent=0, constraints=constraints, other_paths=(None, other))
-        res = plan(d, 0, C(0, 0), C(4, 0), ctx, Focal(1.2))
+        res = plan(d, 0, C(0, 0), C(4, 0), ctx, w=1.2)
         assert res.status == OK
         p = res.path
         horizon = max(p.horizon, other.horizon) + 2
@@ -230,15 +229,15 @@ class TestConflictCounting:
         )[0].build_domain()
         loop = PairwiseGrid(d.width, d.height, d.blocked, d.starts, d.goals, d.substeps)
         paths = [
-            plan(d, a, d.starts[a], d.goals[a], ConstraintContext.for_agent(a, (), ()), Focal(1.0)).path
+            plan(d, a, d.starts[a], d.goals[a], ConstraintContext.for_agent(a, (), ())).path
             for a in range(d.n_agents)
         ]
         for a in range(d.n_agents):
             ctx = ConstraintContext.for_agent(a, (), paths)
             for w in (1.0, 1.5):
-                res = plan(d, a, d.starts[a], d.goals[a], ctx, Focal(w))
+                res = plan(d, a, d.starts[a], d.goals[a], ctx, w=w)
                 assert res.status == OK
-                assert res == plan(loop, a, d.starts[a], d.goals[a], ctx, Focal(w)), (a, w)
+                assert res == plan(loop, a, d.starts[a], d.goals[a], ctx, w=w), (a, w)
 
 
 def _workspace_point(d, agent, q):
@@ -265,7 +264,7 @@ def _pp_results(d, seed):
     for k, a in enumerate(order):
         cs = tuple(Constraint(agent=a, ctype="priority", time=None, other=b) for b in order[:k])
         ctx = ConstraintContext(agent=a, constraints=cs, other_paths=tuple(paths))
-        res = plan(d, a, d.starts[a], d.goals[a], ctx, Focal(1.0, count_conflicts=False), max_expansions=20_000)
+        res = plan(d, a, d.starts[a], d.goals[a], ctx, count_conflicts=False, max_expansions=20_000)
         results.append(res)
         if res.status == OK:
             paths[a] = res.path
@@ -304,7 +303,7 @@ def _mixed_constraints(d, a, paths, rng, radius, spread):
 
 def _mixed_results(d, seed, radius):
     paths = [
-        plan(d, a, d.starts[a], d.goals[a], ConstraintContext.for_agent(a, (), ()), Focal(1.0)).path
+        plan(d, a, d.starts[a], d.goals[a], ConstraintContext.for_agent(a, (), ())).path
         for a in range(d.n_agents)
     ]
     rng = random.Random(seed)
@@ -312,7 +311,7 @@ def _mixed_results(d, seed, radius):
     for a in range(d.n_agents):
         for spread in (False, True):
             ctx = ConstraintContext.for_agent(a, _mixed_constraints(d, a, paths, rng, radius, spread), paths)
-            results.append(plan(d, a, d.starts[a], d.goals[a], ctx, Focal(1.3), max_expansions=20_000))
+            results.append(plan(d, a, d.starts[a], d.goals[a], ctx, w=1.3, max_expansions=20_000))
     return results
 
 
@@ -402,7 +401,7 @@ class TestRearrivalChecks:
     ])
     def test_returned_path_satisfies_every_constraint(self, kind, trial):
         d, ctx, start, goal, w = _rearrival_case(kind, trial)
-        res = plan(d, 0, start, goal, ctx, Focal(w))
+        res = plan(d, 0, start, goal, ctx, w=w)
         assert res.status == OK
         p = res.path
         for t in range(max(p.horizon, *(o.horizon for o in ctx.other_paths[1:])) + 7):
