@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import random
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from . import lowlevel
 from .core import (
     Configuration,
     Path,
@@ -30,8 +32,8 @@ from .core import (
     sum_of_costs,
     unchecked_path_cost,
 )
-from .domain import Domain, GridDomain, PlanarArmDomain, domain_from_obj, free_configurations
-from .highlevel import PRESETS, SolverConfig, solve
+from .domain import GRID_MOVES, Domain, GridDomain, PlanarArmDomain, domain_from_obj, free_configurations
+from .highlevel import PRESETS, SolverConfig, find_conflicts, solve
 
 SCENARIO_VERSION = 1
 
@@ -115,8 +117,6 @@ class Scenario:
     @staticmethod
     def load_with_domain(path) -> Tuple["Scenario", Domain]:
         """Read a scenario file; returns it with its validated domain."""
-        import json
-
         try:
             obj = json.loads(FsPath(path).read_text())
         except (OSError, ValueError) as exc:
@@ -307,11 +307,16 @@ def shortcut(solution: Sequence[Path], domain: Domain, passes: int = 1) -> Tuple
 # ---- instance generation --------------------------------------------------
 
 
+# Generated arms: the joint index step, the half-width of each shoulder's
+# cone around its aim (both in degrees), and the endpoint draws per instance.
+ARM_DELTA_DEG = 15.0
+ARM_HALF_CONE_DEG = 60.0
+ARM_DRAWS = 300
+
+
 def _grid_random(rng: random.Random, params: dict) -> Tuple[dict, list]:
-    width = int(params.get("width", 5))
-    height = int(params.get("height", 5))
-    n_agents = int(params.get("n_agents", 2))
-    density = float(params.get("obstacle_density", 0.15))
+    width, height, n_agents = params["width"], params["height"], params["n_agents"]
+    density = params["obstacle_density"]
     for _ in range(500):
         cells = [(x, y) for x in range(width) for y in range(height)]
         blocked = set(rng.sample(cells, int(density * len(cells))))
@@ -348,7 +353,7 @@ def _grid_reachable(domain: GridDomain, start, goal) -> bool:
         x, y = stack.pop()
         if (x, y) == tuple(goal):
             return True
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        for dx, dy in GRID_MOVES:
             nxt = (x + dx, y + dy)
             if (
                 0 <= nxt[0] < domain.width
@@ -384,16 +389,13 @@ def _arm_domain_obj(
     aim_deg: Sequence[float],
     obstacles: Sequence[Tuple[Tuple[float, float], float]],
     link_lengths=(1.2, 1.0),
-    half_cone_deg: float = 60.0,
     thickness: float = 0.15,
-    delta_deg: float = 15.0,
 ) -> dict:
-    delta = math.radians(delta_deg)
     arms = []
     for base, aim in zip(bases, aim_deg):
-        center_idx = round(aim / delta_deg)
-        span = round(half_cone_deg / delta_deg)
-        elbow = round(90.0 / delta_deg)
+        center_idx = round(aim / ARM_DELTA_DEG)
+        span = round(ARM_HALF_CONE_DEG / ARM_DELTA_DEG)
+        elbow = round(90.0 / ARM_DELTA_DEG)
         arms.append(
             {
                 "base": list(base),
@@ -407,7 +409,7 @@ def _arm_domain_obj(
         )
     return {
         "type": "planar_arm",
-        "delta": delta,
+        "delta": math.radians(ARM_DELTA_DEG),
         "substeps": 4,
         "obstacles": [{"center": list(c), "radius": r} for c, r in obstacles],
         "arms": arms,
@@ -438,7 +440,7 @@ def _arm_reachable(domain: PlanarArmDomain, agent: int, start: Configuration, go
         q = stack.pop()
         if q == goal:
             return True
-        for q2, _ in domain.successors(agent, q):
+        for q2 in domain.successors(agent, q):
             if q2.coords not in seen:
                 seen.add(q2.coords)
                 stack.append(q2)
@@ -449,9 +451,6 @@ def _root_conflicts(domain: Domain, starts, goals) -> int:
     """Pairwise conflicts between the agents' individually optimal paths
     from `starts` to `goals`; a cheap solver-neutral proxy for coordination
     depth."""
-    from . import lowlevel
-    from .highlevel import find_conflicts
-
     paths = []
     for agent in range(domain.n_agents):
         ctx = lowlevel.ConstraintContext(
@@ -473,7 +472,6 @@ def _sample_arm_instance(
     task_radius,
     home_radius,
     max_root_conflicts: Optional[int] = None,
-    attempts: int = 300,
 ) -> list:
     """Per agent, one endpoint is a task pose in the shared disk and the
     other a retracted home pose (random orientation), so every instance
@@ -495,7 +493,7 @@ def _sample_arm_instance(
     ]
     if any(len(task) < 1 or len(home) < 1 for task, home in pose_sets):
         raise ScenarioError("arm template has an empty task or home pose set")
-    for _ in range(attempts):
+    for _ in range(ARM_DRAWS):
         starts, goals = [], []
         for i in range(n):
             task, home = pose_sets[i]
@@ -523,14 +521,14 @@ def _arm_pair(rng: random.Random, params: dict) -> Tuple[dict, list]:
     domain_obj = _arm_domain_obj(
         bases=[(0.0, 0.0), (3.0, 0.0)],
         aim_deg=[45.0, 135.0],
-        obstacles=[((1.5, 1.8), float(params.get("obstacle_radius", 0.2)))],
+        obstacles=[((1.5, 1.8), params["obstacle_radius"])],
     )
     agents = _sample_arm_instance(
         rng,
         domain_obj,
         task_center=(1.5, 1.0),
-        task_radius=float(params.get("task_radius", 0.7)),
-        home_radius=float(params.get("home_radius", 1.5)),
+        task_radius=params["task_radius"],
+        home_radius=params["home_radius"],
     )
     return domain_obj, agents
 
@@ -541,44 +539,67 @@ def _arm_quad(rng: random.Random, params: dict) -> Tuple[dict, list]:
         bases=[(0.0, 0.0), (side, 0.0), (side, side), (0.0, side)],
         aim_deg=[45.0, 135.0, 225.0, 315.0],
         obstacles=[
-            ((side / 2, side / 2), float(params.get("obstacle_radius", 0.1))),
+            ((side / 2, side / 2), params["obstacle_radius"]),
             ((0.45, side / 2), 0.12),
             ((side - 0.45, side / 2), 0.12),
         ],
-        link_lengths=tuple(params.get("links", (1.05, 0.85))),
-        thickness=float(params.get("thickness", 0.12)),
+        link_lengths=params["links"],
+        thickness=params["thickness"],
     )
-    max_rc = params.get("max_root_conflicts", 3)
     agents = _sample_arm_instance(
         rng,
         domain_obj,
         task_center=(side / 2, side / 2),
-        task_radius=float(params.get("task_radius", 0.6)),
-        home_radius=float(params.get("home_radius", 1.6)),
-        max_root_conflicts=None if max_rc is None else int(max_rc),
+        task_radius=params["task_radius"],
+        home_radius=params["home_radius"],
+        max_root_conflicts=params["max_root_conflicts"],
     )
     return domain_obj, agents
 
 
+# Template name -> (generator, its parameters' defaults).
 TEMPLATES = {
-    "grid-random": _grid_random,
-    "hallway-swap": _hallway_swap,
-    "arm-pair": _arm_pair,
-    "arm-quad": _arm_quad,
+    "grid-random": (_grid_random, {"width": 5, "height": 5, "n_agents": 2, "obstacle_density": 0.15}),
+    "hallway-swap": (_hallway_swap, {}),
+    "arm-pair": (_arm_pair, {"obstacle_radius": 0.2, "task_radius": 0.7, "home_radius": 1.5}),
+    "arm-quad": (_arm_quad, {"obstacle_radius": 0.1, "links": (1.05, 0.85), "thickness": 0.12,
+                             "task_radius": 0.6, "home_radius": 1.6, "max_root_conflicts": 3}),
 }
+
+
+def _template_params(template: str, defaults: dict, given: dict) -> dict:
+    """The defaults overridden by `given`, each value read through
+    `json_number` as its default's type: a tuple default takes a list of
+    such numbers, and `max_root_conflicts` may also be null, for no cap."""
+    unknown = set(given) - set(defaults)
+    if unknown:
+        raise ScenarioError(f"unknown {template} parameters: {sorted(unknown)}")
+    params = dict(defaults)
+    for key, value in given.items():
+        default = defaults[key]
+        if isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise ScenarioError(f"{key} must be a list of numbers, got {value!r}")
+            value = tuple(json_number(x, key, type(default[0])) for x in value)
+        elif value is not None or key != "max_root_conflicts":
+            value = json_number(value, key, type(default))
+        params[key] = value
+    return params
 
 
 def generate_instances(
     template: str, count: int, seed: int, params: Optional[dict] = None
 ) -> List[Scenario]:
-    """Deterministically sample `count` scenarios from a named template."""
+    """Deterministically sample `count` scenarios from a named template;
+    `params` override the template's defaults (`TEMPLATES`)."""
     if template not in TEMPLATES:
         raise ScenarioError(f"unknown template {template!r}; have {sorted(TEMPLATES)}")
-    params = dict(params or {})
+    generator, defaults = TEMPLATES[template]
+    params = _template_params(template, defaults, params or {})
     out = []
     for i in range(count):
         rng = random.Random((seed * 1_000_003 + i) & 0x7FFFFFFFFFFFFFFF)
-        domain_obj, agents = TEMPLATES[template](rng, params)
+        domain_obj, agents = generator(rng, params)
         scenario = Scenario(
             name=f"{template}-s{seed}-{i:03d}",
             seed=(seed * 1_000_003 + i) & 0x7FFFFFFFFFFFFFFF,
@@ -608,8 +629,6 @@ class RunRecord:
     subopt: Optional[float]
     ll_searches: int = 0
     stopped_by: Optional[str] = None
-    dts_rewards: Dict[str, int] = field(default_factory=dict)
-    dts_penalties: Dict[str, int] = field(default_factory=dict)
 
     def csv_row(self) -> list:
         return [
@@ -628,20 +647,7 @@ class RunRecord:
         ]
 
 
-CSV_COLUMNS = [
-    "scenario",
-    "algo",
-    "success",
-    "runtime_ms",
-    "hl_expansions",
-    "ll_calls",
-    "cost",
-    "cost_shortcut",
-    "lb",
-    "subopt",
-    "ll_searches",
-    "stopped_by",
-]
+CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
 
 def stable_hash(name: str) -> int:
@@ -657,8 +663,8 @@ def run_cell(
     algo: str,
     overrides: Optional[dict] = None,
     shortcut_passes: int = 1,
-) -> Tuple[dict, Optional[list]]:
-    """Run one (scenario, algorithm) cell; returns (record dict, frames).
+) -> Tuple[RunRecord, Optional[list]]:
+    """Run one (scenario, algorithm) cell; returns (record, frames).
 
     Standalone so a process pool can execute cells in parallel; every cell
     builds its own domain and RNG state.
@@ -709,10 +715,8 @@ def run_cell(
         subopt=subopt,
         ll_searches=result.stats.ll_searches,
         stopped_by=result.stats.stopped_by,
-        dts_rewards=dict(result.stats.dts_rewards),
-        dts_penalties=dict(result.stats.dts_penalties),
     )
-    return record.__dict__, frames
+    return record, frames
 
 
 def aggregate_records(records: Sequence[RunRecord]) -> List[dict]:
@@ -753,7 +757,6 @@ def run_benchmark(
     """Run every (scenario, algorithm) cell, verify and shortcut solutions,
     and emit the results CSV plus a JSON plot-data file next to it."""
     cells = [(s.to_obj(), algo) for s in scenarios for algo in algorithms]
-    results: List[Tuple[dict, Optional[list]]] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
@@ -764,11 +767,9 @@ def run_benchmark(
     else:
         results = [run_cell(obj, algo, overrides, shortcut_passes) for obj, algo in cells]
 
-    records = []
+    records = [record for record, _ in results]
     plot_runs = []
-    for (record_dict, frames), (scenario_obj, algo) in zip(results, cells):
-        record = RunRecord(**record_dict)
-        records.append(record)
+    for record, frames in results:
         if frames is not None:
             plot_runs.append(
                 {"scenario": record.scenario, "algo": record.algo, "frames": frames}

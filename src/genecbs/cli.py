@@ -97,7 +97,7 @@ def _cmd_solve(args) -> int:
         # Runtime is left out, so a run that ends solved, exhausted or on the
         # expansion cap is a deterministic function of (scenario, algorithm,
         # seed, budgets). A clock stop is not; a low --max-expansions avoids it.
-        "result": result.to_obj(include_runtime=False),
+        "result": result.to_obj(),
     }
     if args.out:
         FsPath(args.out).write_text(canonical_json(run_obj))
@@ -163,7 +163,7 @@ def _cmd_shortcut(args) -> int:
     if not check.clean:
         raise ScenarioError("shortcut produced a dirty solution")
     after = sum_of_costs(shorter, domain)
-    obj = result.to_obj(include_runtime=False)
+    obj = result.to_obj()
     obj["solution"] = [p.to_obj() for p in shorter]
     run_obj["result"] = obj
     run_obj["cost_shortcut"] = after

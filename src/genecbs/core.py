@@ -230,14 +230,15 @@ class SolverStats:
     lb: Optional[float] = None
     dts_rewards: Tuple[Tuple[str, int], ...] = ()
     dts_penalties: Tuple[Tuple[str, int], ...] = ()
-    # Runtime form only: low-level searches run (requests the tree engine's
-    # memo did not answer), and which limit ended an unsolved search:
-    # "cap" (max_expansions), "clock" (timeout_ms) or None.
+    # Low-level searches run (requests the tree engine's memo did not
+    # answer), and which limit ended an unsolved search: "cap"
+    # (max_expansions), "clock" (timeout_ms) or None. `to_obj` leaves these
+    # two and runtime_ms out, so stored runs repeat byte for byte.
     ll_searches: int = 0
     stopped_by: Optional[str] = None
 
-    def to_obj(self, include_runtime: bool = True) -> dict:
-        obj = {
+    def to_obj(self) -> dict:
+        return {
             "hl_expansions": self.hl_expansions,
             "evaluations": self.evaluations,
             "ll_calls": self.ll_calls,
@@ -246,16 +247,10 @@ class SolverStats:
             "dts_rewards": {k: v for k, v in self.dts_rewards},
             "dts_penalties": {k: v for k, v in self.dts_penalties},
         }
-        if include_runtime:
-            obj["runtime_ms"] = self.runtime_ms
-            obj["ll_searches"] = self.ll_searches
-            obj["stopped_by"] = self.stopped_by
-        return obj
 
     @staticmethod
     def from_obj(obj: dict) -> "SolverStats":
         return SolverStats(
-            runtime_ms=json_number(obj.get("runtime_ms", 0.0), "runtime_ms"),
             hl_expansions=json_number(obj["hl_expansions"], "hl_expansions", int),
             evaluations=json_number(obj["evaluations"], "evaluations", int),
             ll_calls=json_number(obj["ll_calls"], "ll_calls", int),
@@ -263,8 +258,6 @@ class SolverStats:
             lb=obj.get("lb"),
             dts_rewards=tuple(sorted(obj.get("dts_rewards", {}).items())),
             dts_penalties=tuple(sorted(obj.get("dts_penalties", {}).items())),
-            ll_searches=json_number(obj.get("ll_searches", 0), "ll_searches", int),
-            stopped_by=obj.get("stopped_by"),
         )
 
 
@@ -280,11 +273,11 @@ class SolverResult:
     def solved(self) -> bool:
         return self.status == SOLVED
 
-    def to_obj(self, include_runtime: bool = True) -> dict:
+    def to_obj(self) -> dict:
         return {
             "status": self.status,
             "solution": None if self.solution is None else [p.to_obj() for p in self.solution],
-            "stats": self.stats.to_obj(include_runtime=include_runtime),
+            "stats": self.stats.to_obj(),
         }
 
     @staticmethod
@@ -298,11 +291,11 @@ class SolverResult:
 
 
 def path_cost(path: Path, domain) -> float:
-    """Cost of a path whose every transition is valid: each primitive and
-    wait costs 1, and the wait-at-goal steps after the final goal arrival
-    cost 0, so the cost is the arrival index. The agent's occupancy still
-    persists at the goal for conflict checking; only the cost accounting
-    ignores the tail. Raises MalformedPathError on an empty path or an
+    """Cost of a path whose every transition is valid: transitions cost 1
+    (`Domain.successors`), and the wait-at-goal steps after the final goal
+    arrival cost 0, so the cost is the arrival index. The agent's occupancy
+    still persists at the goal for conflict checking; only the cost
+    accounting ignores the tail. Raises MalformedPathError on an empty path or an
     invalid transition.
     """
     if len(path.steps) == 0:

@@ -48,8 +48,8 @@ class Domain(ABC):
     """Shared interface over planning domains.
 
     Implementations provide per-agent successor sets, an admissible and
-    consistent heuristic under unit-cost primitives, and pairwise collision
-    queries returning workspace points.
+    consistent heuristic under unit costs, and pairwise collision queries
+    returning workspace points.
     """
 
     n_agents: int
@@ -67,7 +67,10 @@ class Domain(ABC):
     def is_static_free(self, agent: int, q: Configuration) -> bool: ...
 
     @abstractmethod
-    def successors(self, agent: int, q: Configuration) -> List[Tuple[Configuration, float]]: ...
+    def successors(self, agent: int, q: Configuration) -> List[Configuration]:
+        """The configurations one transition from q reaches, in a fixed
+        order with the wait (q) last. Every transition costs 1: the low
+        level's g is its timestep, and `path_cost` a goal-arrival index."""
 
     @abstractmethod
     def heuristic(self, agent: int, q: Configuration, goal: Configuration) -> float: ...
@@ -150,12 +153,10 @@ class Domain(ABC):
         return c
 
     def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
-        """b must be a (wait or primitive) successor of a. Every transition
-        costs 1: the low level's g is its timestep, and `path_cost` is a
-        path's goal-arrival index."""
+        """b must be a (wait or primitive) successor of a."""
         if not (self.in_bounds(agent, a) and self.is_static_free(agent, a)):
             return False
-        return any(b == succ for succ, _ in self.successors(agent, a))
+        return b in self.successors(agent, a)
 
     def validate_instance(self) -> None:
         """Check starts/goals: dimensionality, bounds, static freedom, and
@@ -215,14 +216,14 @@ class GridDomain(Domain):
     def is_static_free(self, agent: int, q: Configuration) -> bool:
         return (q.coords[0], q.coords[1]) not in self.blocked
 
-    def successors(self, agent: int, q: Configuration) -> List[Tuple[Configuration, float]]:
+    def successors(self, agent: int, q: Configuration) -> List[Configuration]:
         x, y = q.coords
         out = []
         for dx, dy in GRID_MOVES:
             nx, ny = x + dx, y + dy
             if 0 <= nx < self.width and 0 <= ny < self.height and (nx, ny) not in self.blocked:
-                out.append((Configuration((nx, ny)), 1.0))
-        out.append((q, 1.0))  # wait
+                out.append(Configuration((nx, ny)))
+        out.append(q)  # wait
         return out
 
     def heuristic(self, agent: int, q: Configuration, goal: Configuration) -> float:
@@ -463,6 +464,8 @@ class PlanarArmDomain(Domain):
                 raise ValueError(f"link lengths must be finite numbers > 0, got {a.link_lengths!r}")
             if not 0 <= a.thickness < math.inf:
                 raise ValueError(f"arm thickness must be a finite number >= 0, got {a.thickness!r}")
+            if len(a.joint_limits) != len(a.link_lengths) or any(lo > hi for lo, hi in a.joint_limits):
+                raise ValueError(f"joint limits must be one [lo, hi], lo <= hi, per link, got {a.joint_limits!r}")
         self.arms = tuple(arms)
         self.obstacles = tuple(((float(c[0]), float(c[1])), float(r)) for c, r in obstacles)
         for center, radius in self.obstacles:
@@ -478,7 +481,7 @@ class PlanarArmDomain(Domain):
         self._fk_cache: Dict[Tuple[int, Tuple[float, ...]], Tuple[Segment, ...]] = {}
         self._bbox_cache: Dict[Tuple[int, Tuple[float, ...]], Box] = {}
         self._static_cache: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
-        self._succ_cache: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[Configuration, float]]] = {}
+        self._succ_cache: Dict[Tuple[int, Tuple[int, ...]], List[Configuration]] = {}
         self._edge_cache: Dict[tuple, Optional[Tuple[Point, float]]] = {}
         # Exact branch of _pair_gap: (i, coords_i, j, coords_j, threshold)
         # -> (distance bound, contact point).
@@ -542,7 +545,7 @@ class PlanarArmDomain(Domain):
             self._static_cache[key] = hit
         return hit
 
-    def successors(self, agent: int, q: Configuration) -> List[Tuple[Configuration, float]]:
+    def successors(self, agent: int, q: Configuration) -> List[Configuration]:
         key = (agent, q.coords)
         hit = self._succ_cache.get(key)
         if hit is not None:
@@ -555,8 +558,8 @@ class PlanarArmDomain(Domain):
                 if limits[j][0] <= c <= limits[j][1]:
                     cfg = Configuration(q.coords[:j] + (c,) + q.coords[j + 1 :])
                     if self.is_static_free(agent, cfg):
-                        out.append((cfg, 1.0))
-        out.append((q, 1.0))  # wait
+                        out.append(cfg)
+        out.append(q)  # wait
         self._succ_cache[key] = out
         return out
 

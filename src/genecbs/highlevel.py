@@ -4,8 +4,8 @@ One engine drives the whole family. The algorithms differ only in data: each
 row of `PRESETS` sets the engine's flags, and `solve` looks the row up. Every
 row picks nodes through the same focal loop over one open set.
 
-  cbs           the focal loop at w = 1 with a cost-only key, which pops the
-                cheapest open node; complete constraints, eager children
+  cbs           the focal loop at w = 1 with the key (cost, id), which pops
+                the cheapest open node; complete constraints, eager children
   ecbs          focal search (conflict count within w of the lower bound)
   ac-ecbs       ecbs branching over every enabled constraint type (eager)
   ac-ecbs-lazy  same, children generated lazily with inherited values
@@ -124,17 +124,20 @@ def find_conflicts(
     return tuple(out)
 
 
+# Bound on alpha + beta of each DTS belief.
+DTS_CAP = 10.0
+
+
 class DTSState:
     """Dynamic Thompson Sampling over the focal queues.
 
     Each queue keeps a Beta(alpha, beta) belief. Rewards bump alpha,
-    penalties bump beta; afterwards both are rescaled so alpha + beta <= cap,
-    which dampens old history, and floored at 1.
+    penalties bump beta; afterwards both are rescaled so alpha + beta <=
+    DTS_CAP, which dampens old history, and floored at 1.
     """
 
-    def __init__(self, keys: Sequence[str], cap: float = 10.0, prior=None, seed: int = 0):
+    def __init__(self, keys: Sequence[str], prior=None, seed: int = 0):
         self.keys = tuple(keys)
-        self.cap = float(cap)
         self.alpha = {k: 1.0 for k in self.keys}
         self.beta = {k: 1.0 for k in self.keys}
         if prior:
@@ -152,16 +155,16 @@ class DTSState:
 
     def _enforce_cap(self, k: str) -> None:
         total = self.alpha[k] + self.beta[k]
-        if total > self.cap:
-            scale = self.cap / total
+        if total > DTS_CAP:
+            scale = DTS_CAP / total
             self.alpha[k] *= scale
             self.beta[k] *= scale
             if self.alpha[k] < 1.0:
                 self.alpha[k] = 1.0
-                self.beta[k] = min(self.beta[k], self.cap - 1.0)
+                self.beta[k] = min(self.beta[k], DTS_CAP - 1.0)
             elif self.beta[k] < 1.0:
                 self.beta[k] = 1.0
-                self.alpha[k] = min(self.alpha[k], self.cap - 1.0)
+                self.alpha[k] = min(self.alpha[k], DTS_CAP - 1.0)
 
     def sample(self) -> str:
         if len(self.keys) == 1:
@@ -204,7 +207,7 @@ class _CTEngine:
 
         self.queue_keys: Tuple[str, ...] = menu.keys if preset.multi_queue else (menu.keys[0],)
         prior = resolve_prior(config.dts_prior, menu) if preset.multi_queue and config.dts_prior else None
-        self.dts = DTSState(self.queue_keys, cap=10.0, prior=prior, seed=config.seed)
+        self.dts = DTSState(self.queue_keys, prior=prior, seed=config.seed)
 
         self.nodes: Dict[int, CTNode] = {}  # open nodes only
         self.open_lb: List[tuple] = []  # (lb, id)
@@ -226,7 +229,7 @@ class _CTEngine:
 
     def _f_key(self, node: CTNode, k: str) -> tuple:
         parts: List = []
-        if self.preset.count_conflicts and not self.preset.order_by_cost:
+        if not self.preset.unit_w:
             parts.append(len(node.conflicts))
         parts.append(node.cost)
         if k != COMPLETE:
@@ -572,23 +575,22 @@ class Preset:
                      when selected
     multi_queue      one focal queue per menu entry, picked by DTS; only these
                      rows read `dts_prior`
-    count_conflicts  focal queues and the low level order by conflict count
-    order_by_cost    focal key (cost, id) without the conflict count; at
-                     w = 1 the focal pop is then the cheapest open node (CBS)
+    count_conflicts  the low level orders its focal list by conflict count
     complete_only    branch on vertex/edge only, whatever the configured menu
-    unit_w           run at w = 1, whatever the configured w
+    unit_w           run at w = 1, whatever the configured w, and leave the
+                     conflict count out of focal keys: the single queue's
+                     key (cost, id) then pops the cheapest open node (CBS)
     """
 
     lazy: bool = False
     multi_queue: bool = False
     count_conflicts: bool = True
-    order_by_cost: bool = False
     complete_only: bool = False
     unit_w: bool = False
 
 
 PRESETS: Dict[str, Preset] = {
-    "cbs": Preset(order_by_cost=True, complete_only=True, unit_w=True),
+    "cbs": Preset(complete_only=True, unit_w=True),
     "ecbs": Preset(complete_only=True),
     "ac-ecbs": Preset(),
     "ac-ecbs-lazy": Preset(lazy=True),

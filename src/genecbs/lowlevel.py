@@ -4,9 +4,9 @@ A focal search over (configuration, timestep) states returns a
 constraint-satisfying path together with a certified lower bound on the
 optimal constrained cost, with cost <= w * lb.
 
-Time starts at 0 and every transition, including waits, costs one unit while
-searching, so g(q, t) == t; the wait-at-goal discount is applied by ending
-the path at the final goal arrival rather than by zero-cost edges. A goal
+Time starts at 0 and transitions cost one unit (`Domain.successors`), so
+g(q, t) == t; the wait-at-goal discount is applied by ending the path at
+the final goal arrival rather than by zero-cost edges. A goal
 arrival terminates the search only when the agent may rest at the goal
 forever without violating any remaining constraint.
 
@@ -240,7 +240,7 @@ def plan(
 
     count = domain.conflict_counter(agent, ctx.other_paths) if count_conflicts else None
     h_cache: Dict[Tuple[int, ...], float] = {}
-    succ_cache: Dict[Tuple[int, ...], List[Tuple[Configuration, float]]] = {}
+    succ_cache: Dict[Tuple[int, ...], List[Configuration]] = {}
 
     def h_of(q: Configuration) -> float:
         v = h_cache.get(q.coords)
@@ -309,7 +309,7 @@ def plan(
         successors = succ_cache.get(coords)
         if successors is None:
             successors = succ_cache[coords] = domain.successors(agent, q)
-        for q2, _cost in successors:
+        for q2 in successors:
             key2 = (q2.coords, t2)
             known = info.get(key2)
             if known is None:

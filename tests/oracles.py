@@ -83,7 +83,7 @@ def composite_optimal_cost(
                 per_agent.append([(configs[a], 0.0, True)])
                 continue
             moves: List[Tuple[Configuration, float, bool]] = [
-                (q2, 1.0, False) for q2, _ in domain.successors(a, configs[a])
+                (q2, 1.0, False) for q2 in domain.successors(a, configs[a])
             ]
             if configs[a] == goals[a]:
                 moves.append((configs[a], 0.0, True))
@@ -161,7 +161,7 @@ def constrained_optimal_cost(
     for t in range(1, horizon + 1):
         nxt = set()
         for q in frontier:
-            for q2, _ in domain.successors(agent, q):
+            for q2 in domain.successors(agent, q):
                 if q2 in nxt:
                     continue
                 if forbidden_vertex(q2, t) or forbidden_edge(q, q2, t - 1):

@@ -292,7 +292,7 @@ class TestCriterion7DTS:
         updates = 0
         while updates < 100_000:
             keys = [f"q{i}" for i in range(rng.randrange(1, 5))]
-            state = DTSState(keys, cap=10.0, seed=rng.randrange(1 << 30))
+            state = DTSState(keys, seed=rng.randrange(1 << 30))
             for _ in range(rng.randrange(1, 200)):
                 k = keys[rng.randrange(len(keys))]
                 if rng.random() < 0.5:
@@ -307,7 +307,7 @@ class TestCriterion7DTS:
 
     def test_beta_argmax_selection_frequency(self):
         state = DTSState(
-            ["strong", "weak"], cap=10.0, prior={"strong": (9, 1), "weak": (1, 9)}, seed=1234
+            ["strong", "weak"], prior={"strong": (9, 1), "weak": (1, 9)}, seed=1234
         )
         picks = sum(1 for _ in range(10_000) if state.sample() == "strong")
         freq = picks / 10_000

@@ -7,6 +7,7 @@ import random
 import statistics
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path as FsPath
 
 import pytest
@@ -21,6 +22,7 @@ from genecbs.bench import (
     Violation,
     _segment_ok,
     _staircase,
+    _template_params,
     aggregate_records,
     cell_seed,
     generate_instances,
@@ -134,6 +136,14 @@ class TestGeneration:
     def test_unknown_template(self):
         with pytest.raises(ScenarioError):
             generate_instances("nope", 1, seed=0)
+
+    def test_template_params_keep_their_default_type(self):
+        defaults = {"n": 2, "r": 0.5, "links": (1.0, 2.0), "max_root_conflicts": 3}
+        given = {"n": 3.0, "r": 1, "links": [1, 2.5], "max_root_conflicts": None}
+        params = _template_params("t", defaults, given)
+        assert params == {"n": 3, "r": 1.0, "links": (1.0, 2.5), "max_root_conflicts": None}
+        assert type(params["n"]) is int and type(params["r"]) is float
+        assert defaults["max_root_conflicts"] == 3
 
 
 ORACLE_PARAMS = (
@@ -347,7 +357,7 @@ class TestPaddedScans:
             for agent in range(n):
                 steps = [rng.choice(cells)]
                 for _ in range(rng.randint(0, 8)):
-                    steps.append(rng.choice(d.successors(agent, steps[-1]))[0])
+                    steps.append(rng.choice(d.successors(agent, steps[-1])))
                 paths.append(Path(agent, tuple(steps)))
             conflicts = find_conflicts(paths, d)
             assert conflicts == reference_find_conflicts(paths, d)
@@ -538,7 +548,7 @@ class TestShortcutParity:
             for agent in range(3):
                 steps = [rng.choice(cells)]
                 for _ in range(rng.randint(1, 8)):
-                    steps.append(rng.choice(grid.successors(agent, steps[-1]))[0])
+                    steps.append(rng.choice(grid.successors(agent, steps[-1])))
                 walks.append(steps + [steps[-1]] * rng.randint(0, 3))
             d = GridDomain(4, 4, [(1, 1)], [w[0] for w in walks], [w[-1] for w in walks])
             solution = tuple(Path(a, tuple(w)) for a, w in enumerate(walks))
@@ -591,7 +601,7 @@ class TestShortcutParity:
         def walk(agent, length):
             steps = [rng.choice(cells)]
             for _ in range(length):
-                steps.append(rng.choice(d.successors(agent, steps[-1]))[0])
+                steps.append(rng.choice(d.successors(agent, steps[-1])))
             return Path(agent, tuple(steps))
 
         seen = set()
@@ -753,13 +763,13 @@ class TestShortcutSkip:
         calls = self._counted_shortcut(monkeypatch)
         scenario = generate_instances("hallway-swap", 1, seed=0)[0]
         record, frames = run_cell(scenario.to_obj(), "cbs")
+        record = asdict(record)
         record.pop("runtime_ms")
         assert calls == []
         assert record == {
             "scenario": "hallway-swap-s0-000", "algo": "cbs", "success": True,
             "hl_expansions": 10, "ll_calls": 22, "cost": 11.0, "cost_shortcut": 11.0,
             "lb": 11.0, "subopt": 1.0, "ll_searches": 22, "stopped_by": None,
-            "dts_rewards": {"complete": 0}, "dts_penalties": {"complete": 0},
         }
         assert frames == [
             [[0, 1], [4, 1]], [[1, 1], [3, 1]], [[1, 1], [2, 1]], [[2, 1], [2, 0]],
@@ -772,13 +782,13 @@ class TestShortcutSkip:
             "grid-random", 1, seed=17, params={"width": 7, "height": 7, "n_agents": 6}
         )[0]
         record, _ = run_cell(scenario.to_obj(), "pp")
+        record = asdict(record)
         record.pop("runtime_ms")
         assert calls == [1]
         assert record == {
             "scenario": "grid-random-s17-000", "algo": "pp", "success": True,
             "hl_expansions": 0, "ll_calls": 6, "cost": 32.0, "cost_shortcut": 32.0,
             "lb": 0.0, "subopt": 1.0, "ll_searches": 6, "stopped_by": None,
-            "dts_rewards": {}, "dts_penalties": {},
         }
 
 
@@ -907,6 +917,23 @@ class TestCLI:
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and err.count("\n") == 1, err
                 assert "finite" in err, err
+
+    @pytest.mark.parametrize("template, param, message", [
+        ("grid-random", "width=6.9", "width must be an integer, got 6.9"),
+        ("grid-random", "widht=7", "unknown grid-random parameters: ['widht']"),
+        ("grid-random", "n_agents=true", "n_agents must be a number, got True"),
+        ("arm-quad", "max_root_conflicts=2.5", "max_root_conflicts must be an integer, got 2.5"),
+        ("arm-quad", "links=5", "links must be a list of numbers, got 5"),
+        # Two joint limits for three links.
+        ("arm-quad", "links=[1,2,3]", "joint limits must be one [lo, hi]"),
+    ])
+    def test_bad_template_parameters_return_two_with_one_line(self, tmp_path, capsys, template, param, message):
+        out = tmp_path / "scen"
+        argv = ["gen", "--template", template, "--count", "1", "--out", str(out), "--param", param]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+        assert not out.exists()
 
     def test_conflicting_starts_return_two_with_one_line(self, tmp_path, capsys):
         good = self._write_scenario(tmp_path)

@@ -173,7 +173,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match="path agent"):
             Path.from_obj({"agent": 1.5, "steps": [[0, 0]]})
         stats = SolverStats(hl_expansions=4, evaluations=9, ll_calls=13).to_obj()
-        for field, value in (("hl_expansions", 4.5), ("ll_calls", "13"), ("runtime_ms", False)):
+        for field, value in (("hl_expansions", 4.5), ("ll_calls", "13")):
             with pytest.raises(ValueError, match=field):
                 SolverStats.from_obj({**stats, field: value})
 

@@ -72,7 +72,7 @@ class TestGridSuccessors:
         d = make_grid()
         succ = d.successors(0, C(2, 2))
         assert len(succ) == 5
-        assert (C(2, 2), 1.0) in succ  # wait
+        assert C(2, 2) in succ  # wait
 
     def test_corner_cell(self):
         d = make_grid()
@@ -80,7 +80,7 @@ class TestGridSuccessors:
 
     def test_blocked_neighbors_filtered(self):
         d = make_grid(blocked=[(2, 3), (3, 2)])
-        succ = [q.coords for q, _ in d.successors(0, C(2, 2))]
+        succ = [q.coords for q in d.successors(0, C(2, 2))]
         assert (2, 3) not in succ and (3, 2) not in succ
         assert len(succ) == 3
 
@@ -106,7 +106,7 @@ class TestArmSuccessors:
         d = make_arms()
         q = C(6, 6)
         succ = d.successors(0, q)
-        coords = [s.coords for s, _ in succ]
+        coords = [s.coords for s in succ]
         assert coords == [(5, 6), (6, 5), (6, 6)]
 
     def test_obstacle_blocks_one_primitive(self):
@@ -114,7 +114,7 @@ class TestArmSuccessors:
         # the elbow where only the +1 move of joint 2 sweeps into it.
         tip_up = (1.0 + math.cos(DELTA), math.sin(DELTA))
         d = make_arms(obstacles=[((tip_up[0], tip_up[1]), 0.05)])
-        succ = [s.coords for s, _ in d.successors(0, C(0, 0))]
+        succ = [s.coords for s in d.successors(0, C(0, 0))]
         assert (0, 1) not in succ  # raising the second joint hits the circle
         assert (0, -1) in succ and (1, 0) in succ and (-1, 0) in succ and (0, 0) in succ
 
@@ -177,9 +177,9 @@ class TestHeuristic:
             h = d.heuristic(0, C(x, y), C(*goal))
             assert h <= true_cost
         for (x, y), true_cost in dist.items():
-            for q2, cost in d.successors(0, C(x, y)):
+            for q2 in d.successors(0, C(x, y)):
                 if q2.coords in dist:
-                    assert d.heuristic(0, C(x, y), C(*goal)) <= cost + d.heuristic(0, q2, C(*goal))
+                    assert d.heuristic(0, C(x, y), C(*goal)) <= 1 + d.heuristic(0, q2, C(*goal))
 
 
 class TestAgentsCollide:
@@ -297,13 +297,13 @@ def motions_near(d, agent, center):
     for offset in itertools.product((-1, 0, 1), repeat=len(center)):
         q = C(*(c + o for c, o in zip(center, offset)))
         if d.in_bounds(agent, q) and d.is_static_free(agent, q):
-            for q2, _ in d.successors(agent, q):
+            for q2 in d.successors(agent, q):
                 yield q, q2
 
 
 def random_motion(rng, d, agent):
     q = C(*(rng.randint(lo, hi) for lo, hi in d.arms[agent].joint_limits))
-    return q, rng.choice(d.successors(agent, q))[0]
+    return q, rng.choice(d.successors(agent, q))
 
 
 def sampled_arm_motion_hits(d, agent, q, q2, center, radius, m):
@@ -432,7 +432,7 @@ class TestGridSphereMotion:
         d = make_grid()
         cells = [C(x, y) for x in range(6) for y in range(6)]
         centers = {d.cell_center(q) for q in cells}
-        motions = [(q, q2) for q in cells for q2, _ in d.successors(0, q)]
+        motions = [(q, q2) for q in cells for q2 in d.successors(0, q)]
         for q, q2 in motions:
             a, b = d.cell_center(q), d.cell_center(q2)
             centers.add(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
@@ -503,6 +503,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="link"):
             PlanarArmDomain([no_links], [], DELTA, [C()], [C()])
 
+    @pytest.mark.parametrize("limits", [((-6, 6),), ((-6, 6), (-6, 6), (-6, 6)), ((-6, 6), (3, 2))])
+    def test_arm_needs_one_ordered_joint_limit_per_link(self, limits):
+        # Caught here, not later as a wrong dimensionality or out of bounds.
+        arm = ArmSpec(base=(0.0, 0.0), link_lengths=(1.0, 1.0), joint_limits=limits, thickness=0.1)
+        with pytest.raises(ValueError, match="joint limits must be one"):
+            PlanarArmDomain([arm], [], DELTA, [C(0, 0)], [C(1, 1)])
+
 
 class TestDomainFromObj:
     GRID = {"type": "grid", "width": 6, "height": 4, "blocked": [[2, 1]], "substeps": 4}
@@ -563,7 +570,7 @@ def reference_conflicts(d, agent, other_paths, q, q2, t2):
 def random_walk(rng, d, agent, start, length):
     steps = [start]
     for _ in range(length):
-        steps.append(rng.choice(d.successors(agent, steps[-1]))[0])
+        steps.append(rng.choice(d.successors(agent, steps[-1])))
     return Path(agent=agent, steps=tuple(steps))
 
 
@@ -584,7 +591,7 @@ class TestConflictCounter:
             loop = Domain.conflict_counter(d, 0, others)
             horizon = max(p.horizon for p in others if p is not None)
             for q in cells:
-                for q2, _ in d.successors(0, q):  # moves and the wait
+                for q2 in d.successors(0, q):  # moves and the wait
                     for t2 in range(1, horizon + 4):  # past every horizon too
                         vertex, edge = reference_conflicts(d, 0, others, q, q2, t2)
                         assert tables(q, q2, t2) == loop(q, q2, t2) == vertex + edge, (trial, q, q2, t2)
@@ -627,7 +634,7 @@ class TestConflictCounter:
         queries = []
         for _ in range(300):
             q = C(rng.randint(-12, 12), rng.randint(-12, 12))
-            q2 = rng.choice(d.successors(0, q))[0]
+            q2 = rng.choice(d.successors(0, q))
             queries.append((q, q2, rng.randint(1, 8)))
         count = d.conflict_counter(0, others)
         loop = Domain.conflict_counter(d, 0, others)
@@ -726,7 +733,7 @@ class TestArmCounterCertificate:
         queries = [(q, q2, 1) for q, q2 in motions_near(d, i, q_i.coords)]
         totals = [0, 0, 0]
         # Arm j makes each of its moves from its 037 pose.
-        for move, _ in d.successors(j, q_j):
+        for move in d.successors(j, q_j):
             others = [None] * d.n_agents
             others[j] = Path(agent=j, steps=(q_j, move))
             found = self.check_skips_are_clear(arm_quad_037, i, others, queries)

@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -86,7 +87,7 @@ class TestFindConflicts:
             steps = [q]
             for _ in range(6):
                 succ = d.successors(agent, steps[-1])
-                steps.append(succ[rng.randrange(len(succ))][0])
+                steps.append(succ[rng.randrange(len(succ))])
             return Path(agent, tuple(steps))
 
         paths = [random_path(a, s) for a, s in enumerate(((0, 0), (3, 3), (0, 3)))]
@@ -105,7 +106,7 @@ class TestFindConflicts:
             steps = [C(rng.randrange(5), rng.randrange(5))]
             for _ in range(rng.randint(0, 8)):
                 succ = wide.successors(agent, steps[-1])
-                steps.append(succ[rng.randrange(len(succ))][0])
+                steps.append(succ[rng.randrange(len(succ))])
             return Path(agent, tuple(steps))
 
         copied = 0
@@ -312,7 +313,7 @@ class TestDTS:
         assert [a.sample() for _ in range(50)] == [b.sample() for _ in range(50)]
 
     def test_cap_enforced_under_repeated_rewards(self):
-        s = DTSState(["x", "y"], cap=10.0, seed=0)
+        s = DTSState(["x", "y"], seed=0)
         for _ in range(8):
             s.reward("x")
             assert s.alpha["x"] + s.beta["x"] <= 10.0 + 1e-12
@@ -321,7 +322,7 @@ class TestDTS:
     def test_cap_fuzz(self):
         rng = random.Random(123)
         for trial in range(1000):
-            s = DTSState(["a", "b", "c"], cap=10.0, seed=trial)
+            s = DTSState(["a", "b", "c"], seed=trial)
             for _ in range(100):
                 k = ("a", "b", "c")[rng.randrange(3)]
                 if rng.random() < 0.5:
@@ -333,7 +334,7 @@ class TestDTS:
                     assert s.alpha[q] >= 1.0 and s.beta[q] >= 1.0
 
     def test_selection_frequency_beta_9_1_vs_1_9(self):
-        s = DTSState(["strong", "weak"], cap=10.0, prior={"strong": (9, 1), "weak": (1, 9)}, seed=42)
+        s = DTSState(["strong", "weak"], prior={"strong": (9, 1), "weak": (1, 9)}, seed=42)
         picks = sum(1 for _ in range(10_000) if s.sample() == "strong")
         assert picks / 10_000 > 0.95
 
@@ -406,7 +407,7 @@ class TestFocalSoundness:
         assert r.status == "solved"
 
 
-# sha256 of canonical_json(result.to_obj(include_runtime=False)) for each
+# sha256 of canonical_json(result.to_obj()) for each
 # algorithm name, recorded with the per-algorithm solver functions that the
 # PRESETS table replaced.
 PRESET_DIGESTS = {
@@ -448,7 +449,7 @@ class TestPresetParity:
         )
         for name, d in domains.items():
             r = solve(d, config)
-            digest = hashlib.sha256(canonical_json(r.to_obj(include_runtime=False)).encode()).hexdigest()
+            digest = hashlib.sha256(canonical_json(r.to_obj()).encode()).hexdigest()
             assert digest == PRESET_DIGESTS[(name, algo)], name
 
     def test_unknown_name_lists_known_names(self):
@@ -456,7 +457,7 @@ class TestPresetParity:
             solve(hallway_swap(), SolverConfig(algorithm="gen-ecsb"))
 
 
-# sha256 of canonical_json(result.to_obj(include_runtime=False)) on
+# sha256 of canonical_json(result.to_obj()) on
 # grid-random-s7-000 (10x10, 14 agents), recorded while focal conflicts were
 # still counted by a loop over every other path for every successor.
 CROWD_DIGESTS = {
@@ -489,11 +490,11 @@ class TestCrowdParity:
             dts_prior={"sphere:S": (3.0, 1.0)},
         )
         r = solve(scenario.build_domain(), config)
-        digest = hashlib.sha256(canonical_json(r.to_obj(include_runtime=False)).encode()).hexdigest()
+        digest = hashlib.sha256(canonical_json(r.to_obj()).encode()).hexdigest()
         assert digest == CROWD_DIGESTS[algo]
 
 
-# sha256 of canonical_json(result.to_obj(include_runtime=False)) on trees deep
+# sha256 of canonical_json(result.to_obj()) on trees deep
 # enough that many low-level requests repeat within a solve (300-expansion
 # cap, default menu, no prior, `cell_seed` seeds), recorded before the engine
 # answered repeated requests from its per-solve memo.
@@ -532,7 +533,7 @@ class TestDeepTreeParity:
     def test_results_match_recorded_digests(self, deep_scenarios, name, algo):
         scenario = deep_scenarios[name]
         r = solve(scenario.build_domain(), deep_config(scenario, algo))
-        digest = hashlib.sha256(canonical_json(r.to_obj(include_runtime=False)).encode()).hexdigest()
+        digest = hashlib.sha256(canonical_json(r.to_obj()).encode()).hexdigest()
         assert digest == DEEP_DIGESTS[(name, algo)]
 
 
@@ -694,8 +695,9 @@ class TestLowLevelMemo:
 
 
 class TestRuntimeStats:
-    """`ll_searches` and `stopped_by` appear in the runtime form of the
-    stats only, so RUN.json bytes do not carry them."""
+    """`ll_searches`, `stopped_by` and `runtime_ms` are attributes of the
+    stats that their stored form leaves out, so RUN.json bytes do not carry
+    them."""
 
     def test_stopped_by_names_the_limit_that_ended_the_search(self, deep_scenarios):
         scenario = deep_scenarios["grid-random-s300-018"]
@@ -710,10 +712,11 @@ class TestRuntimeStats:
             r = solve(scenario.build_domain(), config)
             assert r.status == ("solved" if stopped_by is None else "timeout")
             assert r.stats.stopped_by == stopped_by
-            full, stored = r.to_obj(), r.to_obj(include_runtime=False)
-            assert full["stats"]["stopped_by"] == stopped_by
-            assert SolverResult.from_obj(full).stats == r.stats
-            assert "stopped_by" not in stored["stats"] and "ll_searches" not in stored["stats"]
+            stored = r.to_obj()["stats"]
+            assert not {"runtime_ms", "ll_searches", "stopped_by"} & set(stored)
+            assert SolverResult.from_obj(r.to_obj()).stats == replace(
+                r.stats, runtime_ms=0.0, ll_searches=0, stopped_by=None
+            )
 
     def test_pp_counts_every_request_as_a_search_and_stops_on_the_clock(self):
         d = hallway_swap()

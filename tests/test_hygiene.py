@@ -32,6 +32,17 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def nested_imports(source: str):
+    """(line, module) of each import statement below module level."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    return sorted(
+        (node.lineno, node.module if isinstance(node, ast.ImportFrom) else node.names[0].name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    )
+
+
 def test_modules_are_found():
     assert {"bench.py", "cli.py", "core.py", "domain.py", "lowlevel.py"} <= {p.name for p in MODULES}
 
@@ -50,3 +61,20 @@ def test_unused_import_is_reported():
         "def f() -> 'Set[int]': ...\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "Dict")]
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_at_module_level(module):
+    assert nested_imports(module.read_text()) == []
+
+
+def test_nested_import_is_reported():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    import json\n"
+        "    from . import lowlevel\n"
+        "class C:\n"
+        "    from typing import List\n"
+    )
+    assert nested_imports(source) == [(3, "json"), (4, None), (6, "typing")]

@@ -369,7 +369,7 @@ def _rearrival_case(kind, trial):
     def walk(j, length):
         steps = [rng.choice(free)]
         for _ in range(length):
-            steps.append(rng.choice(d.successors(j, steps[-1]))[0])
+            steps.append(rng.choice(d.successors(j, steps[-1])))
         return Path(j, tuple(steps))
 
     if kind == "edge":
@@ -378,7 +378,7 @@ def _rearrival_case(kind, trial):
         for _ in range(rng.randint(0, 20)):
             q = rng.choice(free)
             t = rng.randint(0, 5)
-            cs.append(Constraint(agent=0, ctype="edge", time=t, q=q, q2=rng.choice(d.successors(0, q))[0]))
+            cs.append(Constraint(agent=0, ctype="edge", time=t, q=q, q2=rng.choice(d.successors(0, q))))
         start, goal, w = rng.choice(free), rng.choice(free), rng.choice((1.5, 2.0))
     else:
         others = [None] + [walk(j, rng.randint(1, 6)) for j in range(1, n)]
@@ -429,7 +429,7 @@ def _random_context(rng, d, n):
     def walk(agent):
         steps = [rng.choice(free)]
         for _ in range(rng.randint(0, 12)):
-            steps.append(rng.choice(d.successors(agent, steps[-1]))[0])
+            steps.append(rng.choice(d.successors(agent, steps[-1])))
         return Path(agent, tuple(steps))
 
     # Some other agents have no path, so priority constraints on them name
@@ -443,7 +443,7 @@ def _random_context(rng, d, n):
         if kind == "vertex":
             c = Constraint(agent=0, ctype=kind, time=t, q=q)
         elif kind == "edge":
-            c = Constraint(agent=0, ctype=kind, time=t, q=q, q2=rng.choice(d.successors(0, q))[0])
+            c = Constraint(agent=0, ctype=kind, time=t, q=q, q2=rng.choice(d.successors(0, q)))
         elif kind == "sphere":
             c = Constraint(agent=0, ctype=kind, time=t, point=(q.coords[0] + 0.5, q.coords[1] + 0.5),
                            radius=1.0, from_edge=from_edge)
@@ -489,7 +489,7 @@ def brute_force_forbidden(d, c):
         for q in free:
             if is_forbidden(d, ctx, q, t):
                 items.add((q.coords, t))
-            for q2, _ in d.successors(c.agent, q):
+            for q2 in d.successors(c.agent, q):
                 if is_forbidden_edge(d, ctx, q, q2, t):
                     items.add((q.coords, q2.coords, t))
     return frozenset(items), horizon
@@ -511,7 +511,7 @@ class TestConstraintKey:
             for _ in range(6):
                 kind = rng.choice(("vertex", "edge", "avoidance", "avoidance-edge"))
                 t, q = rng.randint(0, 6), rng.choice(free)
-                q2 = rng.choice(d.successors(0, q))[0]
+                q2 = rng.choice(d.successors(0, q))
                 if kind == "vertex":
                     c = Constraint(agent=0, ctype="vertex", time=t, q=q)
                 elif kind == "edge":
