@@ -33,7 +33,7 @@ from .core import (
     unchecked_path_cost,
 )
 from .domain import GRID_MOVES, Domain, GridDomain, PlanarArmDomain, domain_from_obj, free_configurations
-from .highlevel import PRESETS, SolverConfig, find_conflicts, solve
+from .highlevel import PRESETS, SolverConfig, solve
 
 SCENARIO_VERSION = 1
 
@@ -149,9 +149,10 @@ def verify(domain: Domain, solution: Sequence[Path]) -> VerifyResult:
     """Independent re-check of a solution: endpoints, transition validity,
     static collisions, and pairwise conflicts at twice the solver's
     interpolation resolution. Shares with the solvers only the domain's
-    primitives and their pose-level memos (link segments, boxes, exact
-    link-pair scans keyed by their full input), never a memoised collision
-    answer: its sampled edge checks are memoised under their own count."""
+    primitives and their pose-level memos (a pose's link segments and box,
+    exact link-pair scans keyed by their full input), never a memoised
+    collision answer: its sampled edge checks are memoised under their own
+    count."""
     out: List[Violation] = []
     n = domain.n_agents
     agents = sorted(p.agent for p in solution)
@@ -184,31 +185,34 @@ def verify(domain: Domain, solution: Sequence[Path]) -> VerifyResult:
                         f"{p.steps[t - 1].coords} -> {p.steps[t].coords}",
                     )
                 )
-    fine = 2 * domain.substeps
+    out.extend(_pair_violations(domain, [by_agent[a] for a in range(n)], 2 * domain.substeps))
+    return VerifyResult(tuple(out))
+
+
+def _pair_violations(domain: Domain, paths: Sequence[Path], substeps: int) -> List[Violation]:
+    """Vertex and edge conflicts of every agent pair, goal-padded, each
+    motion checked at substeps + 1 evenly spaced poses; paths[a] is agent
+    a's path. The padding is built here, so the scan shares no path code
+    with the solvers."""
     agents_collide = domain.agents_collide
     edge_collides = domain.edge_collides
-    # Every non-empty path goal-padded to the longest horizon, built here so
-    # the verifier shares no path code with the solvers.
-    horizon = max((len(p.steps) for p in solution), default=0) - 1
-    padded = {
-        a: p.steps + (p.steps[-1],) * (horizon - p.horizon)
-        for a, p in by_agent.items()
-        if p.steps
-    }
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i not in padded or j not in padded:
-                continue  # an empty path is already reported as malformed
+    horizon = max((p.horizon for p in paths), default=0)
+    padded = [p.steps + p.steps[-1:] * (horizon - p.horizon) for p in paths]
+    out: List[Violation] = []
+    for i in range(len(paths)):
+        for j in range(i + 1, len(paths)):
             si, sj = padded[i], padded[j]
-            h = max(by_agent[i].horizon, by_agent[j].horizon)
+            if not si or not sj:
+                continue  # `verify` reports an empty path as malformed
+            h = max(paths[i].horizon, paths[j].horizon)
             for t in range(h + 1):
                 if agents_collide(i, si[t], j, sj[t]) is not None:
                     out.append(Violation("vertex-conflict", (i, j), t, ""))
                 if t < h:
-                    hit = edge_collides(i, si[t], si[t + 1], j, sj[t], sj[t + 1], substeps=fine)
+                    hit = edge_collides(i, si[t], si[t + 1], j, sj[t], sj[t + 1], substeps)
                     if hit is not None:
                         out.append(Violation("edge-conflict", (i, j), t, f"sub-time {hit[1]:g}"))
-    return VerifyResult(tuple(out))
+    return out
 
 
 # ---- shortcutting --------------------------------------------------------
@@ -462,7 +466,7 @@ def _root_conflicts(domain: Domain, starts, goals) -> int:
         paths.append(res.path)
     # Counted at the sampled resolution, which the seeded suites were drawn
     # with; the certified sweep finds a few more and would reshuffle them.
-    return len(find_conflicts(paths, domain, substeps=domain.substeps))
+    return len(_pair_violations(domain, paths, domain.substeps))
 
 
 def _sample_arm_instance(
@@ -565,12 +569,18 @@ TEMPLATES = {
     "arm-quad": (_arm_quad, {"obstacle_radius": 0.1, "links": (1.05, 0.85), "thickness": 0.12,
                              "task_radius": 0.6, "home_radius": 1.6, "max_root_conflicts": 3}),
 }
+# Parameter -> the closed range a given value must lie in. The arm
+# parameters are checked where they are used: the geometry by the domain,
+# the radii by the task and home pose sets, which must not be empty.
+PARAM_RANGES = {"width": (1, math.inf), "height": (1, math.inf), "n_agents": (1, math.inf),
+                "obstacle_density": (0, 1), "max_root_conflicts": (0, math.inf)}
 
 
 def _template_params(template: str, defaults: dict, given: dict) -> dict:
     """The defaults overridden by `given`, each value read through
-    `json_number` as its default's type: a tuple default takes a list of
-    such numbers, and `max_root_conflicts` may also be null, for no cap."""
+    `json_number` as its default's type and kept in its `PARAM_RANGES`
+    range: a tuple default takes a list of such numbers, and
+    `max_root_conflicts` may also be null, for no cap."""
     unknown = set(given) - set(defaults)
     if unknown:
         raise ScenarioError(f"unknown {template} parameters: {sorted(unknown)}")
@@ -583,6 +593,9 @@ def _template_params(template: str, defaults: dict, given: dict) -> dict:
             value = tuple(json_number(x, key, type(default[0])) for x in value)
         elif value is not None or key != "max_root_conflicts":
             value = json_number(value, key, type(default))
+            lo, hi = PARAM_RANGES.get(key, (-math.inf, math.inf))
+            if not lo <= value <= hi:
+                raise ScenarioError(f"{key} must be in [{lo}, {hi}], got {value!r}")
         params[key] = value
     return params
 

@@ -80,10 +80,6 @@ class Configuration:
 
     coords: Tuple[int, ...]
 
-    @staticmethod
-    def of(*coords: int) -> "Configuration":
-        return Configuration(tuple(int(c) for c in coords))
-
     def __len__(self) -> int:
         return len(self.coords)
 

@@ -11,9 +11,11 @@ construction; the internal memo caches only store results of pure queries.
 
 The arm domain's conflict counter skips each (move, other arm) part that a
 bounding-box certificate proves clear and asks the primitive otherwise; it
-reads no memo itself. Below the primitives, the forward kinematics, boxes
-and exact link-pair scan of a pose pair are memoised by their full input,
-and `edge_collides` memoises its answers.
+reads no memo itself. Below the primitives, one memo keeps each pose's link
+segments with their bounding box (`_shape`), another the exact link-pair
+scan of a pose pair, both keyed by their full input, and `edge_collides`
+memoises its answers. Whether a pose touches a disk, a static obstacle or
+a sphere constraint's, has one answer: `_circle_gap`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ GRID_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
 SWEEP_MIN_WIDTH = 1.0 / 1024
 # Slack on the certification test against floating-point rounding.
 SWEEP_CERT_MARGIN = 1e-9
-# Size cap of each arm pose memo: link segments, boxes and exact pair gaps.
+# Size cap of each arm pose memo: a pose's link segments with their box,
+# and the exact gap of a pose pair.
 POSE_MEMO_CAP = 400_000
 # Size cap of the arm motion memo: certified and sampled edge answers.
 EDGE_MEMO_CAP = 1_000_000
@@ -478,8 +481,8 @@ class PlanarArmDomain(Domain):
         self.substeps = _checked_substeps(substeps)
         if not (len(self.starts) == len(self.goals) == self.n_agents):
             raise ValueError("arms, starts, and goals must have the same length")
-        self._fk_cache: Dict[Tuple[int, Tuple[float, ...]], Tuple[Segment, ...]] = {}
-        self._bbox_cache: Dict[Tuple[int, Tuple[float, ...]], Box] = {}
+        # (agent, joint indices) -> (link segments, their bounding box).
+        self._pose_cache: Dict[Tuple[int, Tuple[float, ...]], Tuple[Tuple[Segment, ...], Box]] = {}
         self._static_cache: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
         self._succ_cache: Dict[Tuple[int, Tuple[int, ...]], List[Configuration]] = {}
         self._edge_cache: Dict[tuple, Optional[Tuple[Point, float]]] = {}
@@ -507,16 +510,17 @@ class PlanarArmDomain(Domain):
 
     def fk_segments(self, agent: int, coords: Sequence[float]) -> Tuple[Segment, ...]:
         """Link segments of the arm at (possibly fractional) joint indices."""
-        key = (agent, tuple(coords))
-        hit = self._fk_cache.get(key)
+        return self._shape(agent, tuple(coords))[0]
+
+    def _shape(self, agent: int, coords: Tuple[float, ...], memo: bool = True):
+        """Link segments of the pose and their bounding box: the one pose
+        accessor. `memo` decides whether a computed pose is stored (sample
+        points of the default resolution only, so bisection points never
+        grow the memo)."""
+        key = (agent, coords)
+        hit = self._pose_cache.get(key)
         if hit is not None:
             return hit
-        out = self._fk(agent, coords)
-        if len(self._fk_cache) < POSE_MEMO_CAP:
-            self._fk_cache[key] = out
-        return out
-
-    def _fk(self, agent: int, coords: Sequence[float]) -> Tuple[Segment, ...]:
         arm = self.arms[agent]
         x, y = arm.base
         theta = 0.0
@@ -527,22 +531,20 @@ class PlanarArmDomain(Domain):
             ny = y + length * math.sin(theta)
             segs.append(((x, y), (nx, ny)))
             x, y = nx, ny
-        return tuple(segs)
-
-    def _static_free_coords(self, agent: int, coords: Sequence[float]) -> bool:
-        eps = self.arms[agent].thickness
-        for seg in self.fk_segments(agent, coords):
-            for center, radius in self.obstacles:
-                if _seg_point_dist(seg, center) <= eps + radius:
-                    return False
-        return True
+        out = (tuple(segs), _segs_bbox(segs))
+        if memo and len(self._pose_cache) < POSE_MEMO_CAP:
+            self._pose_cache[key] = out
+        return out
 
     def is_static_free(self, agent: int, q: Configuration) -> bool:
         key = (agent, q.coords)
         hit = self._static_cache.get(key)
         if hit is None:
-            hit = self._static_free_coords(agent, q.coords)
-            self._static_cache[key] = hit
+            thickness = self.arms[agent].thickness
+            hit = self._static_cache[key] = all(
+                self._circle_gap(agent, q.coords, center, thickness + r, thickness + r)[1] is None
+                for center, r in self.obstacles
+            )
         return hit
 
     def successors(self, agent: int, q: Configuration) -> List[Configuration]:
@@ -584,25 +586,6 @@ class PlanarArmDomain(Domain):
         lo, hi = self.arms[agent].joint_limits[j]
         return abs(cb[j] - ca[j]) == 1 and lo <= cb[j] <= hi and self.is_static_free(agent, b)
 
-    def _bbox(self, agent: int, coords: Tuple[float, ...]) -> Box:
-        key = (agent, coords)
-        hit = self._bbox_cache.get(key)
-        if hit is not None:
-            return hit
-        out = _segs_bbox(self.fk_segments(agent, coords))
-        if len(self._bbox_cache) < POSE_MEMO_CAP:
-            self._bbox_cache[key] = out
-        return out
-
-    def _shape(self, agent: int, coords: Tuple[float, ...], memo: bool):
-        """Link segments and their bounding box; `memo` stores them in the
-        caches (sample points of the default resolution only, so bisection
-        points never grow them)."""
-        if memo:
-            return self.fk_segments(agent, coords), self._bbox(agent, coords)
-        segs = self._fk(agent, coords)
-        return segs, _segs_bbox(segs)
-
     def _sweep_speed(self, agent: int, a: Sequence[float], b: Sequence[float]) -> float:
         """Upper bound on the workspace speed, per unit of sub-time, of any
         point of the arm while its joint indices move linearly from a to b.
@@ -642,11 +625,8 @@ class PlanarArmDomain(Domain):
         so `memo` calls keep it in `_gap_cache`; `enough` only decides
         whether the box shortcut is taken.
         """
-        if memo:
-            box_i, box_j = self._bbox(i, coords_i), self._bbox(j, coords_j)
-        else:
-            segs_i, box_i = self._shape(i, coords_i, False)
-            segs_j, box_j = self._shape(j, coords_j, False)
+        segs_i, box_i = self._shape(i, coords_i, memo)
+        segs_j, box_j = self._shape(j, coords_j, memo)
         if _boxes_apart(box_i, box_j, enough):
             return _box_gap(box_i, box_j), None
         if not memo:
@@ -654,7 +634,7 @@ class PlanarArmDomain(Domain):
         key = (i, coords_i, j, coords_j, threshold)
         out = self._gap_cache.get(key)
         if out is None:
-            out = _closest_links(self.fk_segments(i, coords_i), self.fk_segments(j, coords_j), threshold)
+            out = _closest_links(segs_i, segs_j, threshold)
             if len(self._gap_cache) < POSE_MEMO_CAP:
                 self._gap_cache[key] = out
         return out
@@ -803,7 +783,7 @@ class PlanarArmDomain(Domain):
         past its last step it waits, with speed 0. Arms out of reach can
         never conflict and are dropped.
         """
-        bbox = self._bbox
+        shape = self._shape
         sweep_speed = self._sweep_speed
         thickness = self.arms[agent].thickness
         others = []
@@ -814,7 +794,7 @@ class PlanarArmDomain(Domain):
             speeds = [sweep_speed(j, a, b) for a, b in zip(coords, coords[1:])] + [0.0]
             threshold = thickness + self.arms[j].thickness
             others.append((
-                j, p.steps, [bbox(j, c) for c in coords], speeds, len(coords) - 1,
+                j, p.steps, [shape(j, c)[1] for c in coords], speeds, len(coords) - 1,
                 threshold, 2.0 * (threshold + SWEEP_CERT_MARGIN),
             ))
         agents_collide = self.agents_collide
@@ -826,7 +806,7 @@ class PlanarArmDomain(Domain):
             c, c2 = q.coords, q2.coords
             motion = motions.get((c, c2))
             if motion is None:
-                motion = motions[(c, c2)] = (bbox(agent, c), bbox(agent, c2), sweep_speed(agent, c, c2))
+                motion = motions[(c, c2)] = (shape(agent, c)[1], shape(agent, c2)[1], sweep_speed(agent, c, c2))
             box, box2, speed = motion
             n = 0
             for j, steps, boxes, speeds, last, threshold, cert in others:
@@ -845,11 +825,8 @@ class PlanarArmDomain(Domain):
         return count
 
     def occupancy_intersects_circle(self, agent, q, center, radius) -> bool:
-        eps = self.arms[agent].thickness
-        return any(
-            _seg_point_dist(seg, center) <= eps + radius
-            for seg in self.fk_segments(agent, q.coords)
-        )
+        threshold = self.arms[agent].thickness + radius
+        return self._circle_gap(agent, q.coords, center, threshold, threshold)[1] is not None
 
     def edge_intersects_circle(self, agent, q, q2, center, radius) -> bool:
         """Whether the arm's motion q -> q2 touches the disk, certified over

@@ -70,9 +70,7 @@ from . import lowlevel
 from .lowlevel import ConstraintContext
 
 
-def _pair_conflicts(
-    paths: Sequence[Path], domain: Domain, i: int, j: int, substeps: Optional[int] = None
-) -> List[Conflict]:
+def _pair_conflicts(paths: Sequence[Path], domain: Domain, i: int, j: int) -> List[Conflict]:
     si, sj = paths[i].steps, paths[j].steps
     h = max(len(si), len(sj)) - 1
     # Goal-pad both step tuples to the pair's horizon once.
@@ -88,7 +86,7 @@ def _pair_conflicts(
             out.append(Conflict(VERTEX, (i, j), t, (a,), (b,), point))
         if t < h:
             a2, b2 = si[t + 1], sj[t + 1]
-            hit = edge_collides(i, a, a2, j, b, b2, substeps)
+            hit = edge_collides(i, a, a2, j, b, b2)
             if hit is not None:
                 out.append(Conflict(EDGE, (i, j), t, (a, a2), (b, b2), hit[0]))
     return out
@@ -99,7 +97,6 @@ def find_conflicts(
     domain: Domain,
     known: Optional[Tuple[Conflict, ...]] = None,
     replanned: Optional[Sequence[int]] = None,
-    substeps: Optional[int] = None,
 ) -> Tuple[Conflict, ...]:
     """All pairwise vertex and edge conflicts, goal-padded, ordered by
     (time, agent pair, kind).
@@ -107,7 +104,7 @@ def find_conflicts(
     When `known` conflicts of a previous path set and the `replanned` agents
     are given, pairs not touching a replanned agent are copied instead of
     re-scanned (their paths are unchanged). Edge conflicts use the domain's
-    certified check unless `substeps` asks for the sampled one."""
+    certified check: none found means none at any sub-time."""
     n = len(paths)
     out: List[Conflict] = []
     changed = set(replanned or [])
@@ -119,7 +116,7 @@ def find_conflicts(
             if known is not None and i not in changed and j not in changed:
                 out.extend(by_pair.get((i, j), ()))
             else:
-                out.extend(_pair_conflicts(paths, domain, i, j, substeps))
+                out.extend(_pair_conflicts(paths, domain, i, j))
     out.sort(key=Conflict.sort_key)
     return tuple(out)
 

@@ -41,7 +41,10 @@ def composite_optimal_cost(
     domain: Domain, max_expansions: int = 2_000_000
 ) -> Optional[float]:
     """Optimal sum of costs over all agents jointly, or None if unsolvable
-    (or the expansion cap is hit)."""
+    (or the expansion cap is hit). The search is its own, but it shares the
+    domain's primitives (`successors`, `agents_collide`, `edge_collides`)
+    with the solvers, as `bench.verify` does: it checks their search and
+    bounds, not their geometry."""
     n = domain.n_agents
     starts, goals = domain.starts, domain.goals
 

@@ -449,3 +449,42 @@ class TestCriterion10Determinism:
                 blobs.append(out.read_bytes())
             outcomes.append(blobs[0] == blobs[1])
         _report("10 (determinism)", all(outcomes), f"grid+arm byte-identical={outcomes}")
+
+
+# (algorithm, w) cells checked against the joint-space optimum on arms.
+ARM_PAIR_CELLS = (
+    ("cbs", 1.0), ("gen-cbs", 1.0), ("gen-ecbs", 1.0),
+    ("ecbs", 1.3), ("ac-ecbs", 1.3), ("gen-ecbs", 1.3),
+)
+
+
+class TestArmPairOracle:
+    def test_costs_and_bounds_against_the_joint_optimum(self):
+        # Every drawn instance is kept. The 100-expansion cap binds long
+        # before the clock, so which cells end capped does not depend on the
+        # machine; a capped cell is listed, and its lb is still checked.
+        violations, capped = [], []
+        for scenario in generate_instances("arm-pair", 20, seed=2):
+            domain = scenario.build_domain()
+            opt = composite_optimal_cost(domain)
+            assert opt is not None, scenario.name
+            for algo, w in ARM_PAIR_CELLS:
+                config = SolverConfig(algorithm=algo, w=w, max_expansions=100, timeout_ms=600_000, seed=0)
+                r = solve(domain, config)
+                cell = f"{scenario.name}/{algo}@{w}"
+                lb, cost = r.stats.lb, r.stats.cost
+                if lb is None or lb > opt:
+                    violations.append(f"{cell}: lb {lb} > OPT {opt:g}")
+                if not r.solved:
+                    if r.stats.stopped_by != "cap":
+                        violations.append(f"{cell}: {r.status} stopped by {r.stats.stopped_by}")
+                    capped.append(f"{cell} lb {lb:g}/OPT {opt:g}")
+                    continue
+                if algo in ("cbs", "gen-cbs") and cost != opt:
+                    violations.append(f"{cell}: cost {cost:g} != OPT {opt:g}")
+                if cost > w * opt:
+                    violations.append(f"{cell}: cost {cost:g} > {w} x OPT {opt:g}")
+                if not verify(domain, r.solution).clean:
+                    violations.append(f"{cell}: verify found conflicts")
+        detail = f"{len(violations)} violations {violations[:3]}, capped {len(capped)}/{20 * len(ARM_PAIR_CELLS)}"
+        _report("arm-pair oracle", not violations, f"{detail}: {', '.join(capped)}")

@@ -279,7 +279,7 @@ class TestVerify:
         assert any(v.kind == "static" for v in out.violations)
 
 
-def reference_pair_conflicts(paths, domain, i, j, substeps=None):
+def reference_pair_conflicts(paths, domain, i, j):
     """The pair scan of `find_conflicts`, through `Path.at`."""
     pi, pj = paths[i], paths[j]
     out = []
@@ -289,7 +289,7 @@ def reference_pair_conflicts(paths, domain, i, j, substeps=None):
         if point is not None:
             out.append(Conflict(VERTEX, (i, j), t, (pi.at(t),), (pj.at(t),), point))
         if t < h:
-            hit = domain.edge_collides(i, pi.at(t), pi.at(t + 1), j, pj.at(t), pj.at(t + 1), substeps)
+            hit = domain.edge_collides(i, pi.at(t), pi.at(t + 1), j, pj.at(t), pj.at(t + 1))
             if hit is not None:
                 out.append(
                     Conflict(
@@ -304,11 +304,11 @@ def reference_pair_conflicts(paths, domain, i, j, substeps=None):
     return out
 
 
-def reference_find_conflicts(paths, domain, substeps=None):
+def reference_find_conflicts(paths, domain):
     out = []
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
-            out.extend(reference_pair_conflicts(paths, domain, i, j, substeps))
+            out.extend(reference_pair_conflicts(paths, domain, i, j))
     out.sort(key=Conflict.sort_key)
     return tuple(out)
 
@@ -382,10 +382,9 @@ class TestPaddedScans:
                 # The references run on a domain of their own, so that no
                 # memo shared with the scans can hide a difference.
                 ref = scenario.build_domain()
-                for substeps in (None, 8):
-                    conflicts = find_conflicts(paths, d, substeps=substeps)
-                    assert conflicts == reference_find_conflicts(paths, ref, substeps), (algo, substeps)
-                    found += len(conflicts)
+                conflicts = find_conflicts(paths, d)
+                assert conflicts == reference_find_conflicts(paths, ref), algo
+                found += len(conflicts)
                 assert verify_conflicts(d, paths) == reference_verify_conflicts(ref, paths), algo
         assert found > 0
 
@@ -924,6 +923,11 @@ class TestCLI:
         ("grid-random", "n_agents=true", "n_agents must be a number, got True"),
         ("arm-quad", "max_root_conflicts=2.5", "max_root_conflicts must be an integer, got 2.5"),
         ("arm-quad", "links=5", "links must be a list of numbers, got 5"),
+        ("grid-random", "n_agents=0", "n_agents must be in [1, inf], got 0"),
+        ("grid-random", "obstacle_density=1.5", "obstacle_density must be in [0, 1], got 1.5"),
+        ("grid-random", "obstacle_density=-0.5", "obstacle_density must be in [0, 1], got -0.5"),
+        ("grid-random", "width=-3", "width must be in [1, inf], got -3"),
+        ("arm-quad", "max_root_conflicts=-1", "max_root_conflicts must be in [0, inf], got -1"),
         # Two joint limits for three links.
         ("arm-quad", "links=[1,2,3]", "joint limits must be one [lo, hi]"),
     ])

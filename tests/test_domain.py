@@ -306,12 +306,21 @@ def random_motion(rng, d, agent):
     return q, rng.choice(d.successors(agent, q))
 
 
+def arm_touches_disk(d, agent, coords, center, radius):
+    """Brute force, sharing no collision code with the domain: some link
+    axis of the pose lies within thickness + radius of center."""
+    return any(
+        _seg_point_distance(seg, center) <= d.arms[agent].thickness + radius
+        for seg in d.fk_segments(agent, coords)
+    )
+
+
 def sampled_arm_motion_hits(d, agent, q, q2, center, radius, m):
     """The arm's former sampled sphere motion check: the disk against m + 1
     evenly spaced poses of the straight joint-space move."""
     a, b = q.coords, q2.coords
     return any(
-        d.occupancy_intersects_circle(agent, C(*(x + (y - x) * k / m for x, y in zip(a, b))), center, radius)
+        arm_touches_disk(d, agent, tuple(x + (y - x) * k / m for x, y in zip(a, b)), center, radius)
         for k in range(m + 1)
     )
 
@@ -399,6 +408,33 @@ class TestCircleIntersection:
         # Center exactly thickness + radius above the first link.
         assert d.occupancy_intersects_circle(0, C(0, 0), (0.5, 0.35), 0.25)
         assert not d.occupancy_intersects_circle(0, C(0, 0), (0.5, 0.35 + 1e-9), 0.25)
+
+    def test_arm_pose_disk_matches_brute_force(self):
+        # Random arm-quad poses against random disks, and against disks
+        # 1e-9 inside and outside tangency with the pose's nearest link.
+        d = arm_quad_037()
+        rng = random.Random(23)
+        touching = cases = 0
+        for _ in range(300):
+            agent = rng.randrange(d.n_agents)
+            q = C(*(rng.randint(lo, hi) for lo, hi in d.arms[agent].joint_limits))
+            center = (rng.uniform(-1.0, 4.0), rng.uniform(-1.0, 4.0))
+            gap = min(_seg_point_distance(seg, center) for seg in d.fk_segments(agent, q.coords))
+            gap -= d.arms[agent].thickness
+            radii = [rng.uniform(0.0, 0.6)]
+            if gap > 1e-6:
+                radii += [gap - 1e-9, gap + 1e-9]
+            for radius in radii:
+                expected = arm_touches_disk(d, agent, q.coords, center, radius)
+                touching += expected
+                cases += 1
+                case = (agent, q, center, radius)
+                assert d.occupancy_intersects_circle(*case) == expected, case
+                # The disk as the only static obstacle, then beside a far one.
+                for obstacles in ([(center, radius)], [((9.0, 9.0), 0.1), (center, radius)]):
+                    cluttered = PlanarArmDomain(d.arms, obstacles, d.delta, d.starts, d.goals)
+                    assert cluttered.is_static_free(agent, q) == (not expected), case
+        assert 0 < touching < cases
 
     def test_grid_cell_center_rule(self):
         d = make_grid()
@@ -836,7 +872,7 @@ class TestPairGapMemo:
         for pose in self.endpoint_pairs(d, rng, 200):
             d._pair_gap(*pose, math.inf, math.inf)  # never the box shortcut
         assert len(d._gap_cache) == 25
-        assert len(d._fk_cache) <= 25 and len(d._bbox_cache) <= 25
+        assert len(d._pose_cache) <= 25
 
 
 class TestFreeConfigurations:
