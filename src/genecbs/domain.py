@@ -163,7 +163,10 @@ class Domain(ABC):
 
     def validate_instance(self) -> None:
         """Check starts/goals: dimensionality, bounds, static freedom, and
-        mutual conflict freedom. Raises ValueError on the first failure."""
+        mutual conflict freedom. Raises ValueError on the first failure,
+        and on an instance without agents."""
+        if self.n_agents == 0:
+            raise ValueError("an instance needs at least one agent")
         for agent in range(self.n_agents):
             for label, q in (("start", self.starts[agent]), ("goal", self.goals[agent])):
                 if len(q) != self.dimension(agent):

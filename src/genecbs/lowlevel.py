@@ -23,6 +23,12 @@ one of those paths. Every other constraint is filed under the timesteps at
 which it can bite, so `is_forbidden` and `is_forbidden_edge` only see the
 constraints of the timestep being checked, and a call without constraints
 checks nothing per expansion.
+
+Each state (coords, t) has one mutable record [parent key, config, nconf,
+f, where]. OPEN, the generated states not yet expanded, is a count per f
+value plus a heap of the distinct values, so f_min is the least value with a
+nonzero count. A state waits on the migration heap only when its f was above
+the focal bound at generation, and moves to FOCAL once the bound reaches it.
 """
 
 from __future__ import annotations
@@ -187,22 +193,45 @@ def _compile(domain: Domain, ctx: ConstraintContext):
 
 
 def _earliest_rest_time(
-    domain: Domain, ctx: ConstraintContext, goal: Configuration, horizon: int
+    domain: Domain, ctx: ConstraintContext, goal: Configuration, vertex_at, edge_at
 ) -> Optional[int]:
     """Smallest T such that resting at the goal from T onward violates
     nothing; None when resting is forbidden forever (priority constraint
-    against an agent parked on a colliding configuration). `horizon` is the
-    one `_compile` returns."""
-    for c in ctx.constraints:
-        if c.ctype == CT_PRIORITY:
-            other = ctx.other_path(c.other)
-            if other is not None and domain.agents_collide(ctx.agent, goal, c.other, other.steps[-1]) is not None:
-                return None
+    against an agent parked on a colliding configuration).
+
+    Scans each priority path backwards from its last step, then reads
+    `_compile`'s `vertex_at`/`edge_at` buckets latest timestep first; each
+    scan stops at the first hit or where no hit could raise T."""
+    agent = ctx.agent
     rest = 0
-    for t in range(horizon + 2):
-        if is_forbidden(domain, ctx, goal, t) or is_forbidden_edge(domain, ctx, goal, goal, t):
+    for c in ctx.constraints:
+        other = ctx.other_path(c.other) if c.ctype == CT_PRIORITY else None
+        if other is None:
+            continue
+        steps = other.steps
+        if domain.agents_collide(agent, goal, c.other, steps[-1]) is not None:
+            return None
+        for t in range(len(steps) - 2, rest - 1, -1):
+            if (
+                domain.agents_collide(agent, goal, c.other, steps[t]) is not None
+                or domain.edge_collides(agent, goal, goal, c.other, steps[t], steps[t + 1]) is not None
+            ):
+                rest = t + 1
+                break
+    for t in sorted(vertex_at.keys() | edge_at.keys(), reverse=True):
+        if t < rest:
+            break
+        vertex_ctx, edge_ctx = vertex_at.get(t), edge_at.get(t)
+        if (vertex_ctx is not None and is_forbidden(domain, vertex_ctx, goal, t)) or (
+            edge_ctx is not None and is_forbidden_edge(domain, edge_ctx, goal, goal, t)
+        ):
             rest = t + 1
+            break
     return rest
+
+
+# Where a state's record stands: waiting to migrate, in FOCAL, or expanded.
+_OPEN, _FOCAL, _CLOSED = 0, 1, 2
 
 
 def plan(
@@ -224,9 +253,13 @@ def plan(
     (path, lb), INFEASIBLE when the constrained search space is exhausted
     under the horizon cap, or BUDGET when the expansion cap is hit. The
     invariant cost <= w * lb is asserted per call.
+
+    Bookkeeping: one record per state, counts per f value for OPEN, and
+    the migration heap for states generated above the focal bound (see the
+    module docstring).
     """
     priority, vertex_at, edge_at, horizon = _compile(domain, ctx)
-    rest_time = _earliest_rest_time(domain, ctx, goal, horizon)
+    rest_time = _earliest_rest_time(domain, ctx, goal, vertex_at, edge_at)
     if rest_time is None:
         return LLResult(INFEASIBLE)
     if is_forbidden(domain, ctx, start, 0):
@@ -241,62 +274,54 @@ def plan(
     count = domain.conflict_counter(agent, ctx.other_paths) if count_conflicts else None
     h_cache: Dict[Tuple[int, ...], float] = {}
     succ_cache: Dict[Tuple[int, ...], List[Configuration]] = {}
+    push, pop = heapq.heappush, heapq.heappop
 
-    def h_of(q: Configuration) -> float:
-        v = h_cache.get(q.coords)
-        if v is None:
-            v = domain.heuristic(agent, q, goal)
-            h_cache[q.coords] = v
-        return v
-
-    start_key = (start.coords, 0)
-    # node bookkeeping: key -> (parent key, config, nconf)
-    info: Dict[Tuple[Tuple[int, ...], int], tuple] = {start_key: (None, start, 0)}
-    f0 = h_of(start)
-    open_heap: List[tuple] = [(f0, 0, start.coords, 0)]  # (f, -g, coords, t)
-    mig_heap: List[tuple] = [(f0, 0, start.coords, 0)]
-    focal_heap: List[tuple] = []  # (nconf, f, -g, coords, t)
-    in_focal = set()
-    closed = set()
+    goal_coords = goal.coords
+    key = (start.coords, 0)
+    states: Dict[Tuple[Tuple[int, ...], int], list] = {key: [None, start, 0, h0, _OPEN]}
+    open_count: Dict[float, int] = {h0: 1}  # f -> OPEN states with that f
+    open_fs: List[float] = [h0]  # the keys of open_count
+    # Heap entries end in the state key (coords, t), which orders as the
+    # pair coords, t would.
+    mig_heap: List[tuple] = [(h0, 0, key)]  # (f, -g, key)
+    focal_heap: List[tuple] = []  # (nconf, f, -g, key)
     lb_seen = 0.0
     expansions = 0
 
-    while open_heap:
+    while True:
         # Current certified lower bound: best f over not-yet-expanded states.
-        while open_heap and (open_heap[0][2], open_heap[0][3]) in closed:
-            heapq.heappop(open_heap)
-        if not open_heap:
+        while open_fs and not open_count[open_fs[0]]:
+            del open_count[pop(open_fs)]
+        if not open_fs:
             break
-        f_min = open_heap[0][0]
-        lb_seen = max(lb_seen, f_min)
+        f_min = open_fs[0]
+        if f_min > lb_seen:
+            lb_seen = f_min
         bound = w * f_min + 1e-9
 
         while mig_heap and mig_heap[0][0] <= bound:
-            f, ng, coords, t = heapq.heappop(mig_heap)
-            key = (coords, t)
-            if key in closed or key in in_focal:
-                continue
-            nconf = info[key][2]
-            heapq.heappush(focal_heap, (nconf, f, ng, coords, t))
-            in_focal.add(key)
+            f, ng, key = pop(mig_heap)
+            rec = states[key]
+            rec[4] = _FOCAL
+            push(focal_heap, (rec[2], f, ng, key))
 
-        key = None
         while focal_heap:
-            nconf, f, ng, coords, t = heapq.heappop(focal_heap)
-            if (coords, t) not in closed:
-                key = (coords, t)
+            nconf, f, ng, key = pop(focal_heap)
+            rec = states[key]
+            if rec[4] != _CLOSED:
                 break
-        if key is None:
+        else:  # FOCAL is empty
             break
-        closed.add(key)
+        rec[4] = _CLOSED
+        open_count[f] -= 1
         coords, t = key
-        _, q, nconf = info[key]
+        q, nconf = rec[1], rec[2]
 
-        if q == goal and t >= rest_time:
+        if coords == goal_coords and t >= rest_time:
             lb = max(lb_seen, float(min(t, f_min)))  # goal f == g == t; h == 0
             cost = float(t)
             assert cost <= w * lb + 1e-9, (cost, w, lb)
-            return LLResult(OK, _reconstruct(info, key, agent), lb, expansions)
+            return LLResult(OK, _reconstruct(states, key, agent), lb, expansions)
 
         expansions += 1
         if expansions > max_expansions:
@@ -310,8 +335,9 @@ def plan(
         if successors is None:
             successors = succ_cache[coords] = domain.successors(agent, q)
         for q2 in successors:
-            key2 = (q2.coords, t2)
-            known = info.get(key2)
+            c2 = q2.coords
+            key2 = (c2, t2)
+            known = states.get(key2)
             if known is None:
                 if (
                     (priority is not None and priority(q, q2, t2))
@@ -326,32 +352,36 @@ def plan(
                 # the fresh one and are skipped as closed). Its vertex checks
                 # passed when it was first generated, so only the edge is
                 # left: `priority` counts no vertex hit on it.
-                if key2 in closed or nconf2 >= known[2]:
+                if known[4] == _CLOSED or nconf2 >= known[2]:
                     continue
                 if (priority is not None and priority(q, q2, t2)) or (
                     edge_ctx is not None and is_forbidden_edge(domain, edge_ctx, q, q2, t)
                 ):
                     continue
-                info[key2] = (key, q2, nconf2)
-                f2 = t2 + h_of(q2)
-                if key2 in in_focal and f2 <= bound:
-                    heapq.heappush(focal_heap, (nconf2, f2, -t2, q2.coords, t2))
+                known[0], known[2] = key, nconf2
+                if known[4] == _FOCAL and known[3] <= bound:
+                    push(focal_heap, (nconf2, known[3], -t2, key2))
                 continue
-            info[key2] = (key, q2, nconf2)
-            f2 = t2 + h_of(q2)
-            heapq.heappush(open_heap, (f2, -t2, q2.coords, t2))
-            heapq.heappush(mig_heap, (f2, -t2, q2.coords, t2))
+            h = h_cache.get(c2)
+            if h is None:
+                h = h_cache[c2] = domain.heuristic(agent, q2, goal)
+            f2 = t2 + h
+            if f2 not in open_count:
+                push(open_fs, f2)
+            open_count[f2] = open_count.get(f2, 0) + 1
             if f2 <= bound:
-                heapq.heappush(focal_heap, (nconf2, f2, -t2, q2.coords, t2))
-                in_focal.add(key2)
+                states[key2] = [key, q2, nconf2, f2, _FOCAL]
+                push(focal_heap, (nconf2, f2, -t2, key2))
+            else:
+                states[key2] = [key, q2, nconf2, f2, _OPEN]
+                push(mig_heap, (f2, -t2, key2))
     return LLResult(INFEASIBLE, expansions=expansions)
 
 
-def _reconstruct(info, key, agent: int) -> Path:
+def _reconstruct(states, key, agent: int) -> Path:
     steps = []
     while key is not None:
-        parent, q, _ = info[key]
+        key, q = states[key][:2]
         steps.append(q)
-        key = parent
     steps.reverse()
     return Path(agent=agent, steps=tuple(steps))

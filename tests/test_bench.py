@@ -848,6 +848,25 @@ class TestCLI:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_instance_without_agents_returns_two_with_one_line(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        assert cli_main(["gen", "--template", "grid-random", "--count", "1", "--seed", "17", "--out", str(scen)]) == 0
+        (path,) = scen.glob("*.json")
+        run_file = tmp_path / "run.json"
+        assert cli_main(["solve", str(path), "--algo", "ecbs", "--out", str(run_file)]) == 0
+        obj = json.loads(path.read_text())
+        obj["agents"] = []
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for argv in (
+            ["solve", str(path), "--algo", "ecbs"],
+            ["verify", str(path), str(run_file)],
+            ["bench", str(scen), "--algos", "ecbs", "--out", str(tmp_path / "b.csv")],
+        ):
+            assert cli_main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == "error: an instance needs at least one agent\n", err
+
     def test_malformed_domain_numbers_return_two_with_one_line(self, tmp_path, capsys):
         def edited(obj, **fields):
             obj = json.loads(json.dumps(obj))
@@ -1200,3 +1219,33 @@ class TestCLI:
         )
         assert proc.returncode == 0
         assert "solved" in proc.stdout
+
+    def test_solve_is_byte_identical_across_hash_seeds(self, tmp_path):
+        """RUN.json does not depend on string hashing, which differs between
+        processes: `genecbs solve` under two PYTHONHASHSEED values writes the
+        same bytes on a grid and on an arm-pair scenario."""
+        for template, seed, count, params in (
+            ("grid-random", 17, 1, ["width=7", "height=7", "n_agents=6"]),
+            ("arm-pair", 1, 3, []),
+        ):
+            argv = ["gen", "--template", template, "--seed", str(seed), "--count", str(count),
+                    "--out", str(tmp_path / template)]
+            assert cli_main(argv + [a for p in params for a in ("--param", p)]) == 0
+        scenarios = [tmp_path / "grid-random" / "grid-random-s17-000.json",
+                     tmp_path / "arm-pair" / "arm-pair-s1-002.json"]
+        src = str(FsPath(genecbs.__file__).resolve().parent.parent)
+        for scen in scenarios:
+            for algo in ("gen-ecbs", "ecbs", "pp"):
+                runs = []
+                for hash_seed in ("1", "2"):
+                    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+                    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+                    out = tmp_path / f"{scen.stem}-{algo}-{hash_seed}.json"
+                    subprocess.run(
+                        [sys.executable, "-m", "genecbs", "solve", str(scen), "--algo", algo,
+                         "--seed", "11", "--max-expansions", "100", "--timeout-ms", "600000",
+                         "--out", str(out)],
+                        capture_output=True, check=False, env=env,
+                    )
+                    runs.append(out.read_bytes())
+                assert runs[0] == runs[1], (scen.name, algo)

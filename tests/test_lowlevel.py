@@ -9,15 +9,18 @@ from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, make_constr
 from genecbs.core import VERTEX, Configuration, Conflict, Constraint, Path, canonical_json, path_cost
 from genecbs.domain import ArmSpec, Domain, GridDomain, PlanarArmDomain
 from genecbs.lowlevel import (
+    BUDGET,
     INFEASIBLE,
     OK,
     ConstraintContext,
     _compile,
+    _earliest_rest_time,
     is_forbidden,
     is_forbidden_edge,
     plan,
 )
 
+import reference_lowlevel
 from oracles import bfs_distances, constrained_optimal_cost
 
 
@@ -556,3 +559,97 @@ class TestConstraintKey:
             Constraint(agent=0, ctype="avoidance", time=1, other=1, q_other=C(3)),
         ):
             assert arm.constraint_key(c) is c
+
+
+KINDS = ("vertex", "edge", "sphere", "avoidance", "step-priority", "priority")
+
+
+def _walk(rng, d, agent, q, length):
+    steps = [q]
+    for _ in range(length):
+        steps.append(rng.choice(d.successors(agent, steps[-1])))
+    return Path(agent, tuple(steps))
+
+
+def _differential_case(rng, d, start, goal, radius):
+    """A random context for agent 0 of `d`: the other agents walk from
+    their starts (or have no path), and every kind of constraint is drawn at
+    timesteps near the agent's own random walk, its goal and the other
+    walks, from-edge variants included."""
+    own = _walk(rng, d, 0, start, rng.randint(0, 10))
+    others = (None,) + tuple(
+        _walk(rng, d, j, d.starts[j], rng.randint(0, 10)) if rng.random() < 0.85 else None
+        for j in range(1, d.n_agents)
+    )
+    cs = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.choice(KINDS)
+        t, b = rng.randint(0, 9), rng.randint(1, d.n_agents - 1)
+        q = rng.choice((goal, own.at(t), own.at(t + 1)))
+        from_edge = rng.random() < 0.5
+        theirs = others[b] or own
+        if kind == "vertex":
+            c = Constraint(agent=0, ctype=kind, time=t, q=q)
+        elif kind == "edge":
+            q, q2 = rng.choice(((own.at(t), own.at(t + 1)), (goal, goal), (q, rng.choice(d.successors(0, q)))))
+            c = Constraint(agent=0, ctype=kind, time=t, q=q, q2=q2)
+        elif kind == "sphere":
+            c = Constraint(agent=0, ctype=kind, time=t, point=_workspace_point(d, 0, q),
+                           radius=radius, from_edge=from_edge)
+        elif kind == "avoidance":
+            # On grids, agents collide on equal cells whatever the agent.
+            near = goal if isinstance(d, GridDomain) and rng.random() < 0.4 else theirs.at(t + 1)
+            c = Constraint(agent=0, ctype=kind, time=t, other=b, q_other=theirs.at(t),
+                           q_other2=near if from_edge else None, from_edge=from_edge)
+        elif kind == "step-priority":
+            c = Constraint(agent=0, ctype=kind, time=t, other=b, from_edge=from_edge)
+        else:
+            c = Constraint(agent=0, ctype=kind, time=None, other=b)
+        cs.append(c)
+    return ConstraintContext(agent=0, constraints=tuple(cs), other_paths=others)
+
+
+class TestPlanMatchesReferenceLoop:
+    """`plan` and `_earliest_rest_time` give exactly the answers of the
+    three-heap loop and the full rest-time scan kept in
+    `tests/reference_lowlevel.py`, over every constraint kind, both focal
+    orders, several w, and caps and goals that end in BUDGET or
+    INFEASIBLE."""
+
+    def _check(self, d, start, goal, ctx, rng, seen):
+        priority, vertex_at, edge_at, horizon = _compile(d, ctx)
+        rest = _earliest_rest_time(d, ctx, goal, vertex_at, edge_at)
+        assert rest == reference_lowlevel.earliest_rest_time(d, ctx, goal, horizon), ctx
+        w = rng.choice((1.0, 1.3, 2.0))
+        count = rng.random() < 0.5
+        cap = rng.choice((3, 30, 20_000))
+        res = plan(d, 0, start, goal, ctx, w=w, count_conflicts=count, max_expansions=cap)
+        ref = reference_lowlevel.plan(d, 0, start, goal, ctx, w=w, count_conflicts=count, max_expansions=cap)
+        assert res == ref, (ctx, start, goal, w, count, cap)
+        seen.update(c.ctype for c in ctx.constraints)
+        seen.update((res.status, w, count, rest is None, bool(rest)))
+
+    def test_random_grids(self):
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(400):
+            width, height = rng.randint(3, 7), rng.randint(3, 7)
+            cells = [(x, y) for x in range(width) for y in range(height)]
+            blocked = rng.sample(cells, rng.randint(0, len(cells) // 4))
+            free = [C(*xy) for xy in cells if xy not in blocked]
+            starts = [rng.choice(free) for _ in range(3)]
+            d = GridDomain(width, height, blocked, starts, [rng.choice(free) for _ in range(3)])
+            ctx = _differential_case(rng, d, starts[0], d.goals[0], rng.choice((0.5, 1.0)))
+            self._check(d, starts[0], d.goals[0], ctx, rng, seen)
+        assert set(KINDS) | {OK, BUDGET, INFEASIBLE, 1.0, 1.3, 2.0, True, False} <= seen
+
+    def test_random_arm_pairs(self):
+        rng = random.Random(6)
+        seen = set()
+        for scenario in generate_instances("arm-pair", 4, seed=3):
+            d = scenario.build_domain()
+            for _ in range(12):
+                goal = rng.choice((d.goals[0], _walk(rng, d, 0, d.goals[0], 3).steps[-1]))
+                ctx = _differential_case(rng, d, d.starts[0], goal, rng.choice((0.1, 0.3)))
+                self._check(d, d.starts[0], goal, ctx, rng, seen)
+        assert set(KINDS) | {OK, BUDGET, 1.0, 1.3, 2.0, True, False} <= seen
