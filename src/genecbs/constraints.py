@@ -1,7 +1,7 @@
 """Constraint factory: one conflict in, one symmetric constraint pair out per
-enabled constraint type, plus a sampling utility that probes whether a pair
-of constraints is mutually disjunctive (no conflict-free configuration pair
-violates both).
+enabled constraint type, plus an exhaustive probe of whether a pair of
+constraints is mutually disjunctive (no conflict-free configuration pair
+violates both), which asks the low level's own `is_forbidden`.
 
 The complete (vertex/edge) type is always present: branching on it is what
 preserves completeness of the tree search, so a menu cannot drop it. Every
@@ -12,7 +12,6 @@ expansion for K incomplete types.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -28,10 +27,12 @@ from .core import (
     Configuration,
     Conflict,
     Constraint,
+    Path,
     json_number,
     menu_key,
 )
 from .domain import Domain, GridDomain, free_configurations
+from .lowlevel import ConstraintContext, is_forbidden
 
 INCOMPLETE_KINDS = (CT_SPHERE, CT_AVOIDANCE, CT_STEP_PRIORITY, CT_PRIORITY)
 
@@ -192,69 +193,38 @@ def make_constraints(
 
 @dataclass(frozen=True)
 class DisjunctiveCheck:
-    confirmed: bool
     counterexample: Optional[Tuple[Configuration, Configuration]] = None
 
+    @property
+    def confirmed(self) -> bool:
+        return self.counterexample is None
 
-def _violates(domain: Domain, c: Constraint, q: Configuration, other_q: Optional[Configuration]) -> bool:
-    """Configuration-level violation check used by the disjunctiveness probe.
 
-    Step-priority and priority constraints depend on the other agent's path;
-    here the other agent's probe configuration stands in for it.
+def mutually_disjunctive_check(c_i: Constraint, c_j: Constraint, domain: Domain) -> DisjunctiveCheck:
+    """Sweep every pair of static-free configurations of the two agents for
+    one that violates both constraints without colliding; finding one
+    certifies the constraint type incomplete.
+
+    Whether c forbids its agent at q is `is_forbidden` at c's time (0 for
+    priority), with the other agent's probe configuration standing in for
+    its path. An edge constraint is read as its start occupancy, since the
+    probe is per configuration.
     """
-    if c.ctype in (CT_VERTEX, CT_EDGE):
-        return c.q == q  # an edge's start occupancy; the probe is per configuration
-    if c.ctype == CT_SPHERE:
-        return domain.occupancy_intersects_circle(c.agent, q, c.point, c.radius)
-    if c.ctype == CT_AVOIDANCE:
-        return domain.agents_collide(c.agent, q, c.other, c.q_other) is not None
-    if c.ctype in (CT_STEP_PRIORITY, CT_PRIORITY):
-        return other_q is not None and domain.agents_collide(c.agent, q, c.other, other_q) is not None
-    raise ValueError(c.ctype)
 
+    def forbids(c: Constraint, q: Configuration, other: int, other_q: Configuration) -> bool:
+        if c.ctype == CT_EDGE:
+            return c.q == q
+        other_paths = (None,) * other + (Path(other, (other_q,)),)
+        return is_forbidden(domain, ConstraintContext(c.agent, (c,), other_paths), q, c.time or 0)
 
-def mutually_disjunctive_check(
-    c_i: Constraint,
-    c_j: Constraint,
-    domain: Domain,
-    sample_budget: int = 100_000,
-    seed: int = 0,
-) -> DisjunctiveCheck:
-    """Search for a conflict-free configuration pair violating both
-    constraints; finding one certifies the constraint type incomplete.
-
-    Grids are swept exhaustively. Arm domains are sampled uniformly up to
-    `sample_budget` pairs (falling back to exhaustive enumeration when the
-    joint configuration product is smaller than the budget).
-    """
     i, j = c_i.agent, c_j.agent
-
-    def probe(q_i: Configuration, q_j: Configuration) -> Optional[DisjunctiveCheck]:
-        if not _violates(domain, c_i, q_i, q_j):
-            return None
-        if not _violates(domain, c_j, q_j, q_i):
-            return None
-        if domain.agents_collide(i, q_i, j, q_j) is None:
-            return DisjunctiveCheck(confirmed=False, counterexample=(q_i, q_j))
-        return None
-
-    configs_i = list(free_configurations(domain, i))
     configs_j = list(free_configurations(domain, j))
-    n_pairs = len(configs_i) * len(configs_j)
-    if isinstance(domain, GridDomain) or n_pairs <= sample_budget:
-        for q_i in configs_i:
-            if not _violates(domain, c_i, q_i, None) and c_i.ctype not in (CT_STEP_PRIORITY, CT_PRIORITY):
-                continue
-            for q_j in configs_j:
-                hit = probe(q_i, q_j)
-                if hit is not None:
-                    return hit
-        return DisjunctiveCheck(confirmed=True)
-    rng = random.Random(seed)
-    for _ in range(sample_budget):
-        q_i = configs_i[rng.randrange(len(configs_i))]
-        q_j = configs_j[rng.randrange(len(configs_j))]
-        hit = probe(q_i, q_j)
-        if hit is not None:
-            return hit
-    return DisjunctiveCheck(confirmed=True)
+    for q_i in free_configurations(domain, i):
+        for q_j in configs_j:
+            if (
+                forbids(c_i, q_i, j, q_j)
+                and forbids(c_j, q_j, i, q_i)
+                and domain.agents_collide(i, q_i, j, q_j) is None
+            ):
+                return DisjunctiveCheck(counterexample=(q_i, q_j))
+    return DisjunctiveCheck()

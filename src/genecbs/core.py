@@ -250,8 +250,8 @@ class SolverStats:
             hl_expansions=json_number(obj["hl_expansions"], "hl_expansions", int),
             evaluations=json_number(obj["evaluations"], "evaluations", int),
             ll_calls=json_number(obj["ll_calls"], "ll_calls", int),
-            cost=obj.get("cost"),
-            lb=obj.get("lb"),
+            cost=None if obj.get("cost") is None else json_number(obj["cost"], "cost"),
+            lb=None if obj.get("lb") is None else json_number(obj["lb"], "lb"),
             dts_rewards=tuple(sorted(obj.get("dts_rewards", {}).items())),
             dts_penalties=tuple(sorted(obj.get("dts_penalties", {}).items())),
         )

@@ -862,18 +862,22 @@ def free_configurations(domain: Domain, agent: int) -> Iterator[Configuration]:
 
 def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[Configuration]) -> Domain:
     """The domain a scenario's `domain` object describes; every number goes
-    through `json_number`."""
+    through `json_number`, and the domain, its arms and its obstacles reject
+    unknown fields."""
 
     def pair(values, name, number_type=float):
         x, y = values
         return json_number(x, name, number_type), json_number(y, name, number_type)
 
+    def known(o, name, *fields):
+        unknown = set(o) - {*fields}
+        if unknown:
+            raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
+        return o
+
     kind = obj.get("type")
     if kind == "grid":
-        allowed = {"type", "width", "height", "blocked", "substeps"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown grid domain fields: {sorted(unknown)}")
+        known(obj, "grid domain", "type", "width", "height", "blocked", "substeps")
         return GridDomain(
             width=json_number(obj["width"], "width", int),
             height=json_number(obj["height"], "height", int),
@@ -883,10 +887,7 @@ def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[
             substeps=json_number(obj.get("substeps", 4), "substeps", int),
         )
     if kind == "planar_arm":
-        allowed = {"type", "delta", "substeps", "obstacles", "arms"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown planar_arm domain fields: {sorted(unknown)}")
+        known(obj, "planar_arm domain", "type", "delta", "substeps", "obstacles", "arms")
         arms = [
             ArmSpec(
                 base=pair(a["base"], "arm bases"),
@@ -894,11 +895,11 @@ def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[
                 joint_limits=tuple(pair(lim, "joint limits", int) for lim in a["joint_limits"]),
                 thickness=json_number(a["thickness"], "arm thickness"),
             )
-            for a in obj["arms"]
+            for a in (known(a, "arm", "base", "link_lengths", "joint_limits", "thickness") for a in obj["arms"])
         ]
         obstacles = [
             (pair(o["center"], "obstacle centers"), json_number(o["radius"], "obstacle radii"))
-            for o in obj.get("obstacles", [])
+            for o in (known(o, "obstacle", "center", "radius") for o in obj.get("obstacles", []))
         ]
         return PlanarArmDomain(
             arms=arms,

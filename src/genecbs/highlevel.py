@@ -546,6 +546,8 @@ class SolverConfig:
             raise ValueError(f"unknown solver fields: {sorted(unknown)}")
         cfg = SolverConfig()
         cfg.algorithm = obj.get("algorithm", cfg.algorithm)
+        if not isinstance(cfg.algorithm, str):
+            raise ValueError(f"algorithm must be a string, got {cfg.algorithm!r}")
         if "menu" in obj:
             cfg.menu = ConstraintMenu.from_obj(obj["menu"])
         if "dts_prior" in obj:

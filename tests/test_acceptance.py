@@ -398,12 +398,12 @@ class TestCriterion9SphereCompleteness:
         point = (1.5, 0.9)
         r0_i = Constraint(agent=0, ctype="sphere", time=0, point=point, radius=0.0)
         r0_j = Constraint(agent=1, ctype="sphere", time=0, point=point, radius=0.0)
-        zero = mutually_disjunctive_check(r0_i, r0_j, domain, sample_budget=100_000, seed=9)
+        zero = mutually_disjunctive_check(r0_i, r0_j, domain)
         positive_found = {}
         for radius in (0.12, 0.36, 0.72):
             c_i = Constraint(agent=0, ctype="sphere", time=0, point=point, radius=radius)
             c_j = Constraint(agent=1, ctype="sphere", time=0, point=point, radius=radius)
-            out = mutually_disjunctive_check(c_i, c_j, domain, sample_budget=100_000, seed=9)
+            out = mutually_disjunctive_check(c_i, c_j, domain)
             positive_found[radius] = not out.confirmed
         ok = zero.confirmed and all(positive_found.values())
         _report(

@@ -32,6 +32,7 @@ from genecbs.bench import (
     verify,
 )
 from genecbs.cli import main as cli_main
+from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry
 from genecbs.core import (
     EDGE,
     VERTEX,
@@ -86,6 +87,18 @@ class TestScenarioIO:
         # Defaults stay unwritten, so existing files keep their bytes.
         solver_obj = hallway_scenario().to_obj()["solver"]
         assert "pp_retries" not in solver_obj and "ll_max_expansions" not in solver_obj
+
+    def test_menu_and_prior_survive_round_trip(self):
+        s = hallway_scenario()
+        s.solver.menu = ConstraintMenu.of(
+            MenuEntry(COMPLETE), MenuEntry("avoidance"), MenuEntry("sphere", radius=1.0)
+        )
+        s.solver.dts_prior = {"sphere:1": (2.0, 1.0), "avoidance": (1.0, 3.0)}
+        text = canonical_json(s.to_obj())
+        assert '"menu":' in text and '"dts_prior":' in text
+        again = Scenario.from_obj(json.loads(text))
+        assert (again.solver.menu, again.solver.dts_prior) == (s.solver.menu, s.solver.dts_prior)
+        assert canonical_json(again.to_obj()) == text
 
     def test_unknown_fields_rejected(self):
         obj = hallway_scenario().to_obj()
@@ -841,7 +854,11 @@ class TestCLI:
         del no_width["domain"]["width"]
         short_prior = hallway_scenario().to_obj()
         short_prior["solver"]["dts_prior"] = {"avoidance": [2]}
-        for obj in (no_width, short_prior):
+        cases = [no_width, short_prior]
+        for algorithm in (5, ["cbs"]):
+            cases.append(hallway_scenario().to_obj())
+            cases[-1]["solver"]["algorithm"] = algorithm
+        for obj in cases:
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(obj))
             assert cli_main(["solve", str(bad)]) == 2
@@ -900,6 +917,9 @@ class TestCLI:
             edited(arm, obstacles=[dict(obstacle, center=[True, 1.8])]),
             edited(arm, obstacles=[dict(obstacle, radius="0.2")]),
             edited(arm, obstacles=[dict(obstacle, radius=10**400)]),
+            # Unknown fields in an arm or an obstacle.
+            edited(arm, arms=[dict(a, thicknes=9) for a in arms]),
+            edited(arm, obstacles=[dict(obstacle, radiuss=9)]),
         ]
         for obj in cases:
             bad = tmp_path / "bad.json"
@@ -994,6 +1014,22 @@ class TestCLI:
         no_agent = json.loads(run_file.read_text())
         del no_agent["result"]["solution"][0]["agent"]
         return scen, {"result": no_result, "scenario": no_scenario, "agent": no_agent}
+
+    def test_non_number_run_stats_return_two_with_one_line(self, tmp_path, capsys):
+        scen = self._write_scenario(tmp_path)
+        run_file = tmp_path / "run.json"
+        assert cli_main(["solve", str(scen), "--algo", "cbs", "--out", str(run_file)]) == 0
+        for field in ("cost", "lb"):
+            obj = json.loads(run_file.read_text())
+            obj["result"]["stats"][field] = "x"
+            bad = tmp_path / f"{field}-x.json"
+            bad.write_text(json.dumps(obj))
+            for argv in (["verify", str(scen), str(bad)], ["shortcut", str(bad)]):
+                capsys.readouterr()
+                assert cli_main(argv) == 2, argv
+                err = capsys.readouterr().err
+                assert err == f"error: {field} must be a number, got 'x'\n", err
+            assert json.loads(bad.read_text()) == obj  # left as it was
 
     def test_verify_malformed_run_returns_two_with_one_line(self, tmp_path, capsys):
         scen, runs = self._malformed_runs(tmp_path)

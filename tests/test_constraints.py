@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -12,7 +13,7 @@ from genecbs.constraints import (
     mutually_disjunctive_check,
 )
 from genecbs.core import EDGE, VERTEX, Configuration, Conflict, Constraint
-from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain
+from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain, free_configurations
 from genecbs.lowlevel import ConstraintContext, is_forbidden, is_forbidden_edge
 
 DELTA = math.radians(15.0)
@@ -217,7 +218,7 @@ class TestMutuallyDisjunctive:
         )
         menu = ConstraintMenu.of(MenuEntry(COMPLETE), MenuEntry("sphere", radius=0.6))
         _, ci, cj = make_constraints(conflict, menu)[1]
-        out = mutually_disjunctive_check(ci, cj, d, sample_budget=100_000, seed=3)
+        out = mutually_disjunctive_check(ci, cj, d)
         assert not out.confirmed
         q_i, q_j = out.counterexample
         # both violate (touch the sphere) yet do not collide
@@ -232,8 +233,86 @@ class TestMutuallyDisjunctive:
         point = (1.5, 0.9)
         ci = Constraint(agent=0, ctype="sphere", time=0, point=point, radius=0.0)
         cj = Constraint(agent=1, ctype="sphere", time=0, point=point, radius=0.0)
-        out = mutually_disjunctive_check(ci, cj, d, sample_budget=100_000, seed=3)
+        out = mutually_disjunctive_check(ci, cj, d)
         assert out.confirmed
+
+
+def reference_violates(domain, c, q, other_q):
+    """The per-kind violation check the probe used before it asked
+    `is_forbidden`, kept as the differential reference: the other agent's
+    probe configuration `other_q` stands in for its path."""
+    if c.ctype in ("vertex", "edge"):
+        return c.q == q
+    if c.ctype == "sphere":
+        return domain.occupancy_intersects_circle(c.agent, q, c.point, c.radius)
+    if c.ctype == "avoidance":
+        return domain.agents_collide(c.agent, q, c.other, c.q_other) is not None
+    if c.ctype in ("step-priority", "priority"):
+        return domain.agents_collide(c.agent, q, c.other, other_q) is not None
+    raise ValueError(c.ctype)
+
+
+def reference_counterexample(domain, c_i, c_j):
+    """The first collision-free pair, in sweep order, that violates both
+    constraints under `reference_violates`, or None."""
+    i, j = c_i.agent, c_j.agent
+    for q_i in free_configurations(domain, i):
+        for q_j in free_configurations(domain, j):
+            if (
+                reference_violates(domain, c_i, q_i, q_j)
+                and reference_violates(domain, c_j, q_j, q_i)
+                and domain.agents_collide(i, q_i, j, q_j) is None
+            ):
+                return q_i, q_j
+    return None
+
+
+class TestProbeMatchesReference:
+    """`mutually_disjunctive_check` gives the verdict and the first
+    counterexample of an exhaustive sweep over `reference_violates`, for
+    every menu kind (spheres of radius 0 too) on vertex and edge conflicts."""
+
+    def _check(self, domain, conflicts, radii):
+        menu = ConstraintMenu.of(
+            MenuEntry(COMPLETE),
+            MenuEntry("avoidance"),
+            MenuEntry("step-priority"),
+            MenuEntry("priority"),
+            *(MenuEntry("sphere", radius=r) for r in radii),
+        )
+        seen = set()
+        for conflict in conflicts:
+            pairs = [(ci, cj) for _, ci, cj in make_constraints(conflict, menu)]
+            ci, cj = pairs[-1]  # a sphere pair; a menu entry cannot have radius 0
+            pairs.append((dataclasses.replace(ci, radius=0.0), dataclasses.replace(cj, radius=0.0)))
+            for ci, cj in pairs:
+                out = mutually_disjunctive_check(ci, cj, domain)
+                ref = reference_counterexample(domain, ci, cj)
+                assert out.counterexample == ref, (conflict.kind, ci)
+                assert out.confirmed == (ref is None)
+                seen.add((ci.ctype, ci.from_edge, out.confirmed))
+        assert {kind for kind, *_ in seen} == {"vertex", "edge", "avoidance", "step-priority", "priority", "sphere"}
+        assert {confirmed for *_, confirmed in seen} == {True, False}
+        return seen
+
+    def test_small_grid(self):
+        d = GridDomain(5, 4, [(4, 0)], [C(0, 0), C(4, 3)], [C(4, 3), C(0, 0)])
+        seen = self._check(d, [vertex_conflict(cell=(2, 2), t=3), UNEVEN_VERTEX, edge_conflict()], (1.0, 2.0))
+        assert ("avoidance", True, False) in seen  # from-edge avoidance
+
+    def test_facing_arms(self):
+        d = facing_arm_domain()
+        point = (1.5, 0.9)
+        vertex = Conflict(
+            kind=VERTEX, agents=(0, 1), time=0, configs_i=(C(3, 0),), configs_j=(C(9, 0),), point=point,
+        )
+        edge = Conflict(
+            kind=EDGE, agents=(0, 1), time=1,
+            configs_i=(C(3, 0), C(4, 0)), configs_j=(C(9, 0), C(8, 0)), point=point,
+        )
+        seen = self._check(d, [vertex, edge], (0.12, 0.6))
+        assert ("sphere", False, True) in seen and ("sphere", False, False) in seen
+        assert ("avoidance", True, False) in seen
 
 
 class TestDefaultMenu:
