@@ -252,9 +252,18 @@ class SolverStats:
             ll_calls=json_number(obj["ll_calls"], "ll_calls", int),
             cost=None if obj.get("cost") is None else json_number(obj["cost"], "cost"),
             lb=None if obj.get("lb") is None else json_number(obj["lb"], "lb"),
-            dts_rewards=tuple(sorted(obj.get("dts_rewards", {}).items())),
-            dts_penalties=tuple(sorted(obj.get("dts_penalties", {}).items())),
+            dts_rewards=_json_counts(obj, "dts_rewards"),
+            dts_penalties=_json_counts(obj, "dts_penalties"),
         )
+
+
+def _json_counts(obj: dict, name: str) -> Tuple[Tuple[str, int], ...]:
+    """The object `obj[name]` (empty when absent) as sorted (key, count)
+    pairs; each count must be an integral JSON number."""
+    counts = obj.get(name, {})
+    if not isinstance(counts, dict):
+        raise ValueError(f"{name} must be an object, got {counts!r}")
+    return tuple(sorted((k, json_number(v, f"{name}.{k}", int)) for k, v in counts.items()))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,16 @@ f, where]. OPEN, the generated states not yet expanded, is a count per f
 value plus a heap of the distinct values, so f_min is the least value with a
 nonzero count. A state waits on the migration heap only when its f was above
 the focal bound at generation, and moves to FOCAL once the bound reaches it.
+
+Conflicts are counted only where the count decides the search. A state
+generated within the focal bound is counted at once. A state generated
+above it keeps its arrivals, and is counted when it migrates into FOCAL, so
+a state that never migrates is never counted. The arrivals are settled in
+order: the first is kept, and a later one replaces it only when its count is
+strictly lower and its move passes the constraint checks. A state reached
+again once it is in FOCAL is counted only when the new parent has fewer
+conflicts than its record, and never once it is expanded: counts are never
+negative, so no other arrival could replace the record.
 """
 
 from __future__ import annotations
@@ -256,7 +266,11 @@ def plan(
 
     Bookkeeping: one record per state, counts per f value for OPEN, and
     the migration heap for states generated above the focal bound (see the
-    module docstring).
+    module docstring). A state's conflict count is taken only when it can
+    decide the record: when the state is generated within the focal bound,
+    when it migrates into FOCAL, or when it is reached again in FOCAL from a
+    parent with fewer conflicts than its record. The answers are those of
+    counting every arrival.
     """
     priority, vertex_at, edge_at, horizon = _compile(domain, ctx)
     rest_time = _earliest_rest_time(domain, ctx, goal, vertex_at, edge_at)
@@ -285,8 +299,18 @@ def plan(
     # pair coords, t would.
     mig_heap: List[tuple] = [(h0, 0, key)]  # (f, -g, key)
     focal_heap: List[tuple] = []  # (nconf, f, -g, key)
+    # OPEN state -> the parents of its arrivals after the first, in order.
+    later: Dict[Tuple[Tuple[int, ...], int], list] = {}
     lb_seen = 0.0
     expansions = 0
+
+    def rearrival_forbidden(q: Configuration, q2: Configuration, t2: int) -> bool:
+        # The state's vertex checks passed when it was first generated, so
+        # only the move is left: `priority` counts no vertex hit on it.
+        edge_ctx = edge_at.get(t2 - 1)
+        return (priority is not None and priority(q, q2, t2)) or (
+            edge_ctx is not None and is_forbidden_edge(domain, edge_ctx, q, q2, t2 - 1)
+        )
 
     while True:
         # Current certified lower bound: best f over not-yet-expanded states.
@@ -303,6 +327,18 @@ def plan(
             f, ng, key = pop(mig_heap)
             rec = states[key]
             rec[4] = _FOCAL
+            if count is not None and rec[0] is not None:
+                # Settle the arrivals in order, as if each had been counted
+                # on arrival. Every parent is expanded, so its nconf is final.
+                q2, t2 = rec[1], key[1]
+                best = rec[2] + count(states[rec[0]][1], q2, t2)
+                for pkey in later.pop(key, ()):
+                    _, q, nconf = states[pkey][:3]
+                    if nconf < best:
+                        nconf2 = nconf + count(q, q2, t2)
+                        if nconf2 < best and not rearrival_forbidden(q, q2, t2):
+                            rec[0], best = pkey, nconf2
+                rec[2] = best
             push(focal_heap, (rec[2], f, ng, key))
 
         while focal_heap:
@@ -338,29 +374,27 @@ def plan(
             c2 = q2.coords
             key2 = (c2, t2)
             known = states.get(key2)
-            if known is None:
-                if (
-                    (priority is not None and priority(q, q2, t2))
-                    or (vertex_ctx is not None and is_forbidden(domain, vertex_ctx, q2, t2))
-                    or (edge_ctx is not None and is_forbidden_edge(domain, edge_ctx, q, q2, t))
-                ):
-                    continue
-            nconf2 = nconf if count is None else nconf + count(q, q2, t2)
             if known is not None:
                 # Same g at every arrival to (q2, t2); keep the route with the
                 # fewest accumulated conflicts (stale focal entries sort after
-                # the fresh one and are skipped as closed). Its vertex checks
-                # passed when it was first generated, so only the edge is
-                # left: `priority` counts no vertex hit on it.
-                if known[4] == _CLOSED or nconf2 >= known[2]:
-                    continue
-                if (priority is not None and priority(q, q2, t2)) or (
-                    edge_ctx is not None and is_forbidden_edge(domain, edge_ctx, q, q2, t)
-                ):
-                    continue
-                known[0], known[2] = key, nconf2
-                if known[4] == _FOCAL and known[3] <= bound:
-                    push(focal_heap, (nconf2, known[3], -t2, key2))
+                # the fresh one and are skipped as closed).
+                where = known[4]
+                if where == _OPEN:
+                    if count is not None:
+                        later.setdefault(key2, []).append(key)
+                elif where == _FOCAL and nconf < known[2]:
+                    # Without counting every nconf is 0, so count is set here.
+                    nconf2 = nconf + count(q, q2, t2)
+                    if nconf2 < known[2] and not rearrival_forbidden(q, q2, t2):
+                        known[0], known[2] = key, nconf2
+                        if known[3] <= bound:
+                            push(focal_heap, (nconf2, known[3], -t2, key2))
+                continue
+            if (
+                (priority is not None and priority(q, q2, t2))
+                or (vertex_ctx is not None and is_forbidden(domain, vertex_ctx, q2, t2))
+                or (edge_ctx is not None and is_forbidden_edge(domain, edge_ctx, q, q2, t))
+            ):
                 continue
             h = h_cache.get(c2)
             if h is None:
@@ -370,10 +404,12 @@ def plan(
                 push(open_fs, f2)
             open_count[f2] = open_count.get(f2, 0) + 1
             if f2 <= bound:
+                nconf2 = nconf if count is None else nconf + count(q, q2, t2)
                 states[key2] = [key, q2, nconf2, f2, _FOCAL]
                 push(focal_heap, (nconf2, f2, -t2, key2))
             else:
-                states[key2] = [key, q2, nconf2, f2, _OPEN]
+                # The move's count, if any, is added when the state migrates.
+                states[key2] = [key, q2, nconf, f2, _OPEN]
                 push(mig_heap, (f2, -t2, key2))
     return LLResult(INFEASIBLE, expansions=expansions)
 

@@ -1031,6 +1031,27 @@ class TestCLI:
                 assert err == f"error: {field} must be a number, got 'x'\n", err
             assert json.loads(bad.read_text()) == obj  # left as it was
 
+    def test_non_number_dts_counts_return_two_with_one_line(self, tmp_path, capsys):
+        scen = self._write_scenario(tmp_path)
+        run_file = tmp_path / "run.json"
+        assert cli_main(["solve", str(scen), "--algo", "gen-ecbs", "--out", str(run_file)]) == 0
+        cases = [
+            ("dts_rewards", {"complete": "x"}, "dts_rewards.complete must be a number, got 'x'"),
+            ("dts_penalties", {"avoidance": 1.5}, "dts_penalties.avoidance must be an integer, got 1.5"),
+            ("dts_rewards", [1], "dts_rewards must be an object, got [1]"),
+        ]
+        for i, (field, value, message) in enumerate(cases):
+            obj = json.loads(run_file.read_text())
+            obj["result"]["stats"][field] = value
+            bad = tmp_path / f"dts-{i}.json"
+            bad.write_text(json.dumps(obj))
+            for argv in (["verify", str(scen), str(bad)], ["shortcut", str(bad)]):
+                capsys.readouterr()
+                assert cli_main(argv) == 2, argv
+                err = capsys.readouterr().err
+                assert err == f"error: {message}\n", err
+            assert json.loads(bad.read_text()) == obj  # left as it was
+
     def test_verify_malformed_run_returns_two_with_one_line(self, tmp_path, capsys):
         scen, runs = self._malformed_runs(tmp_path)
         for missing in ("result", "agent"):

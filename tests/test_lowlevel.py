@@ -609,29 +609,65 @@ def _differential_case(rng, d, start, goal, radius):
     return ConstraintContext(agent=0, constraints=tuple(cs), other_paths=others)
 
 
+def _counting_calls(d, ctx, calls):
+    """Make `d.conflict_counter` count, in `calls[-1]`, the calls to the
+    counter it builds over `ctx.other_paths`; the counters `_compile` builds
+    for priority constraints are left alone. Undo with
+    `del d.conflict_counter`."""
+    build = d.conflict_counter
+
+    def conflict_counter(agent, other_paths):
+        count = build(agent, other_paths)
+        if other_paths is not ctx.other_paths:
+            return count
+
+        def counted(q, q2, t2):
+            calls[-1] += 1
+            return count(q, q2, t2)
+
+        return counted
+
+    d.conflict_counter = conflict_counter
+
+
 class TestPlanMatchesReferenceLoop:
     """`plan` and `_earliest_rest_time` give exactly the answers of the
     three-heap loop and the full rest-time scan kept in
     `tests/reference_lowlevel.py`, over every constraint kind, both focal
     orders, several w, and caps and goals that end in BUDGET or
-    INFEASIBLE."""
+    INFEASIBLE. `plan` also never calls the conflict counter more often
+    than the reference loop, which counts every arrival, and over each
+    test calls it strictly less often."""
 
-    def _check(self, d, start, goal, ctx, rng, seen):
+    def _check(self, d, start, goal, ctx, rng, seen, ws=(1.0, 1.3, 2.0), count=None, caps=(3, 30, 20_000)):
+        """Compare one case; returns the counter calls of `plan` and of the
+        reference loop."""
         priority, vertex_at, edge_at, horizon = _compile(d, ctx)
         rest = _earliest_rest_time(d, ctx, goal, vertex_at, edge_at)
         assert rest == reference_lowlevel.earliest_rest_time(d, ctx, goal, horizon), ctx
-        w = rng.choice((1.0, 1.3, 2.0))
-        count = rng.random() < 0.5
-        cap = rng.choice((3, 30, 20_000))
-        res = plan(d, 0, start, goal, ctx, w=w, count_conflicts=count, max_expansions=cap)
-        ref = reference_lowlevel.plan(d, 0, start, goal, ctx, w=w, count_conflicts=count, max_expansions=cap)
+        w = rng.choice(ws)
+        if count is None:
+            count = rng.random() < 0.5
+        cap = rng.choice(caps)
+        calls = []
+        _counting_calls(d, ctx, calls)
+        try:
+            calls.append(0)
+            res = plan(d, 0, start, goal, ctx, w=w, count_conflicts=count, max_expansions=cap)
+            calls.append(0)
+            ref = reference_lowlevel.plan(d, 0, start, goal, ctx, w=w, count_conflicts=count, max_expansions=cap)
+        finally:
+            del d.conflict_counter
         assert res == ref, (ctx, start, goal, w, count, cap)
+        assert calls[0] <= calls[1], (calls, ctx, start, goal, w, count, cap)
         seen.update(c.ctype for c in ctx.constraints)
         seen.update((res.status, w, count, rest is None, bool(rest)))
+        return calls
 
     def test_random_grids(self):
         rng = random.Random(5)
         seen = set()
+        total = [0, 0]
         for _ in range(400):
             width, height = rng.randint(3, 7), rng.randint(3, 7)
             cells = [(x, y) for x in range(width) for y in range(height)]
@@ -640,16 +676,51 @@ class TestPlanMatchesReferenceLoop:
             starts = [rng.choice(free) for _ in range(3)]
             d = GridDomain(width, height, blocked, starts, [rng.choice(free) for _ in range(3)])
             ctx = _differential_case(rng, d, starts[0], d.goals[0], rng.choice((0.5, 1.0)))
-            self._check(d, starts[0], d.goals[0], ctx, rng, seen)
+            calls = self._check(d, starts[0], d.goals[0], ctx, rng, seen)
+            total = [a + b for a, b in zip(total, calls)]
         assert set(KINDS) | {OK, BUDGET, INFEASIBLE, 1.0, 1.3, 2.0, True, False} <= seen
+        assert total[0] < total[1], total
+
+    def test_crowded_grids(self):
+        """Six to eight agents walk on small open grids and the agent counts
+        conflicts with w 1.3 or 2.0, so states above the focal bound are
+        reached again, before they migrate, on routes with fewer conflicts.
+        On top of the random context, 10% or 30% of all moves at t 1..6
+        carry an edge constraint, so the last move of such a route is often
+        forbidden."""
+        rng = random.Random(19)
+        seen = set()
+        total = [0, 0]
+        for _ in range(200):
+            width, height = rng.randint(4, 6), rng.randint(4, 6)
+            cells = [(x, y) for x in range(width) for y in range(height)]
+            blocked = rng.sample(cells, rng.randint(0, len(cells) // 8))
+            free = [C(*xy) for xy in cells if xy not in blocked]
+            n = rng.randint(6, 8)
+            starts = [rng.choice(free) for _ in range(n)]
+            d = GridDomain(width, height, blocked, starts, [rng.choice(free) for _ in range(n)])
+            ctx = _differential_case(rng, d, starts[0], d.goals[0], 1.0)
+            p = rng.choice((0.1, 0.3))
+            dense = tuple(
+                Constraint(agent=0, ctype="edge", time=t, q=q, q2=q2)
+                for t in range(1, 7) for q in free for q2 in d.successors(0, q) if rng.random() < p
+            )
+            ctx = ConstraintContext(0, ctx.constraints + dense, ctx.other_paths)
+            calls = self._check(d, starts[0], d.goals[0], ctx, rng, seen, ws=(1.3, 2.0), count=True, caps=(20_000,))
+            total = [a + b for a, b in zip(total, calls)]
+        assert set(KINDS) | {OK, 1.3, 2.0} <= seen
+        assert total[0] < total[1], total
 
     def test_random_arm_pairs(self):
         rng = random.Random(6)
         seen = set()
+        total = [0, 0]
         for scenario in generate_instances("arm-pair", 4, seed=3):
             d = scenario.build_domain()
             for _ in range(12):
                 goal = rng.choice((d.goals[0], _walk(rng, d, 0, d.goals[0], 3).steps[-1]))
                 ctx = _differential_case(rng, d, d.starts[0], goal, rng.choice((0.1, 0.3)))
-                self._check(d, d.starts[0], goal, ctx, rng, seen)
+                calls = self._check(d, d.starts[0], goal, ctx, rng, seen)
+                total = [a + b for a, b in zip(total, calls)]
         assert set(KINDS) | {OK, BUDGET, 1.0, 1.3, 2.0, True, False} <= seen
+        assert total[0] < total[1], total
