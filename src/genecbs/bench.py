@@ -152,7 +152,8 @@ def verify(domain: Domain, solution: Sequence[Path]) -> VerifyResult:
     primitives and their pose-level memos (a pose's link segments and box,
     exact link-pair scans keyed by their full input), never a memoised
     collision answer: its sampled edge checks are memoised under their own
-    count."""
+    count. Those memos keep integer poses only, so its samples between a
+    motion's end poses are computed and dropped."""
     out: List[Violation] = []
     n = domain.n_agents
     agents = sorted(p.agent for p in solution)
@@ -579,7 +580,7 @@ PARAM_RANGES = {"width": (1, math.inf), "height": (1, math.inf), "n_agents": (1,
 def _template_params(template: str, defaults: dict, given: dict) -> dict:
     """The defaults overridden by `given`, each value read through
     `json_number` as its default's type and kept in its `PARAM_RANGES`
-    range: a tuple default takes a list of such numbers, and
+    range: a tuple default takes a list of as many such numbers, and
     `max_root_conflicts` may also be null, for no cap."""
     unknown = set(given) - set(defaults)
     if unknown:
@@ -590,6 +591,8 @@ def _template_params(template: str, defaults: dict, given: dict) -> dict:
         if isinstance(default, tuple):
             if not isinstance(value, list):
                 raise ScenarioError(f"{key} must be a list of numbers, got {value!r}")
+            if len(value) != len(default):
+                raise ScenarioError(f"{key} must be a list of {len(default)} numbers, got {value!r}")
             value = tuple(json_number(x, key, type(default[0])) for x in value)
         elif value is not None or key != "max_root_conflicts":
             value = json_number(value, key, type(default))

@@ -14,8 +14,11 @@ bounding-box certificate proves clear and asks the primitive otherwise; it
 reads no memo itself. Below the primitives, one memo keeps each pose's link
 segments with their bounding box (`_shape`), another the exact link-pair
 scan of a pose pair, both keyed by their full input, and `edge_collides`
-memoises its answers. Whether a pose touches a disk, a static obstacle or
-a sphere constraint's, has one answer: `_circle_gap`.
+memoises its answers. The two pose memos keep integer poses only: a
+motion's end poses enter them, and every pose between them (sample or
+bisection point, `_lerp`) is computed and dropped. Whether a pose touches a
+disk, a static obstacle or a sphere constraint's, has one answer:
+`_circle_gap`.
 """
 
 from __future__ import annotations
@@ -440,6 +443,18 @@ def _closest_links(
     return best, (point if best <= threshold else None)
 
 
+def _lerp(a: Tuple[int, ...], b: Tuple[int, ...], s: float) -> Tuple[float, ...]:
+    """Joint indices at sub-time s of the linear motion a -> b: the integer
+    end pose at s = 0 and s = 1 and for a wait, else x + (y - x) * s per
+    joint. Those end values equal, hash and place links as the formula's
+    floats do, so every answer is the formula's."""
+    if s == 0.0 or a == b:
+        return a
+    if s == 1.0:
+        return b
+    return tuple(x + (y - x) * s for x, y in zip(a, b))
+
+
 class PlanarArmDomain(Domain):
     """Planar kinematic chains sharing a workspace.
 
@@ -484,13 +499,13 @@ class PlanarArmDomain(Domain):
         self.substeps = _checked_substeps(substeps)
         if not (len(self.starts) == len(self.goals) == self.n_agents):
             raise ValueError("arms, starts, and goals must have the same length")
-        # (agent, joint indices) -> (link segments, their bounding box).
+        # (agent, integer joint indices) -> (link segments, their bounding box).
         self._pose_cache: Dict[Tuple[int, Tuple[float, ...]], Tuple[Tuple[Segment, ...], Box]] = {}
         self._static_cache: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
         self._succ_cache: Dict[Tuple[int, Tuple[int, ...]], List[Configuration]] = {}
         self._edge_cache: Dict[tuple, Optional[Tuple[Point, float]]] = {}
-        # Exact branch of _pair_gap: (i, coords_i, j, coords_j, threshold)
-        # -> (distance bound, contact point).
+        # Exact branch of _pair_gap at integer poses: (i, coords_i, j,
+        # coords_j, threshold) -> (distance bound, contact point).
         self._gap_cache: Dict[tuple, Tuple[float, Optional[Point]]] = {}
         # in_reach[i][j]: whether arms i and j can touch at all.
         self._in_reach = tuple(
@@ -517,9 +532,9 @@ class PlanarArmDomain(Domain):
 
     def _shape(self, agent: int, coords: Tuple[float, ...], memo: bool = True):
         """Link segments of the pose and their bounding box: the one pose
-        accessor. `memo` decides whether a computed pose is stored (sample
-        points of the default resolution only, so bisection points never
-        grow the memo)."""
+        accessor. `memo` decides whether a computed pose is stored: the
+        motion checks pass it only at a motion's integer end poses, so no
+        pose between them (sample or bisection point) grows the memo."""
         key = (agent, coords)
         hit = self._pose_cache.get(key)
         if hit is not None:
@@ -626,7 +641,9 @@ class PlanarArmDomain(Domain):
 
         The scan's result depends only on the two poses and the threshold,
         so `memo` calls keep it in `_gap_cache`; `enough` only decides
-        whether the box shortcut is taken.
+        whether the box shortcut is taken. The motion checks pass `memo`
+        only at a motion's integer end poses, so the memo keeps integer
+        pose pairs only.
         """
         segs_i, box_i = self._shape(i, coords_i, memo)
         segs_j, box_j = self._shape(j, coords_j, memo)
@@ -671,9 +688,10 @@ class PlanarArmDomain(Domain):
     def _sweep(self, gap, speed: float, threshold: float) -> Optional[Tuple[Point, float]]:
         """Certified check of a motion over sub-time [0, 1].
 
-        `gap(s, memo, threshold, enough)` returns a lower bound on the
-        separation at sub-time s (exact unless it exceeds `enough`) and a
-        contact point when the separation is <= threshold. The separation
+        `gap(s, threshold, enough)` returns a lower bound on the separation
+        at sub-time s (exact unless it exceeds `enough`) and a contact point
+        when the separation is <= threshold; it reads its poses with
+        `_lerp` and memoises them only at s = 0 and s = 1. The separation
         changes at most `speed` per unit of sub-time, so an interval whose
         end gaps g0, g1 satisfy (g0 + g1 - speed * width) / 2 > threshold is
         contact-free throughout (adaptive dynamic collision checking,
@@ -686,19 +704,19 @@ class PlanarArmDomain(Domain):
         the whole motion is certified clear.
         """
         margin = threshold + SWEEP_CERT_MARGIN
-        g0, p0 = gap(0.0, True, threshold, margin + speed / 2.0)
+        g0, p0 = gap(0.0, threshold, margin + speed / 2.0)
         if p0 is not None:
             return p0, 0.0
         if speed == 0.0:
             return None  # neither arm moves
-        g1, p1 = gap(1.0, True, threshold, margin + speed / 2.0)
+        g1, p1 = gap(1.0, threshold, margin + speed / 2.0)
         if g0 + g1 - speed > 2.0 * margin:
             return None
         m = self.substeps
         samples = [(0.0, g0)]
         for k in range(1, m):
             s = k / m
-            g, p = gap(s, True, threshold, margin + speed / (2.0 * m))
+            g, p = gap(s, threshold, margin + speed / (2.0 * m))
             if p is not None:
                 return p, s
             samples.append((s, g))
@@ -714,8 +732,8 @@ class PlanarArmDomain(Domain):
                     continue
                 sm = s0 + width / 2.0
                 if width <= SWEEP_MIN_WIDTH:
-                    return gap(sm, False, math.inf, math.inf)[1], sm
-                gm, pm = gap(sm, False, threshold, margin + speed * width / 4.0)
+                    return gap(sm, math.inf, math.inf)[1], sm
+                gm, pm = gap(sm, threshold, margin + speed * width / 4.0)
                 if pm is not None:
                     return pm, sm
                 stack.append((sm, gm, s1, g1))
@@ -751,10 +769,10 @@ class PlanarArmDomain(Domain):
             return self._edge_cache[key]
         threshold = self.arms[i].thickness + self.arms[j].thickness
 
-        def gap(s, memo, thr, enough):
-            ci = tuple(a + (b - a) * s for a, b in zip(a_i, b_i))
-            cj = tuple(a + (b - a) * s for a, b in zip(a_j, b_j))
-            return self._pair_gap(i, ci, j, cj, thr, enough, memo)
+        def gap(s, thr, enough):
+            return self._pair_gap(
+                i, _lerp(a_i, b_i, s), j, _lerp(a_j, b_j, s), thr, enough, s == 0.0 or s == 1.0
+            )
 
         if substeps is None:
             speed = self._sweep_speed(i, a_i, b_i) + self._sweep_speed(j, a_j, b_j)
@@ -763,7 +781,7 @@ class PlanarArmDomain(Domain):
             out = None
             for k in range(substeps + 1):
                 s = k / substeps
-                point = gap(s, True, threshold, threshold)[1]
+                point = gap(s, threshold, threshold)[1]
                 if point is not None:
                     out = (point, s)
                     break
@@ -837,9 +855,8 @@ class PlanarArmDomain(Domain):
         threshold = self.arms[agent].thickness + radius
         a, b = q.coords, q2.coords
 
-        def gap(s, memo, thr, enough):
-            coords = tuple(x + (y - x) * s for x, y in zip(a, b))
-            return self._circle_gap(agent, coords, center, thr, enough, memo)
+        def gap(s, thr, enough):
+            return self._circle_gap(agent, _lerp(a, b, s), center, thr, enough, s == 0.0 or s == 1.0)
 
         return self._sweep(gap, self._sweep_speed(agent, a, b), threshold) is not None
 

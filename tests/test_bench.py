@@ -967,8 +967,9 @@ class TestCLI:
         ("grid-random", "obstacle_density=-0.5", "obstacle_density must be in [0, 1], got -0.5"),
         ("grid-random", "width=-3", "width must be in [1, inf], got -3"),
         ("arm-quad", "max_root_conflicts=-1", "max_root_conflicts must be in [0, inf], got -1"),
-        # Two joint limits for three links.
-        ("arm-quad", "links=[1,2,3]", "joint limits must be one [lo, hi]"),
+        # The arm templates build two joint limits, so two link lengths.
+        ("arm-quad", "links=[1.0]", "links must be a list of 2 numbers, got [1.0]"),
+        ("arm-quad", "links=[1,2,3]", "links must be a list of 2 numbers, got [1, 2, 3]"),
     ])
     def test_bad_template_parameters_return_two_with_one_line(self, tmp_path, capsys, template, param, message):
         out = tmp_path / "scen"

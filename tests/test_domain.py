@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from genecbs.bench import generate_instances
+from genecbs.bench import generate_instances, shortcut, verify
 from genecbs.core import Configuration, Path
 from genecbs import domain as domain_module
 from genecbs.domain import (
@@ -841,29 +841,73 @@ class TestPairGapMemo:
             exact += len(d._gap_cache)
         assert exact > 0
 
-    def test_bisection_points_never_grow_the_memo(self):
+    def test_only_end_poses_enter_the_memos(self):
         d = arm_quad_037()
         i, q_i, q_i2, j, q_j, q_j2 = MOTION_037
         threshold = d.arms[i].thickness + d.arms[j].thickness
         before = dict(d._gap_cache)  # the start and goal checks
+        poses_before = set(d._pose_cache)
         for s in (0.0625, 0.125, 0.1875, 0.5):
             ci = tuple(a + (b - a) * s for a, b in zip(q_i.coords, q_i2.coords))
             cj = tuple(a + (b - a) * s for a, b in zip(q_j.coords, q_j2.coords))
             d._pair_gap(i, ci, j, cj, threshold, threshold, memo=False)
         assert d._gap_cache == before
-        # The certified check bisects between the default samples; only
-        # its sample poses may enter the memo.
+        # The certified check probes the default samples and bisects between
+        # them, and the verifier's sampled check probes twice as many poses;
+        # only the two end poses may enter the memos.
         assert d.edge_collides(*MOTION_037) is not None
-        m = d.substeps
-        samples = {
-            (
-                tuple(a + (b - a) * (k / m) for a, b in zip(q_i.coords, q_i2.coords)),
-                tuple(a + (b - a) * (k / m) for a, b in zip(q_j.coords, q_j2.coords)),
-            )
-            for k in range(m + 1)
-        }
+        d.edge_collides(*MOTION_037, substeps=2 * d.substeps)
+        ends = {(q_i.coords, q_j.coords), (q_i2.coords, q_j2.coords)}
         added = {(key[1], key[3]) for key in d._gap_cache if key not in before}
-        assert added and added <= samples
+        assert added and added <= ends
+        end_poses = {(i, q_i.coords), (i, q_i2.coords), (j, q_j.coords), (j, q_j2.coords)}
+        assert set(d._pose_cache) - poses_before <= end_poses
+
+    def test_memos_keep_integer_poses_only(self):
+        """A whole cell as `bench.run_cell` runs it -- solve, verify,
+        shortcut, verify -- leaves only integer poses in both pose memos."""
+        d = arm_quad_037()
+        result = solve(d, SolverConfig(algorithm="gen-ecbs", w=1.3, max_expansions=300))
+        assert result.solved
+        assert verify(d, result.solution).clean
+        assert verify(d, shortcut(result.solution, d)).clean
+        assert d._pose_cache and d._gap_cache
+
+        def integer(coords):
+            return all(type(c) is int for c in coords)
+
+        assert all(integer(coords) for _, coords in d._pose_cache)
+        assert all(integer(key[1]) and integer(key[3]) for key in d._gap_cache)
+
+    def test_lerp_matches_the_formula(self):
+        """`_lerp` gives the formula's joint indices in value, hash and link
+        geometry, at the ends, the default and verifier samples and the
+        sweep's bisection midpoints, on waits, one-joint and two-joint
+        motions."""
+        d = arm_quad_037()
+        rng = random.Random(11)
+        m = d.substeps
+        subtimes = {0.0, 1.0} | {k / m for k in range(m + 1)} | {k / (2 * m) for k in range(2 * m + 1)}
+        edges = [(k / m, (k + 1) / m) for k in range(m)]
+        for _ in range(8):  # midpoints of intervals down to 1/512 wide
+            subtimes.update(s0 + (s1 - s0) / 2.0 for s0, s1 in edges)
+            edges = [e for s0, s1 in edges for e in ((s0, s0 + (s1 - s0) / 2.0), (s0 + (s1 - s0) / 2.0, s1))]
+        motions = []
+        for _ in range(20):
+            agent = rng.randrange(d.n_agents)
+            q, q2 = random_motion(rng, d, agent)
+            motions += [(agent, q.coords, q2.coords), (agent, q.coords, q.coords)]
+            limits = d.arms[agent].joint_limits
+            motions.append((agent, q.coords, tuple(rng.randint(lo, hi) for lo, hi in limits)))
+        kinds = {sum(x != y for x, y in zip(a, b)) for _, a, b in motions}
+        assert kinds == {0, 1, 2}
+        d._pose_cache.clear()  # so `_shape` computes both poses
+        for agent, a, b in motions:
+            for s in sorted(subtimes):
+                got = domain_module._lerp(a, b, s)
+                want = tuple(x + (y - x) * s for x, y in zip(a, b))
+                assert got == want and hash(got) == hash(want), (a, b, s)
+                assert d._shape(agent, got, False) == d._shape(agent, want, False), (a, b, s)
 
     def test_cap_holds(self, monkeypatch):
         monkeypatch.setattr(domain_module, "POSE_MEMO_CAP", 25)
