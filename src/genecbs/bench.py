@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import heapq
 import json
 import math
 import random
@@ -32,7 +33,7 @@ from .core import (
     sum_of_costs,
     unchecked_path_cost,
 )
-from .domain import GRID_MOVES, Domain, GridDomain, PlanarArmDomain, domain_from_obj, free_configurations
+from .domain import Domain, PlanarArmDomain, domain_from_obj, free_configurations
 from .highlevel import PRESETS, SolverConfig, solve
 
 SCENARIO_VERSION = 1
@@ -346,28 +347,25 @@ def _grid_random(rng: random.Random, params: dict) -> Tuple[dict, list]:
             domain.validate_instance()
         except ValueError:
             continue
-        if all(_grid_reachable(domain, s, g) for s, g in zip(starts, goals)):
+        if all(_reachable(domain, i, s, g) for i, (s, g) in enumerate(agents)):
             return domain_obj, agents
     raise ScenarioError("grid generation rejection limit exceeded")
 
 
-def _grid_reachable(domain: GridDomain, start, goal) -> bool:
-    seen = {start}
-    stack = [start]
-    while stack:
-        x, y = stack.pop()
-        if (x, y) == tuple(goal):
+def _reachable(domain: Domain, agent: int, start: Configuration, goal: Configuration) -> bool:
+    """Whether `agent` can move from start to goal, ignoring the others.
+    Greedy best-first on the domain's heuristic: the answer does not depend
+    on the order, and this one reaches a goal in few expansions."""
+    seen = {start.coords}
+    frontier = [(0.0, start.coords, start)]
+    while frontier:
+        q = heapq.heappop(frontier)[2]
+        if q == goal:
             return True
-        for dx, dy in GRID_MOVES:
-            nxt = (x + dx, y + dy)
-            if (
-                0 <= nxt[0] < domain.width
-                and 0 <= nxt[1] < domain.height
-                and nxt not in domain.blocked
-                and nxt not in seen
-            ):
-                seen.add(nxt)
-                stack.append(nxt)
+        for q2 in domain.successors(agent, q):
+            if q2.coords not in seen:
+                seen.add(q2.coords)
+                heapq.heappush(frontier, (domain.heuristic(agent, q2, goal), q2.coords, q2))
     return False
 
 
@@ -438,20 +436,6 @@ def _arm_poses(
     return task, home
 
 
-def _arm_reachable(domain: PlanarArmDomain, agent: int, start: Configuration, goal: Configuration) -> bool:
-    seen = {start.coords}
-    stack = [start]
-    while stack:
-        q = stack.pop()
-        if q == goal:
-            return True
-        for q2 in domain.successors(agent, q):
-            if q2.coords not in seen:
-                seen.add(q2.coords)
-                stack.append(q2)
-    return False
-
-
 def _root_conflicts(domain: Domain, starts, goals) -> int:
     """Pairwise conflicts between the agents' individually optimal paths
     from `starts` to `goals`; a cheap solver-neutral proxy for coordination
@@ -514,7 +498,7 @@ def _sample_arm_instance(
             domain_from_obj(domain_obj, starts, goals).validate_instance()
         except ValueError:
             continue
-        if not all(_arm_reachable(probe, i, starts[i], goals[i]) for i in range(n)):
+        if not all(_reachable(probe, i, starts[i], goals[i]) for i in range(n)):
             continue
         if max_root_conflicts is not None and _root_conflicts(probe, starts, goals) > max_root_conflicts:
             continue

@@ -34,6 +34,7 @@ not; `ll_searches` counts the searches that ran.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 import time
@@ -141,8 +142,11 @@ class DTSState:
             for k, (a, b) in prior.items():
                 if k not in self.alpha:
                     raise ValueError(f"DTS prior for unknown queue {k!r}")
-                if a < 1.0 or b < 1.0:
-                    raise ValueError("DTS prior parameters must be >= 1")
+                # NaN hangs `betavariate`; the cap rescales an infinite sum to 0.
+                if not (a >= 1.0 and b >= 1.0 and math.isfinite(a + b)):
+                    raise ValueError(
+                        f"DTS prior for {k!r} must be two numbers >= 1 with a finite sum, got [{a:g}, {b:g}]"
+                    )
                 self.alpha[k] = float(a)
                 self.beta[k] = float(b)
                 self._enforce_cap(k)
@@ -206,75 +210,73 @@ class _CTEngine:
         prior = resolve_prior(config.dts_prior, menu) if preset.multi_queue and config.dts_prior else None
         self.dts = DTSState(self.queue_keys, prior=prior, seed=config.seed)
 
-        self.nodes: Dict[int, CTNode] = {}  # open nodes only
-        self.open_lb: List[tuple] = []  # (lb, id)
-        self.open_cost: List[tuple] = []  # (cost, id); feeds the focal queues
-        self.focal: Dict[str, List[tuple]] = {k: [] for k in self.queue_keys}
-        self.next_id = 0
+        # Entry number -> open node version; see `_migrate` for liveness.
+        self.nodes: Dict[int, CTNode] = {}
+        self.entries = itertools.count()
+        self.open_lb: List[tuple] = []  # (lb, entry)
+        self.open_cost: List[tuple] = []  # (cost, entry); feeds the focal queues
+        self.focal: Dict[str, List[tuple]] = {k: [] for k in self.queue_keys}  # (key, entry)
+        self.ids = itertools.count()
 
         self.hl_expansions = 0
         self.evaluations = 0
         self.ll_calls = 0
         self.ll_searches = 0
         self.min_lb_final: float = 0.0
-        # node id -> its constraints counted per menu key, for `_f_key`.
-        self.type_counts: Dict[int, Counter] = {}
         # (agent, frozenset of its constraints' keys, other paths) -> LLResult.
         self.ll_memo: Dict[tuple, lowlevel.LLResult] = {}
 
     # ---- node plumbing -------------------------------------------------
 
-    def _f_key(self, node: CTNode, k: str) -> tuple:
-        parts: List = []
-        if not self.preset.unit_w:
-            parts.append(len(node.conflicts))
-        parts.append(node.cost)
-        if k != COMPLETE:
-            total = len(node.constraints)
-            if total == 0:
-                rho = 1.0
-            else:
-                counts = self.type_counts.get(node.id)
-                if counts is None:
-                    counts = self.type_counts[node.id] = Counter(
-                        c.menu_key() for c in node.constraints
-                    )
-                rho = 1.0 - counts[k] / total
-            parts.append(rho)
-        parts.append(node.id)
-        return tuple(parts)
+    def _focal_keys(self, node: CTNode) -> List[tuple]:
+        """The node version's key in each of `queue_keys`, as `_migrate`
+        states it."""
+        head = (node.cost,) if self.preset.unit_w else (len(node.conflicts), node.cost)
+        total = len(node.constraints)
+        counts = None
+        if total and self.queue_keys != (COMPLETE,):
+            counts = Counter(c.menu_key() for c in node.constraints)
+        return [
+            head + (node.id,) if k == COMPLETE else head + (1.0 - counts[k] / total if counts else 1.0, node.id)
+            for k in self.queue_keys
+        ]
 
     def _insert(self, node: CTNode) -> None:
-        self.nodes[node.id] = node
-        heapq.heappush(self.open_lb, (node.lb, node.id))
-        heapq.heappush(self.open_cost, (node.cost, node.id))
+        entry = next(self.entries)
+        self.nodes[entry] = node
+        heapq.heappush(self.open_lb, (node.lb, entry))
+        heapq.heappush(self.open_cost, (node.cost, entry))
 
     def _min_lb(self) -> Optional[float]:
         while self.open_lb:
-            lb, nid = self.open_lb[0]
-            node = self.nodes.get(nid)
-            if node is not None and node.lb == lb:
+            lb, entry = self.open_lb[0]
+            if entry in self.nodes:
                 return lb
             heapq.heappop(self.open_lb)
         return None
 
     def _migrate(self, bound: float) -> None:
-        """Flow nodes whose cost fits under the focal bound into the focal
-        queues, keyed by their current priorities."""
+        """Flow node versions whose cost fits under the focal bound into every
+        focal queue. Queue k's key is (conflicts, cost, rho_k, id), without
+        the conflicts on `unit_w` rows and without rho_k in the complete
+        queue; rho_k is 1 minus the share of the node's constraints of type k
+        (1 at the root). `_focal_keys` builds a version's keys once.
+
+        Liveness, one rule for every heap: an entry is live iff its number is
+        in `nodes`, and `_pop_focal` pops it out. A version leaves OPEN only
+        through a focal pop, after its migration, so no `open_cost` entry is
+        dead. An evaluated version keeps its lazy version's id, so every
+        tie-break holds."""
         while self.open_cost and self.open_cost[0][0] <= bound:
-            cost, nid = heapq.heappop(self.open_cost)
-            node = self.nodes.get(nid)
-            if node is None or node.cost != cost:
-                continue  # closed, or stale with a fresh entry queued
-            for k in self.queue_keys:
-                heapq.heappush(self.focal[k], (self._f_key(node, k), nid))
+            _, entry = heapq.heappop(self.open_cost)
+            for k, key in zip(self.queue_keys, self._focal_keys(self.nodes[entry])):
+                heapq.heappush(self.focal[k], (key, entry))
 
     def _pop_focal(self, k: str) -> Optional[CTNode]:
         heap = self.focal[k]
         while heap:
-            key, nid = heapq.heappop(heap)
-            node = self.nodes.get(nid)
-            if node is not None and self._f_key(node, k) == key:
+            node = self.nodes.pop(heapq.heappop(heap)[1], None)
+            if node is not None:
                 return node
         return None
 
@@ -341,7 +343,7 @@ class _CTEngine:
 
     def _make_root(self) -> Optional[CTNode]:
         root = CTNode(
-            id=self._take_id(),
+            id=next(self.ids),
             constraints=(),
             paths=tuple(Path(a, (self.domain.starts[a],)) for a in range(self.domain.n_agents)),
             cost=0.0,
@@ -351,11 +353,6 @@ class _CTEngine:
         )
         return self._evaluate_node(root)
 
-    def _take_id(self) -> int:
-        nid = self.next_id
-        self.next_id += 1
-        return nid
-
     def _children(self, node: CTNode) -> List[CTNode]:
         conflict = node.conflicts[0]
         out = []
@@ -363,7 +360,7 @@ class _CTEngine:
             for c in (c_i, c_j):
                 out.append(
                     CTNode(
-                        id=self._take_id(),
+                        id=next(self.ids),
                         constraints=node.constraints + (c,),
                         paths=node.paths,
                         cost=node.cost,
@@ -420,7 +417,6 @@ class _CTEngine:
             # lb (lazy children inherit both), so the min-lb open node is
             # under the bound and focal cannot be empty here.
             assert node is not None and node.cost <= bound, (k, bound)
-            del self.nodes[node.id]
 
             if node.agents_replan:
                 inherited = len(node.conflicts)
@@ -468,7 +464,10 @@ def parse_sub_type(spec: str, menu: ConstraintMenu) -> MenuEntry:
         aliases = {"s": 0, "m": min(1, len(radii) - 1), "l": len(radii) - 1}
         if suffix.lower() in aliases:
             return MenuEntry("sphere", radius=radii[aliases[suffix.lower()]])
-        radius = float(suffix)
+        try:
+            radius = float(suffix)
+        except ValueError:
+            raise ValueError(f"unknown substitution type: {spec!r}") from None
         return MenuEntry("sphere", radius=radius)
     if spec in INCOMPLETE_KINDS:
         return MenuEntry(spec)

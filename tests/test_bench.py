@@ -1126,6 +1126,23 @@ class TestCLI:
         assert not run_file.exists()
         # The unit-w rows ignore the configured w.
         assert cli_main(["solve", str(scen), "--algo", "gen-cbs", "--w", "nan"]) == 0
+        # A non-finite DTS prior would hang or crash the Beta draws.
+        for prior, shown in (
+            ([math.nan, 1], "[nan, 1]"),
+            ([1, math.nan], "[1, nan]"),
+            ([math.inf, 1], "[inf, 1]"),
+            ([1e308, 1e308], "[1e+308, 1e+308]"),
+        ):
+            obj = hallway_scenario().to_obj()
+            obj["solver"]["dts_prior"] = {"avoidance": prior}
+            from_file.write_text(json.dumps(obj))  # NaN and Infinity, which json reads back
+            capsys.readouterr()
+            assert cli_main(["solve", str(from_file), "--algo", "gen-ecbs", "--out", str(run_file)]) == 2, prior
+            captured = capsys.readouterr()
+            message = f"DTS prior for 'avoidance' must be two numbers >= 1 with a finite sum, got {shown}"
+            assert captured.err == f"error: {message}\n", prior
+            assert captured.out == "", prior
+        assert not run_file.exists()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1215,6 +1232,20 @@ class TestCLI:
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
             assert captured.err.endswith(f"sphere radii must be finite and > 0, got {shown}\n"), argv
+            assert captured.out == "", argv
+        # A radius that is no number names the type, not the conversion.
+        obj = hallway_scenario().to_obj()
+        obj["solver"]["dts_prior"] = {"sphere:abc": [2, 1]}
+        prior_file = tmp_path / "abc-prior.json"
+        prior_file.write_text(json.dumps(obj))
+        for argv in (
+            ["solve", str(scen), "--algo", "ecbs-sub:sphere:abc"],
+            ["solve", str(prior_file), "--algo", "gen-ecbs"],
+        ):
+            capsys.readouterr()
+            assert cli_main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == "error: unknown substitution type: 'sphere:abc'\n", argv
             assert captured.out == "", argv
         assert cli_main(["solve", str(scen), "--algo", "ecbs-sub:sphere:1.5"]) in (0, 1)
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import pickle
 import random
@@ -272,19 +273,21 @@ class TestGenECBS:
         root = engine._make_root()
         engine._insert(root)
         children = engine._children(root)
+
+        def rho(node, k):
+            return dict(zip(engine.queue_keys, engine._focal_keys(node)))[k][-2]
+
         # root has no constraints: rho defined as 1
-        key = engine._f_key(root, "avoidance")
-        assert key[-2] == 1.0
+        assert rho(root, "avoidance") == 1.0
         for ch in children:
             for k in engine.queue_keys:
                 if k == COMPLETE:
                     continue
-                rho = engine._f_key(ch, k)[-2]
-                assert 0.0 <= rho <= 1.0
+                assert 0.0 <= rho(ch, k) <= 1.0
         incomplete = [k for k in engine.queue_keys if k != COMPLETE]
         for ch in children:
             total_incomplete_share = sum(
-                1.0 - engine._f_key(ch, k)[-2] for k in incomplete
+                1.0 - rho(ch, k) for k in incomplete
             )
             expected = sum(
                 1 for c in ch.constraints if c.menu_key() != COMPLETE
@@ -343,6 +346,13 @@ class TestDTS:
             DTSState(["a"], prior={"b": (2, 1)})
         with pytest.raises(ValueError):
             DTSState(["a"], prior={"a": (0.5, 1)})
+
+    @pytest.mark.parametrize("prior", [(math.nan, 1), (1, math.nan), (math.inf, 1), (1e308, 1e308)])
+    def test_prior_must_be_finite(self, prior):
+        # NaN hangs `betavariate`, and an infinite sum makes the cap's
+        # rescale fail inside `gammavariate`.
+        with pytest.raises(ValueError, match=r"DTS prior for 'b' must be two numbers >= 1 with a finite sum"):
+            DTSState(["a", "b"], prior={"b": prior})
 
 
 def quad_link_arms():
@@ -574,13 +584,49 @@ class TestSingleSelectionPath:
                 previous = key
 
     @pytest.mark.parametrize("algo", ["cbs", "ecbs", "ac-ecbs", "ac-ecbs-lazy", "gen-ecbs", "gen-cbs"])
+    def test_each_pop_takes_the_least_key_under_the_bound(self, deep_scenarios, algo):
+        def key(engine, node, k):
+            head = (node.cost,) if engine.preset.unit_w else (len(node.conflicts), node.cost)
+            if k == COMPLETE:
+                return head + (node.id,)
+            share = sum(c.menu_key() == k for c in node.constraints) / len(node.constraints) if node.constraints else 0.0
+            return head + (1.0 - share, node.id)
+
+        def cached_key(engine, node, k):
+            # One id names at most a lazy and an evaluated version.
+            version = (node.id, bool(node.agents_replan), k)
+            if version not in keys:
+                keys[version] = key(engine, node, k)
+            return keys[version]
+
+        for scenario in deep_scenarios.values():
+            engine = _CTEngine(scenario.build_domain(), deep_config(scenario, algo))
+            bounds, pops, keys = [], [], {}
+            migrate, pop_focal = engine._migrate, engine._pop_focal
+
+            def recorded_migrate(bound):
+                bounds.append(bound)
+                migrate(bound)
+
+            def recorded_pop(k):
+                least = min(cached_key(engine, n, k) for n in engine.nodes.values() if n.cost <= bounds[-1])
+                node = pop_focal(k)
+                pops.append((key(engine, node, k), least))
+                return node
+
+            engine._migrate, engine._pop_focal = recorded_migrate, recorded_pop
+            engine.run()
+            assert len(pops) == len(bounds) > 1
+            assert all(got == least for got, least in pops), scenario.name
+
+    @pytest.mark.parametrize("algo", ["cbs", "ecbs", "ac-ecbs", "ac-ecbs-lazy", "gen-ecbs", "gen-cbs"])
     def test_expanded_nodes_leave_the_open_set(self, deep_scenarios, algo):
         scenario = deep_scenarios["grid-random-s300-018"]
         engine = _CTEngine(scenario.build_domain(), deep_config(scenario, algo))
         expanded = record_expansions(engine)
         engine.run()
         assert expanded
-        assert not {node.id for node, _ in expanded} & set(engine.nodes)
+        assert not {node.id for node, _ in expanded} & {n.id for n in engine.nodes.values()}
 
 
 def record_plans(monkeypatch):
