@@ -85,9 +85,15 @@ class Scenario:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
         if obj.get("version") != SCENARIO_VERSION:
             raise ScenarioError(f"unsupported scenario version: {obj.get('version')!r}")
+        name = obj.get("name")
+        if not isinstance(name, str):
+            raise ScenarioError(f"name must be a string, got {name!r}")
+        agent_objs = obj.get("agents")
+        if not (isinstance(agent_objs, list) and all(isinstance(a, dict) for a in agent_objs)):
+            raise ScenarioError(f"agents must be a list of objects, got {agent_objs!r}")
         try:
             agents = []
-            for a in obj["agents"]:
+            for a in agent_objs:
                 extra = set(a) - {"start", "goal"}
                 if extra:
                     raise ScenarioError(f"unknown agent fields: {sorted(extra)}")
@@ -96,7 +102,7 @@ class Scenario:
                 )
             solver = SolverConfig.from_obj(obj["solver"]) if "solver" in obj else None
             return Scenario(
-                name=str(obj["name"]),
+                name=name,
                 seed=json_number(obj["seed"], "seed", int),
                 domain_obj=obj["domain"],
                 agents=agents,

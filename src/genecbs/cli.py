@@ -111,7 +111,8 @@ def _cmd_solve(args) -> int:
         f" cost={'-' if cost is None else f'{cost:g}'}"
         f" lb={'-' if stats.lb is None else f'{stats.lb:g}'}"
         f" expansions={stats.hl_expansions} ll_calls={stats.ll_calls}"
-        f" ll_searches={stats.ll_searches} runtime_ms={stats.runtime_ms:.1f}"
+        f" ll_searches={stats.ll_searches} spine_pops={stats.spine_pops}"
+        f" runtime_ms={stats.runtime_ms:.1f}"
     )
     return 0 if (result.solved and clean) else 1
 

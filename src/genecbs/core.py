@@ -200,7 +200,9 @@ class CTNode:
     A node with agents_replan != () is lazily generated: its paths, cost,
     conflicts, and bounds are inherited from the parent and approximate.
     Evaluation replaces the node (same id) with updated values. lb_per_agent
-    holds certified per-agent lower bounds; lb is their sum.
+    holds certified per-agent lower bounds; lb is their sum. `spine` marks a
+    node whose every constraint is complete (vertex or edge): the root, and
+    each complete child of a spine node.
     """
 
     id: int
@@ -210,6 +212,7 @@ class CTNode:
     lb_per_agent: Tuple[float, ...]
     conflicts: Tuple[Conflict, ...]
     agents_replan: Tuple[int, ...]
+    spine: bool = False
 
     @property
     def lb(self) -> float:
@@ -227,11 +230,13 @@ class SolverStats:
     dts_rewards: Tuple[Tuple[str, int], ...] = ()
     dts_penalties: Tuple[Tuple[str, int], ...] = ()
     # Low-level searches run (requests the tree engine's memo did not
-    # answer), and which limit ended an unsolved search: "cap"
-    # (max_expansions), "clock" (timeout_ms) or None. `to_obj` leaves these
-    # two and runtime_ms out, so stored runs repeat byte for byte.
+    # answer), which limit ended an unsolved search: "cap" (max_expansions),
+    # "clock" (timeout_ms) or None, and the tree engine's spine pops.
+    # `to_obj` leaves these three and runtime_ms out, so stored runs repeat
+    # byte for byte.
     ll_searches: int = 0
     stopped_by: Optional[str] = None
+    spine_pops: int = 0
 
     def to_obj(self) -> dict:
         return {

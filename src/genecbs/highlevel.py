@@ -23,6 +23,33 @@ recomputes cost and conflicts) and re-queues it instead of expanding.
 Inherited lower bounds stay valid because constraint sets only grow, so the
 focal condition cost <= w * min lb(OPEN) keeps the w-bound proof intact.
 
+The spine rule raises that bound where incomplete branches hold it flat.
+A node is on the spine when every constraint on its path from the root is
+complete (vertex or edge): the root is, and a child is when its parent is
+and its menu entry is `complete`. Rows whose menu holds the complete entry
+and at least one incomplete one (ac-ecbs, ac-ecbs-lazy, gen-ecbs and
+gen-cbs on their default menus, never cbs, ecbs or ecbs-sub:*) keep the open
+spine nodes in a third lb heap. Once LB has not risen for `SPINE_STALL` HL
+expansions, the rule stays on for the rest of the solve:
+
+  - LB = max(min lb(OPEN), min lb(open spine)).
+  - The spine's min-lb node is popped in place of a focal pop whenever DTS
+    draws the complete queue (multi-queue rows), or on every other iteration
+    (single-queue rows). The paper does not fix what the complete queue
+    pops; this is EECBS's cleanup pop (Li, Ruml & Koenig, AAAI 2021)
+    restricted to the spine.
+
+It is sound because each complete pair is mutually disjunctive
+(`constraints.mutually_disjunctive_check` finds no counterexample): every
+solution satisfies the constraints of one of the two complete children, so
+the optimum stays feasible under some open spine node, whose lb bounds OPT
+from below. A spine node costs at most w * lb <= w * LB, so
+every spine pop lies within the focal bound. If a spine node is dropped on a
+low-level budget hit, the optimum may have been under it, so the rule is off
+for the rest of the solve; the bound proved before stays a valid floor, which
+is why the focal bound reads the running max of LB. An empty spine falls back
+to min lb(OPEN). A search whose LB keeps rising never turns the rule on.
+
 Sibling subtrees that forbid the same thing under two constraint types repeat
 their replans call for call, so each engine answers a low-level request that
 repeats one of the same solve from a table (`_CTEngine._plan_agent`), keyed
@@ -125,6 +152,9 @@ def find_conflicts(
 # Bound on alpha + beta of each DTS belief.
 DTS_CAP = 10.0
 
+# HL expansions without a rise of LB after which the spine rule turns on.
+SPINE_STALL = 16
+
 
 class DTSState:
     """Dynamic Thompson Sampling over the focal queues.
@@ -216,12 +246,21 @@ class _CTEngine:
         self.open_lb: List[tuple] = []  # (lb, entry)
         self.open_cost: List[tuple] = []  # (cost, entry); feeds the focal queues
         self.focal: Dict[str, List[tuple]] = {k: [] for k in self.queue_keys}  # (key, entry)
+        # (lb, entry) of the spine nodes on menus with the complete entry and
+        # an incomplete one; None where no spine rule applies or once a spine
+        # node was dropped on a low-level budget hit.
+        keys = menu.keys
+        self.open_spine: Optional[List[tuple]] = [] if COMPLETE in keys and len(keys) > 1 else None
+        self.spine_on = False
+        self.spine_turn = False
+        self.lb_rose_at = 0  # hl_expansions when LB last rose
         self.ids = itertools.count()
 
         self.hl_expansions = 0
         self.evaluations = 0
         self.ll_calls = 0
         self.ll_searches = 0
+        self.spine_pops = 0
         self.min_lb_final: float = 0.0
         # (agent, frozenset of its constraints' keys, other paths) -> LLResult.
         self.ll_memo: Dict[tuple, lowlevel.LLResult] = {}
@@ -246,14 +285,29 @@ class _CTEngine:
         self.nodes[entry] = node
         heapq.heappush(self.open_lb, (node.lb, entry))
         heapq.heappush(self.open_cost, (node.cost, entry))
+        if node.spine and self.open_spine is not None:
+            heapq.heappush(self.open_spine, (node.lb, entry))
 
-    def _min_lb(self) -> Optional[float]:
-        while self.open_lb:
-            lb, entry = self.open_lb[0]
+    def _min_lb(self, heap: List[tuple]) -> Optional[float]:
+        """The least lb of a live entry of `open_lb` or `open_spine`."""
+        while heap:
+            lb, entry = heap[0]
             if entry in self.nodes:
                 return lb
-            heapq.heappop(self.open_lb)
+            heapq.heappop(heap)
         return None
+
+    def _spine_lb(self) -> Optional[float]:
+        """min lb over the open spine nodes while the spine rule is on; None
+        while it is off or the spine is empty. Turns the rule on once LB has
+        not risen for `SPINE_STALL` HL expansions."""
+        if self.open_spine is None:
+            return None
+        if not self.spine_on:
+            if self.hl_expansions - self.lb_rose_at < SPINE_STALL:
+                return None
+            self.spine_on = True
+        return self._min_lb(self.open_spine)
 
     def _migrate(self, bound: float) -> None:
         """Flow node versions whose cost fits under the focal bound into every
@@ -263,22 +317,30 @@ class _CTEngine:
         (1 at the root). `_focal_keys` builds a version's keys once.
 
         Liveness, one rule for every heap: an entry is live iff its number is
-        in `nodes`, and `_pop_focal` pops it out. A version leaves OPEN only
-        through a focal pop, after its migration, so no `open_cost` entry is
-        dead. An evaluated version keeps its lazy version's id, so every
-        tie-break holds."""
+        in `nodes`, and `_pop_focal` or `_pop_spine` pops it out. A spine pop
+        can take a version before its migration, so its `open_cost` entry is
+        skipped here. An evaluated version keeps its lazy version's id, so
+        every tie-break holds."""
         while self.open_cost and self.open_cost[0][0] <= bound:
             _, entry = heapq.heappop(self.open_cost)
-            for k, key in zip(self.queue_keys, self._focal_keys(self.nodes[entry])):
-                heapq.heappush(self.focal[k], (key, entry))
+            node = self.nodes.get(entry)
+            if node is not None:
+                for k, key in zip(self.queue_keys, self._focal_keys(node)):
+                    heapq.heappush(self.focal[k], (key, entry))
 
-    def _pop_focal(self, k: str) -> Optional[CTNode]:
-        heap = self.focal[k]
+    def _pop(self, heap: List[tuple]) -> Optional[CTNode]:
         while heap:
             node = self.nodes.pop(heapq.heappop(heap)[1], None)
             if node is not None:
                 return node
         return None
+
+    def _pop_focal(self, k: str) -> Optional[CTNode]:
+        return self._pop(self.focal[k])
+
+    def _pop_spine(self) -> Optional[CTNode]:
+        self.spine_pops += 1
+        return self._pop(self.open_spine)
 
     # ---- planning ------------------------------------------------------
 
@@ -324,6 +386,10 @@ class _CTEngine:
         for agent in sorted(node.agents_replan):
             res = self._plan_agent(agent, node.constraints, tuple(paths))
             if res.status != lowlevel.OK:
+                if res.status == lowlevel.BUDGET and node.spine:
+                    # The optimum may lie under this node: no spine bound.
+                    self.open_spine = None
+                    self.spine_on = False
                 return None
             paths[agent] = res.path
             lbs[agent] = max(lbs[agent], res.lb)
@@ -350,13 +416,15 @@ class _CTEngine:
             lb_per_agent=tuple(0.0 for _ in range(self.domain.n_agents)),
             conflicts=(),
             agents_replan=tuple(range(self.domain.n_agents)),
+            spine=True,
         )
         return self._evaluate_node(root)
 
     def _children(self, node: CTNode) -> List[CTNode]:
         conflict = node.conflicts[0]
         out = []
-        for _, c_i, c_j in make_constraints(conflict, self.menu):
+        for entry, c_i, c_j in make_constraints(conflict, self.menu):
+            spine = node.spine and entry.kind == COMPLETE
             for c in (c_i, c_j):
                 out.append(
                     CTNode(
@@ -367,6 +435,7 @@ class _CTEngine:
                         lb_per_agent=node.lb_per_agent,
                         conflicts=node.conflicts,
                         agents_replan=(c.agent,),
+                        spine=spine,
                     )
                 )
         return out
@@ -392,6 +461,7 @@ class _CTEngine:
                 dts_penalties=tuple(sorted(self.dts.penalties.items())),
                 ll_searches=self.ll_searches,
                 stopped_by=stopped_by,
+                spine_pops=self.spine_pops,
             )
             solution = None if node is None else node.paths
             return SolverResult(status=status, solution=solution, stats=stats)
@@ -404,18 +474,30 @@ class _CTEngine:
         while True:
             if out_of_time():
                 return finish(TIMEOUT, None, "clock")
-            min_lb = self._min_lb()
+            min_lb = self._min_lb(self.open_lb)
             if min_lb is None:
                 return finish(EXHAUSTED, None)
-            self.min_lb_final = max(self.min_lb_final, min_lb)
+            spine_lb = self._spine_lb()
+            if spine_lb is not None:
+                min_lb = max(min_lb, spine_lb)
+            if min_lb > self.min_lb_final:
+                self.min_lb_final = min_lb
+                self.lb_rose_at = self.hl_expansions
 
-            bound = self.w * min_lb + 1e-9
+            bound = self.w * self.min_lb_final + 1e-9
             self._migrate(bound)
             k = self.dts.sample()
-            node = self._pop_focal(k)
+            if spine_lb is None:
+                spine_pop = False
+            elif self.preset.multi_queue:
+                spine_pop = k == COMPLETE
+            else:
+                self.spine_turn = spine_pop = not self.spine_turn
+            node = self._pop_spine() if spine_pop else self._pop_focal(k)
             # The focal low level keeps every node's cost within w of its own
-            # lb (lazy children inherit both), so the min-lb open node is
-            # under the bound and focal cannot be empty here.
+            # lb (lazy children inherit both), so the min-lb open node and the
+            # min-lb spine node are under the bound and focal cannot be empty
+            # here.
             assert node is not None and node.cost <= bound, (k, bound)
 
             if node.agents_replan:

@@ -173,6 +173,26 @@ class TestCriterion2BoundedSuboptimality:
         )
 
 
+class TestSpineBoundOnTheOracleSuite:
+    def test_rows_with_a_spine_solve_every_cell_at_the_optimum(self, oracle_suite):
+        # Without the spine rule, LB stays flat on s100-045 (four rows) and
+        # s300-033 (gen-cbs) until the 300-expansion cap.
+        names = {name for name, _, _ in oracle_suite}
+        assert {"grid-random-s100-045", "grid-random-s300-033"} <= names
+        failures = []
+        for name, domain, c_star in oracle_suite:
+            for algo in ("ac-ecbs", "ac-ecbs-lazy", "gen-ecbs", "gen-cbs"):
+                config = SolverConfig(algorithm=algo, w=1.0, seed=0, timeout_ms=60_000, max_expansions=300)
+                r = solve(domain, config)
+                if not (r.solved and r.stats.cost == c_star and r.stats.lb <= c_star):
+                    failures.append((name, algo, r.status, r.stats.cost, r.stats.lb, c_star))
+        _report(
+            "spine (w=1, 300-expansion cap)",
+            not failures,
+            f"{len(oracle_suite)} instances x 4 solvers, failures={failures[:5]}",
+        )
+
+
 class TestCriterion3CompletenessRegression:
     def test_gen_ecbs_solves_every_cbs_solvable_instance(self, oracle_suite, cbs_results):
         menus = {

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -835,8 +836,11 @@ class TestCLI:
         run_file = tmp_path / "r.json"
         rc = cli_main(["solve", str(scen), "--algo", "cbs", "--max-expansions", "1", "--out", str(run_file)])
         assert rc == 1
-        assert ": timeout (cap) " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert ": timeout (cap) " in out
+        assert re.search(r" ll_searches=\d+ spine_pops=0 runtime_ms=", out), out
         assert "stopped_by" not in run_file.read_text()
+        assert "spine_pops" not in run_file.read_text()
 
     def test_solve_unsolvable_returns_one(self, tmp_path):
         scen = self._write_scenario(tmp_path)
@@ -864,6 +868,26 @@ class TestCLI:
             assert cli_main(["solve", str(bad)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("name", None, "name must be a string, got None"),
+        ("name", [], "name must be a string, got []"),
+        ("name", {}, "name must be a string, got {}"),
+        ("name", 7, "name must be a string, got 7"),
+        ("agents", "x", "agents must be a list of objects, got 'x'"),
+        ("agents", {}, "agents must be a list of objects, got {}"),
+        ("agents", ["x"], "agents must be a list of objects, got ['x']"),
+        ("agents", None, "agents must be a list of objects, got None"),
+    ])
+    def test_bad_name_or_agents_return_two_with_one_line(self, tmp_path, capsys, field, value, message):
+        obj = hallway_scenario().to_obj()
+        obj[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        run_file = tmp_path / "run.json"
+        assert cli_main(["solve", str(bad), "--out", str(run_file)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not run_file.exists()
 
     def test_instance_without_agents_returns_two_with_one_line(self, tmp_path, capsys):
         scen = tmp_path / "scen"

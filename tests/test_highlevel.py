@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 import genecbs
-from genecbs import lowlevel
+from genecbs import highlevel, lowlevel
 from genecbs.bench import cell_seed, generate_instances
 from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, default_menu
 from genecbs.core import Configuration, Path, SolverResult, canonical_json, sum_of_costs
@@ -507,7 +507,8 @@ class TestCrowdParity:
 # sha256 of canonical_json(result.to_obj()) on trees deep
 # enough that many low-level requests repeat within a solve (300-expansion
 # cap, default menu, no prior, `cell_seed` seeds), recorded before the engine
-# answered repeated requests from its per-solve memo.
+# answered repeated requests from its per-solve memo, and before it had the
+# spine rule: they hold with `SPINE_STALL` out of reach.
 DEEP_DIGESTS = {
     ("grid-random-s300-018", "cbs"): "57842b802b29fcc48ee7328c6739d5a2a39280d66995b64c2614fa2c577c37f6",
     ("grid-random-s300-018", "ecbs"): "57842b802b29fcc48ee7328c6739d5a2a39280d66995b64c2614fa2c577c37f6",
@@ -517,6 +518,15 @@ DEEP_DIGESTS = {
     ("grid-random-s300-018", "gen-cbs"): "ec9b794f03ba1db506b47b1acc6ee4d5701c18980115d32827c6909bf3b0725a",
     ("arm-quad-s2024-000", "ecbs"): "f700559cd73259121365cac25144a63b902ed196f7acee606239612061440c9a",
     ("arm-quad-s2024-010", "ecbs"): "f06cf2f66540dc292161086e4524273d4b008ca99cde135414d5ffce6d8c7401",
+}
+
+# The same digests under the default `SPINE_STALL`, where they differ: the
+# spine rule turns on for these rows and each ends with fewer expansions.
+SPINE_DIGESTS = {
+    ("grid-random-s300-018", "ac-ecbs"): "7182cf0c08bc863bbc764411c49bf91985b3f4362cff015d0b8494e048fc8364",
+    ("grid-random-s300-018", "ac-ecbs-lazy"): "0700cf38309fa3fa3c0066da20c2318f511fdfe62cbe45715630415e009b215b",
+    ("grid-random-s300-018", "gen-ecbs"): "e131c8c75ce50db354a8d6318a645a99d2dd76f0d88ed1c9cf1ab9858c957d2f",
+    ("grid-random-s300-018", "gen-cbs"): "619a15185ee6532a25969ae5639fbb54eaf4e47e90e088e3461293eeb3c5b042",
 }
 
 GRID_S300 = {"width": 5, "height": 5, "n_agents": 3, "obstacle_density": 0.12}
@@ -540,11 +550,22 @@ def deep_config(scenario, algo):
 
 class TestDeepTreeParity:
     @pytest.mark.parametrize("name,algo", sorted(DEEP_DIGESTS))
-    def test_results_match_recorded_digests(self, deep_scenarios, name, algo):
+    def test_results_match_recorded_digests(self, deep_scenarios, monkeypatch, name, algo):
+        # A spine rule that never turns on leaves every byte as it was.
+        monkeypatch.setattr(highlevel, "SPINE_STALL", math.inf)
         scenario = deep_scenarios[name]
         r = solve(scenario.build_domain(), deep_config(scenario, algo))
         digest = hashlib.sha256(canonical_json(r.to_obj()).encode()).hexdigest()
         assert digest == DEEP_DIGESTS[(name, algo)]
+        assert r.stats.spine_pops == 0
+
+    @pytest.mark.parametrize("name,algo", sorted(DEEP_DIGESTS))
+    def test_default_spine_rule_matches_recorded_digests(self, deep_scenarios, name, algo):
+        scenario = deep_scenarios[name]
+        r = solve(scenario.build_domain(), deep_config(scenario, algo))
+        digest = hashlib.sha256(canonical_json(r.to_obj()).encode()).hexdigest()
+        assert digest == SPINE_DIGESTS.get((name, algo), DEEP_DIGESTS[(name, algo)])
+        assert (r.stats.spine_pops > 0) == ((name, algo) in SPINE_DIGESTS)
 
 
 def record_expansions(engine):
@@ -585,6 +606,9 @@ class TestSingleSelectionPath:
 
     @pytest.mark.parametrize("algo", ["cbs", "ecbs", "ac-ecbs", "ac-ecbs-lazy", "gen-ecbs", "gen-cbs"])
     def test_each_pop_takes_the_least_key_under_the_bound(self, deep_scenarios, algo):
+        # A focal pop takes the least key under the bound, a spine pop the
+        # live spine node of least (lb, entry), and every iteration makes
+        # exactly one of the two.
         def key(engine, node, k):
             head = (node.cost,) if engine.preset.unit_w else (len(node.conflicts), node.cost)
             if k == COMPLETE:
@@ -599,10 +623,11 @@ class TestSingleSelectionPath:
                 keys[version] = key(engine, node, k)
             return keys[version]
 
+        spine_pops = []
         for scenario in deep_scenarios.values():
             engine = _CTEngine(scenario.build_domain(), deep_config(scenario, algo))
-            bounds, pops, keys = [], [], {}
-            migrate, pop_focal = engine._migrate, engine._pop_focal
+            bounds, pops, spined, keys = [], [], [], {}
+            migrate, pop_focal, pop_spine = engine._migrate, engine._pop_focal, engine._pop_spine
 
             def recorded_migrate(bound):
                 bounds.append(bound)
@@ -614,10 +639,22 @@ class TestSingleSelectionPath:
                 pops.append((key(engine, node, k), least))
                 return node
 
+            def recorded_spine_pop():
+                _, entry = min((n.lb, e) for e, n in engine.nodes.items() if n.spine)
+                least = engine.nodes[entry]
+                node = pop_spine()
+                spined.append(node is least and node.cost <= bounds[-1])
+                return node
+
             engine._migrate, engine._pop_focal = recorded_migrate, recorded_pop
+            engine._pop_spine = recorded_spine_pop
             engine.run()
-            assert len(pops) == len(bounds) > 1
+            assert len(pops) + len(spined) == len(bounds) > 1
             assert all(got == least for got, least in pops), scenario.name
+            assert all(spined), scenario.name
+            spine_pops.extend(spined)
+        # The s300 cell turns the spine rule on for every row that has one.
+        assert bool(spine_pops) == (algo not in ("cbs", "ecbs"))
 
     @pytest.mark.parametrize("algo", ["cbs", "ecbs", "ac-ecbs", "ac-ecbs-lazy", "gen-ecbs", "gen-cbs"])
     def test_expanded_nodes_leave_the_open_set(self, deep_scenarios, algo):
@@ -627,6 +664,38 @@ class TestSingleSelectionPath:
         engine.run()
         assert expanded
         assert not {node.id for node, _ in expanded} & {n.id for n in engine.nodes.values()}
+
+
+def plateau_scenario():
+    """grid-random-s100-045, whose LB stays flat without the spine rule."""
+    return generate_instances("grid-random", 46, seed=100, params=GRID_S100)[45]
+
+
+SPINE_ROWS = ("ac-ecbs", "ac-ecbs-lazy", "gen-ecbs", "gen-cbs")
+
+
+class TestSpineRule:
+    """The spine bound and its cleanup pop (see the `highlevel` docstring)."""
+
+    @pytest.mark.parametrize("algo", SPINE_ROWS)
+    def test_budget_drop_never_reports_lb_above_the_optimum(self, algo):
+        # At 30 low-level expansions a spine node hits the budget after the
+        # rule has turned on; the bound proved before the drop is kept.
+        scenario = plateau_scenario()
+        config = deep_config(scenario, algo)
+        config.ll_max_expansions = 30
+        engine = _CTEngine(scenario.build_domain(), config)
+        r = engine.run()
+        assert r.stats.spine_pops > 0 and engine.open_spine is None and not engine.spine_on
+        assert r.stats.lb <= composite_optimal_cost(scenario.build_domain())
+
+    @pytest.mark.parametrize("algo", ("cbs", "ecbs", "ecbs-sub:avoidance") + SPINE_ROWS)
+    def test_only_rows_with_complete_and_incomplete_entries_engage(self, deep_scenarios, monkeypatch, algo):
+        monkeypatch.setattr(highlevel, "SPINE_STALL", 0)
+        for scenario in (deep_scenarios["grid-random-s300-018"], plateau_scenario()):
+            engine = _CTEngine(scenario.build_domain(), deep_config(scenario, algo))
+            r = engine.run()
+            assert engine.spine_on == (r.stats.spine_pops > 0) == (algo in SPINE_ROWS), scenario.name
 
 
 def record_plans(monkeypatch):
@@ -741,9 +810,9 @@ class TestLowLevelMemo:
 
 
 class TestRuntimeStats:
-    """`ll_searches`, `stopped_by` and `runtime_ms` are attributes of the
-    stats that their stored form leaves out, so RUN.json bytes do not carry
-    them."""
+    """`ll_searches`, `stopped_by`, `spine_pops` and `runtime_ms` are
+    attributes of the stats that their stored form leaves out, so RUN.json
+    bytes do not carry them."""
 
     def test_stopped_by_names_the_limit_that_ended_the_search(self, deep_scenarios):
         scenario = deep_scenarios["grid-random-s300-018"]
@@ -759,9 +828,9 @@ class TestRuntimeStats:
             assert r.status == ("solved" if stopped_by is None else "timeout")
             assert r.stats.stopped_by == stopped_by
             stored = r.to_obj()["stats"]
-            assert not {"runtime_ms", "ll_searches", "stopped_by"} & set(stored)
+            assert not {"runtime_ms", "ll_searches", "stopped_by", "spine_pops"} & set(stored)
             assert SolverResult.from_obj(r.to_obj()).stats == replace(
-                r.stats, runtime_ms=0.0, ll_searches=0, stopped_by=None
+                r.stats, runtime_ms=0.0, ll_searches=0, stopped_by=None, spine_pops=0
             )
 
     def test_pp_counts_every_request_as_a_search_and_stops_on_the_clock(self):
