@@ -29,6 +29,7 @@ from .core import (
     Path,
     canonical_json,
     json_number,
+    json_object,
     path_cost,
     sum_of_costs,
     unchecked_path_cost,
@@ -77,29 +78,20 @@ class Scenario:
 
     @staticmethod
     def from_obj(obj: dict) -> "Scenario":
-        if not isinstance(obj, dict):
-            raise ScenarioError("scenario must be a JSON object")
-        allowed = {"version", "name", "seed", "domain", "agents", "solver"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-        if obj.get("version") != SCENARIO_VERSION:
-            raise ScenarioError(f"unsupported scenario version: {obj.get('version')!r}")
-        name = obj.get("name")
-        if not isinstance(name, str):
-            raise ScenarioError(f"name must be a string, got {name!r}")
-        agent_objs = obj.get("agents")
-        if not (isinstance(agent_objs, list) and all(isinstance(a, dict) for a in agent_objs)):
-            raise ScenarioError(f"agents must be a list of objects, got {agent_objs!r}")
         try:
-            agents = []
-            for a in agent_objs:
-                extra = set(a) - {"start", "goal"}
-                if extra:
-                    raise ScenarioError(f"unknown agent fields: {sorted(extra)}")
-                agents.append(
-                    (Configuration.from_obj(a["start"]), Configuration.from_obj(a["goal"]))
-                )
+            json_object(obj, "scenario", "version", "name", "seed", "domain", "agents", "solver")
+            if obj.get("version") != SCENARIO_VERSION:
+                raise ScenarioError(f"unsupported scenario version: {obj.get('version')!r}")
+            name = obj.get("name")
+            if not isinstance(name, str):
+                raise ScenarioError(f"name must be a string, got {name!r}")
+            agent_objs = obj.get("agents")
+            if not (isinstance(agent_objs, list) and all(isinstance(a, dict) for a in agent_objs)):
+                raise ScenarioError(f"agents must be a list of objects, got {agent_objs!r}")
+            agents = [
+                (Configuration.from_obj(a["start"]), Configuration.from_obj(a["goal"]))
+                for a in (json_object(a, "agent", "start", "goal") for a in agent_objs)
+            ]
             solver = SolverConfig.from_obj(obj["solver"]) if "solver" in obj else None
             return Scenario(
                 name=name,
@@ -606,15 +598,13 @@ def generate_instances(
     for i in range(count):
         rng = random.Random((seed * 1_000_003 + i) & 0x7FFFFFFFFFFFFFFF)
         domain_obj, agents = generator(rng, params)
-        scenario = Scenario(
+        out.append(Scenario(
             name=f"{template}-s{seed}-{i:03d}",
             seed=(seed * 1_000_003 + i) & 0x7FFFFFFFFFFFFFFF,
             domain_obj=domain_obj,
             agents=agents,
             solver=SolverConfig(seed=i),
-        )
-        scenario.build_domain()  # validate before emitting
-        out.append(scenario)
+        ))
     return out
 
 

@@ -25,7 +25,7 @@ from .bench import (
     shortcut,
     verify,
 )
-from .core import SolverResult, canonical_json, sum_of_costs
+from .core import SolverResult, canonical_json, json_object, sum_of_costs
 from .highlevel import SolverConfig, solve
 
 RUN_VERSION = 1
@@ -38,7 +38,8 @@ def _load_run(path, with_scenario: bool = False) -> Tuple[dict, Optional[Scenari
         obj = json.loads(FsPath(path).read_text())
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot read run file {path}: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("version") != RUN_VERSION:
+    json_object(obj, "run file", "version", "scenario", "algorithm", "seed", "result", "cost_shortcut")
+    if obj.get("version") != RUN_VERSION:
         raise ScenarioError(f"unsupported run file: {path}")
     try:
         scenario = Scenario.from_obj(obj["scenario"]) if with_scenario else None

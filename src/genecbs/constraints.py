@@ -29,6 +29,7 @@ from .core import (
     Constraint,
     Path,
     json_number,
+    json_object,
     menu_key,
 )
 from .domain import Domain, GridDomain, free_configurations
@@ -58,11 +59,7 @@ class MenuEntry:
 
     @staticmethod
     def from_obj(obj: dict) -> "MenuEntry":
-        allowed = {"type", "radius"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown menu entry fields: {sorted(unknown)}")
-        kind = obj["type"]
+        kind = json_object(obj, "menu entry", "type", "radius")["type"]
         if kind == CT_SPHERE:
             return MenuEntry(kind=kind, radius=json_number(obj["radius"], "sphere radius"))
         if "radius" in obj:

@@ -61,6 +61,17 @@ def json_number(value, name: str, kind: type = float):
         raise ValueError(f"{name} is out of range, got {value!r}") from None
 
 
+def json_object(value, name: str, *fields: str) -> dict:
+    """An object read from a file, with no key outside `fields` (any keys
+    when no fields are given). Raises ValueError naming `name`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    unknown = set(value) - set(fields) if fields else ()
+    if unknown:
+        raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
+    return value
+
+
 class MalformedPathError(ValueError):
     """A path contains an invalid transition or is empty."""
 
@@ -131,6 +142,7 @@ class Path:
 
     @staticmethod
     def from_obj(obj: dict) -> "Path":
+        json_object(obj, "path", "agent", "steps")
         return Path(
             agent=json_number(obj["agent"], "path agent", int),
             steps=tuple(Configuration.from_obj(s) for s in obj["steps"]),
@@ -187,10 +199,12 @@ class Constraint:
     q_other2: Optional[Configuration] = None
     from_edge: bool = False
 
-    def menu_key(self) -> str:
-        """Key of the constraint-menu entry this constraint belongs to."""
-        kind = COMPLETE if self.ctype in (CT_VERTEX, CT_EDGE) else self.ctype
-        return menu_key(kind, self.radius)
+    @property
+    def horizon(self) -> int:
+        """The timestep from which on this constraint forbids nothing:
+        time + 2 for one made from an edge conflict, time + 1 otherwise.
+        Undefined for priority constraints, whose time is None."""
+        return self.time + (2 if self.from_edge else 1)
 
 
 @dataclass(frozen=True)
@@ -200,9 +214,9 @@ class CTNode:
     A node with agents_replan != () is lazily generated: its paths, cost,
     conflicts, and bounds are inherited from the parent and approximate.
     Evaluation replaces the node (same id) with updated values. lb_per_agent
-    holds certified per-agent lower bounds; lb is their sum. `spine` marks a
-    node whose every constraint is complete (vertex or edge): the root, and
-    each complete child of a spine node.
+    holds certified per-agent lower bounds; lb is their sum. `tally` counts
+    the node's constraints per branching-menu entry, in menu order: all
+    zeros at the root, and a child adds one at its entry's index.
     """
 
     id: int
@@ -212,7 +226,7 @@ class CTNode:
     lb_per_agent: Tuple[float, ...]
     conflicts: Tuple[Conflict, ...]
     agents_replan: Tuple[int, ...]
-    spine: bool = False
+    tally: Tuple[int, ...]
 
     @property
     def lb(self) -> float:
@@ -231,7 +245,8 @@ class SolverStats:
     dts_penalties: Tuple[Tuple[str, int], ...] = ()
     # Low-level searches run (requests the tree engine's memo did not
     # answer), which limit ended an unsolved search: "cap" (max_expansions),
-    # "clock" (timeout_ms) or None, and the tree engine's spine pops.
+    # "clock" (timeout_ms), "budget" (ll_max_expansions) or None, and the
+    # tree engine's spine pops.
     # `to_obj` leaves these three and runtime_ms out, so stored runs repeat
     # byte for byte.
     ll_searches: int = 0
@@ -251,6 +266,7 @@ class SolverStats:
 
     @staticmethod
     def from_obj(obj: dict) -> "SolverStats":
+        json_object(obj, "stats", *SolverStats().to_obj())
         return SolverStats(
             hl_expansions=json_number(obj["hl_expansions"], "hl_expansions", int),
             evaluations=json_number(obj["evaluations"], "evaluations", int),
@@ -265,9 +281,7 @@ class SolverStats:
 def _json_counts(obj: dict, name: str) -> Tuple[Tuple[str, int], ...]:
     """The object `obj[name]` (empty when absent) as sorted (key, count)
     pairs; each count must be an integral JSON number."""
-    counts = obj.get(name, {})
-    if not isinstance(counts, dict):
-        raise ValueError(f"{name} must be an object, got {counts!r}")
+    counts = json_object(obj.get(name, {}), name)
     return tuple(sorted((k, json_number(v, f"{name}.{k}", int)) for k, v in counts.items()))
 
 
@@ -292,9 +306,13 @@ class SolverResult:
 
     @staticmethod
     def from_obj(obj: dict) -> "SolverResult":
+        json_object(obj, "result", "status", "solution", "stats")
+        status = obj["status"]
+        if status not in (SOLVED, TIMEOUT, EXHAUSTED):
+            raise ValueError(f"status must be one of {SOLVED}, {TIMEOUT} or {EXHAUSTED}, got {status!r}")
         sol = obj.get("solution")
         return SolverResult(
-            status=obj["status"],
+            status=status,
             solution=None if sol is None else tuple(Path.from_obj(p) for p in sol),
             stats=SolverStats.from_obj(obj["stats"]),
         )

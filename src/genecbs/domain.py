@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import CT_AVOIDANCE, CT_EDGE, CT_VERTEX, Configuration, Constraint, Path, json_number
+from .core import CT_AVOIDANCE, CT_EDGE, CT_VERTEX, Configuration, Constraint, Path, json_number, json_object
 
 Point = Tuple[float, float]
 Segment = Tuple[Point, Point]
@@ -152,10 +152,10 @@ class Domain(ABC):
 
     def constraint_key(self, c: Constraint) -> Hashable:
         """A hashable value that two constraints share only when they forbid
-        the same (configuration, t) and (move, t) sets and can bite up to
-        the same horizon, `c.time + (2 if c.from_edge else 1)` as
-        `lowlevel._compile` computes it. The tree engine keys its low-level
-        memo on these values. This default is the constraint itself."""
+        the same (configuration, t) and (move, t) sets and share
+        `Constraint.horizon`, which `lowlevel._compile` reads. The tree
+        engine keys its low-level memo on these values. This default is the
+        constraint itself."""
         return c
 
     def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
@@ -267,18 +267,17 @@ class GridDomain(Domain):
         ctype, t = c.ctype, c.time
         if ctype not in (CT_VERTEX, CT_EDGE, CT_AVOIDANCE):
             return c
-        horizon = t + (2 if c.from_edge else 1)
         if ctype == CT_VERTEX:
-            return (horizon, (c.q.coords, t))
+            return (c.horizon, (c.q.coords, t))
         if ctype == CT_EDGE:
-            return (horizon, (c.q.coords, c.q2.coords, t))
+            return (c.horizon, (c.q.coords, c.q2.coords, t))
         a = c.q_other.coords
         if not c.from_edge:
-            return (horizon, (a, t))
+            return (c.horizon, (a, t))
         b = c.q_other2.coords
         if a == b:
-            return (horizon, (a, t), (b, t + 1))
-        return (horizon, (a, t), (b, t + 1), (b, a, t))
+            return (c.horizon, (a, t), (b, t + 1))
+        return (c.horizon, (a, t), (b, t + 1), (b, a, t))
 
     def cell_center(self, q: Configuration) -> Point:
         return (q.coords[0] + 0.5, q.coords[1] + 0.5)
@@ -879,22 +878,16 @@ def free_configurations(domain: Domain, agent: int) -> Iterator[Configuration]:
 
 def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[Configuration]) -> Domain:
     """The domain a scenario's `domain` object describes; every number goes
-    through `json_number`, and the domain, its arms and its obstacles reject
-    unknown fields."""
+    through `json_number`, and the domain, its arms and its obstacles go
+    through `json_object`."""
 
     def pair(values, name, number_type=float):
         x, y = values
         return json_number(x, name, number_type), json_number(y, name, number_type)
 
-    def known(o, name, *fields):
-        unknown = set(o) - {*fields}
-        if unknown:
-            raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
-        return o
-
-    kind = obj.get("type")
+    kind = json_object(obj, "domain").get("type")
     if kind == "grid":
-        known(obj, "grid domain", "type", "width", "height", "blocked", "substeps")
+        json_object(obj, "grid domain", "type", "width", "height", "blocked", "substeps")
         return GridDomain(
             width=json_number(obj["width"], "width", int),
             height=json_number(obj["height"], "height", int),
@@ -904,7 +897,7 @@ def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[
             substeps=json_number(obj.get("substeps", 4), "substeps", int),
         )
     if kind == "planar_arm":
-        known(obj, "planar_arm domain", "type", "delta", "substeps", "obstacles", "arms")
+        json_object(obj, "planar_arm domain", "type", "delta", "substeps", "obstacles", "arms")
         arms = [
             ArmSpec(
                 base=pair(a["base"], "arm bases"),
@@ -912,11 +905,11 @@ def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[
                 joint_limits=tuple(pair(lim, "joint limits", int) for lim in a["joint_limits"]),
                 thickness=json_number(a["thickness"], "arm thickness"),
             )
-            for a in (known(a, "arm", "base", "link_lengths", "joint_limits", "thickness") for a in obj["arms"])
+            for a in (json_object(a, "arm", "base", "link_lengths", "joint_limits", "thickness") for a in obj["arms"])
         ]
         obstacles = [
             (pair(o["center"], "obstacle centers"), json_number(o["radius"], "obstacle radii"))
-            for o in (known(o, "obstacle", "center", "radius") for o in obj.get("obstacles", []))
+            for o in (json_object(o, "obstacle", "center", "radius") for o in obj.get("obstacles", []))
         ]
         return PlanarArmDomain(
             arms=arms,

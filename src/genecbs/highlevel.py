@@ -25,8 +25,9 @@ focal condition cost <= w * min lb(OPEN) keeps the w-bound proof intact.
 
 The spine rule raises that bound where incomplete branches hold it flat.
 A node is on the spine when every constraint on its path from the root is
-complete (vertex or edge): the root is, and a child is when its parent is
-and its menu entry is `complete`. Rows whose menu holds the complete entry
+complete (vertex or edge). Each node tallies its constraints per menu entry
+(`CTNode.tally`); the spine is read from that tally, as are the focal
+queues' rho_k. Rows whose menu holds the complete entry
 and at least one incomplete one (ac-ecbs, ac-ecbs-lazy, gen-ecbs and
 gen-cbs on their default menus, never cbs, ecbs or ecbs-sub:*) keep the open
 spine nodes in a third lb heap. Once LB has not risen for `SPINE_STALL` HL
@@ -44,11 +45,14 @@ It is sound because each complete pair is mutually disjunctive
 solution satisfies the constraints of one of the two complete children, so
 the optimum stays feasible under some open spine node, whose lb bounds OPT
 from below. A spine node costs at most w * lb <= w * LB, so
-every spine pop lies within the focal bound. If a spine node is dropped on a
-low-level budget hit, the optimum may have been under it, so the rule is off
-for the rest of the solve; the bound proved before stays a valid floor, which
-is why the focal bound reads the running max of LB. An empty spine falls back
-to min lb(OPEN). A search whose LB keeps rising never turns the rule on.
+every spine pop lies within the focal bound. If a node is dropped on a
+low-level budget hit, the optimum may have been under it: the reported lb is
+at most that node's lb, running out of nodes ends `timeout` with
+`stopped_by="budget"` rather than `exhausted`, and after a spine node the
+rule is off for the rest of the solve. The bound proved before stays a valid
+floor, which is why the focal bound reads the running max of LB. An empty
+spine falls back to min lb(OPEN). A search whose LB keeps rising never turns
+the rule on.
 
 Sibling subtrees that forbid the same thing under two constraint types repeat
 their replans call for call, so each engine answers a low-level request that
@@ -65,8 +69,7 @@ import itertools
 import math
 import random
 import time
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -83,6 +86,7 @@ from .core import (
     SolverResult,
     SolverStats,
     json_number,
+    json_object,
     menu_key,
 )
 from .constraints import (
@@ -250,7 +254,7 @@ class _CTEngine:
         # an incomplete one; None where no spine rule applies or once a spine
         # node was dropped on a low-level budget hit.
         keys = menu.keys
-        self.open_spine: Optional[List[tuple]] = [] if COMPLETE in keys and len(keys) > 1 else None
+        self.open_spine: Optional[List[tuple]] = [] if len(keys) > 1 and keys[0] == COMPLETE else None
         self.spine_on = False
         self.spine_turn = False
         self.lb_rose_at = 0  # hl_expansions when LB last rose
@@ -262,6 +266,7 @@ class _CTEngine:
         self.ll_searches = 0
         self.spine_pops = 0
         self.min_lb_final: float = 0.0
+        self.budget_lb = math.inf  # least lb of a node dropped on a low-level budget hit
         # (agent, frozenset of its constraints' keys, other paths) -> LLResult.
         self.ll_memo: Dict[tuple, lowlevel.LLResult] = {}
 
@@ -271,21 +276,25 @@ class _CTEngine:
         """The node version's key in each of `queue_keys`, as `_migrate`
         states it."""
         head = (node.cost,) if self.preset.unit_w else (len(node.conflicts), node.cost)
-        total = len(node.constraints)
-        counts = None
-        if total and self.queue_keys != (COMPLETE,):
-            counts = Counter(c.menu_key() for c in node.constraints)
+        if not self.preset.multi_queue:
+            return [head + (node.id,)]
+        depth = len(node.constraints)
         return [
-            head + (node.id,) if k == COMPLETE else head + (1.0 - counts[k] / total if counts else 1.0, node.id)
-            for k in self.queue_keys
+            head + (node.id,) if k == COMPLETE else head + (1.0 - n / depth if depth else 1.0, node.id)
+            for k, n in zip(self.queue_keys, node.tally)
         ]
+
+    def _on_spine(self, node: CTNode) -> bool:
+        """Whether `node` is on a spine this engine keeps: its tally is zero
+        outside the complete entry, which such menus list first."""
+        return self.open_spine is not None and not any(node.tally[1:])
 
     def _insert(self, node: CTNode) -> None:
         entry = next(self.entries)
         self.nodes[entry] = node
         heapq.heappush(self.open_lb, (node.lb, entry))
         heapq.heappush(self.open_cost, (node.cost, entry))
-        if node.spine and self.open_spine is not None:
+        if self._on_spine(node):
             heapq.heappush(self.open_spine, (node.lb, entry))
 
     def _min_lb(self, heap: List[tuple]) -> Optional[float]:
@@ -313,8 +322,9 @@ class _CTEngine:
         """Flow node versions whose cost fits under the focal bound into every
         focal queue. Queue k's key is (conflicts, cost, rho_k, id), without
         the conflicts on `unit_w` rows and without rho_k in the complete
-        queue; rho_k is 1 minus the share of the node's constraints of type k
-        (1 at the root). `_focal_keys` builds a version's keys once.
+        queue and on single-queue rows; rho_k is 1 minus the share of the
+        node's constraints of type k, read from its tally (1 at the root).
+        `_focal_keys` builds a version's keys once.
 
         Liveness, one rule for every heap: an entry is live iff its number is
         in `nodes`, and `_pop_focal` or `_pop_spine` pops it out. A spine pop
@@ -386,10 +396,12 @@ class _CTEngine:
         for agent in sorted(node.agents_replan):
             res = self._plan_agent(agent, node.constraints, tuple(paths))
             if res.status != lowlevel.OK:
-                if res.status == lowlevel.BUDGET and node.spine:
-                    # The optimum may lie under this node: no spine bound.
-                    self.open_spine = None
-                    self.spine_on = False
+                if res.status == lowlevel.BUDGET:
+                    self.budget_lb = min(self.budget_lb, node.lb)
+                    if self._on_spine(node):
+                        # The optimum may lie under this node: no spine bound.
+                        self.open_spine = None
+                        self.spine_on = False
                 return None
             paths[agent] = res.path
             lbs[agent] = max(lbs[agent], res.lb)
@@ -416,28 +428,20 @@ class _CTEngine:
             lb_per_agent=tuple(0.0 for _ in range(self.domain.n_agents)),
             conflicts=(),
             agents_replan=tuple(range(self.domain.n_agents)),
-            spine=True,
+            tally=(0,) * len(self.menu.enabled),
         )
         return self._evaluate_node(root)
 
     def _children(self, node: CTNode) -> List[CTNode]:
-        conflict = node.conflicts[0]
+        """Two children per menu entry, in menu order. Each inherits the
+        node's paths, cost, bounds and conflicts, and replans the agent of
+        its one new constraint."""
         out = []
-        for entry, c_i, c_j in make_constraints(conflict, self.menu):
-            spine = node.spine and entry.kind == COMPLETE
+        for index, (_, c_i, c_j) in enumerate(make_constraints(node.conflicts[0], self.menu)):
+            tally = node.tally[:index] + (node.tally[index] + 1,) + node.tally[index + 1:]
             for c in (c_i, c_j):
-                out.append(
-                    CTNode(
-                        id=next(self.ids),
-                        constraints=node.constraints + (c,),
-                        paths=node.paths,
-                        cost=node.cost,
-                        lb_per_agent=node.lb_per_agent,
-                        conflicts=node.conflicts,
-                        agents_replan=(c.agent,),
-                        spine=spine,
-                    )
-                )
+                constraints = node.constraints + (c,)
+                out.append(replace(node, id=next(self.ids), constraints=constraints, agents_replan=(c.agent,), tally=tally))
         return out
 
     # ---- main loop -----------------------------------------------------
@@ -456,7 +460,7 @@ class _CTEngine:
                 evaluations=self.evaluations,
                 ll_calls=self.ll_calls,
                 cost=None if node is None else node.cost,
-                lb=self.min_lb_final,
+                lb=min(self.min_lb_final, self.budget_lb),
                 dts_rewards=tuple(sorted(self.dts.rewards.items())),
                 dts_penalties=tuple(sorted(self.dts.penalties.items())),
                 ll_searches=self.ll_searches,
@@ -467,16 +471,15 @@ class _CTEngine:
             return SolverResult(status=status, solution=solution, stats=stats)
 
         root = self._make_root()
-        if root is None:
-            return finish(EXHAUSTED, None)
-        self._insert(root)
+        if root is not None:
+            self._insert(root)
 
         while True:
-            if out_of_time():
-                return finish(TIMEOUT, None, "clock")
             min_lb = self._min_lb(self.open_lb)
             if min_lb is None:
-                return finish(EXHAUSTED, None)
+                return finish(TIMEOUT, None, "budget") if self.budget_lb < math.inf else finish(EXHAUSTED, None)
+            if out_of_time():
+                return finish(TIMEOUT, None, "clock")
             spine_lb = self._spine_lb()
             if spine_lb is not None:
                 min_lb = max(min_lb, spine_lb)
@@ -618,13 +621,7 @@ class SolverConfig:
 
     @staticmethod
     def from_obj(obj: dict) -> "SolverConfig":
-        allowed = {
-            "algorithm", "w", "menu", "dts_prior", "seed",
-            "timeout_ms", "max_expansions", "ll_max_expansions", "pp_retries",
-        }
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown solver fields: {sorted(unknown)}")
+        json_object(obj, "solver", *(f.name for f in fields(SolverConfig)))
         cfg = SolverConfig()
         cfg.algorithm = obj.get("algorithm", cfg.algorithm)
         if not isinstance(cfg.algorithm, str):
@@ -634,7 +631,7 @@ class SolverConfig:
         if "dts_prior" in obj:
             cfg.dts_prior = {
                 k: (json_number(a, "dts_prior"), json_number(b, "dts_prior"))
-                for k, (a, b) in obj["dts_prior"].items()
+                for k, (a, b) in json_object(obj["dts_prior"], "dts_prior").items()
             }
         # Numbers keep their default's type: w and the timeout are floats,
         # the seed and the caps integers.

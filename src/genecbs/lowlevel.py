@@ -183,7 +183,7 @@ def _compile(domain: Domain, ctx: ConstraintContext):
                 prio_paths[c.other] = other
                 horizon = max(horizon, other.horizon)
             continue
-        horizon = max(horizon, c.time + (2 if c.from_edge else 1))
+        horizon = max(horizon, c.horizon)
         if c.ctype != CT_EDGE:
             vertex.setdefault(c.time, []).append(c)
             if c.from_edge and c.ctype in (CT_AVOIDANCE, CT_STEP_PRIORITY):

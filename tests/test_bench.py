@@ -17,6 +17,7 @@ import genecbs
 from genecbs import bench as bench_module
 from genecbs.bench import (
     CSV_COLUMNS,
+    TEMPLATES,
     RunRecord,
     Scenario,
     ScenarioError,
@@ -146,6 +147,11 @@ class TestGeneration:
         for s in generate_instances("arm-quad", 3, seed=5):
             d = s.build_domain()
             assert d.n_agents == 4
+
+    @pytest.mark.parametrize("template", sorted(TEMPLATES))
+    def test_every_template_emits_valid_instances(self, template):
+        for s in generate_instances(template, 3, seed=11):
+            s.build_domain()  # raises if starts/goals invalid or conflicting
 
     def test_unknown_template(self):
         with pytest.raises(ScenarioError):
@@ -842,6 +848,18 @@ class TestCLI:
         assert "stopped_by" not in run_file.read_text()
         assert "spine_pops" not in run_file.read_text()
 
+    def test_solve_prints_a_low_level_budget_stop(self, tmp_path, capsys):
+        # With no low-level expansions allowed the root is dropped over
+        # budget, which proves nothing about the instance.
+        obj = hallway_scenario().to_obj()
+        obj["solver"]["ll_max_expansions"] = 0
+        scen = tmp_path / "budget.json"
+        scen.write_text(json.dumps(obj))
+        for algo in ("cbs", "gen-ecbs"):
+            assert cli_main(["solve", str(scen), "--algo", algo]) == 1
+            out = capsys.readouterr().out
+            assert ": timeout (budget) cost=- lb=0 " in out, out
+
     def test_solve_unsolvable_returns_one(self, tmp_path):
         scen = self._write_scenario(tmp_path)
         rc = cli_main(["solve", str(scen), "--algo", "pp", "--out", str(tmp_path / "r.json")])
@@ -1039,6 +1057,56 @@ class TestCLI:
         no_agent = json.loads(run_file.read_text())
         del no_agent["result"]["solution"][0]["agent"]
         return scen, {"result": no_result, "scenario": no_scenario, "agent": no_agent}
+
+    @pytest.mark.parametrize("file, path, value, message", [
+        ("grid", ("zz",), 1, "unknown scenario fields: ['zz']"),
+        ("grid", ("agents", 0, "zz"), 1, "unknown agent fields: ['zz']"),
+        ("grid", ("solver", "zz"), 1, "unknown solver fields: ['zz']"),
+        ("grid", ("solver", "menu"), [{"type": "complete", "zz": 1}], "unknown menu entry fields: ['zz']"),
+        ("grid", ("domain", "zz"), 1, "unknown grid domain fields: ['zz']"),
+        ("arm", ("domain", "zz"), 1, "unknown planar_arm domain fields: ['zz']"),
+        ("arm", ("domain", "arms", 0, "zz"), 1, "unknown arm fields: ['zz']"),
+        ("arm", ("domain", "obstacles", 0, "zz"), 1, "unknown obstacle fields: ['zz']"),
+        ("run", ("zz",), 1, "unknown run file fields: ['zz']"),
+        ("run", ("result", "zz"), 1, "unknown result fields: ['zz']"),
+        ("run", ("result", "stats", "zz"), 1, "unknown stats fields: ['zz']"),
+        ("run", ("result", "solution", 0, "zz"), 1, "unknown path fields: ['zz']"),
+        ("grid", ("solver",), [], "solver must be an object, got []"),
+        ("grid", ("solver", "menu"), [[]], "menu entry must be an object, got []"),
+        ("grid", ("domain",), [], "domain must be an object, got []"),
+        ("grid", ("solver", "dts_prior"), [], "dts_prior must be an object, got []"),
+        ("run", ("result",), [], "result must be an object, got []"),
+        ("run", ("result", "stats"), [], "stats must be an object, got []"),
+        ("run", ("result", "solution", 0), [], "path must be an object, got []"),
+        ("run", ("result", "status"), 7, "status must be one of solved, timeout or exhausted, got 7"),
+    ])
+    def test_every_file_reader_applies_the_field_rule(self, tmp_path, capsys, file, path, value, message):
+        # Each object a scenario or run file holds rejects a field it does
+        # not know, and a value that is no object.
+        scen = self._write_scenario(tmp_path)
+        run_file = tmp_path / "run.json"
+        assert cli_main(["solve", str(scen), "--algo", "cbs", "--out", str(run_file)]) == 0
+        obj = {
+            "grid": hallway_scenario().to_obj(),
+            "arm": generate_instances("arm-pair", 1, seed=0)[0].to_obj(),
+            "run": json.loads(run_file.read_text()),
+        }[file]
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        if file == "run":
+            argvs = (["verify", str(scen), str(bad)], ["shortcut", str(bad)])
+        else:
+            argvs = (["solve", str(bad), "--algo", "cbs"],)
+        for argv in argvs:
+            capsys.readouterr()
+            assert cli_main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(f"{message}\n"), err
+        assert json.loads(bad.read_text()) == obj  # left as it was
 
     def test_non_number_run_stats_return_two_with_one_line(self, tmp_path, capsys):
         scen = self._write_scenario(tmp_path)

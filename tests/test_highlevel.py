@@ -13,7 +13,7 @@ import genecbs
 from genecbs import highlevel, lowlevel
 from genecbs.bench import cell_seed, generate_instances
 from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, default_menu
-from genecbs.core import Configuration, Path, SolverResult, canonical_json, sum_of_costs
+from genecbs.core import Configuration, Path, SolverResult, canonical_json, menu_key, sum_of_costs
 from genecbs.lowlevel import ConstraintContext
 from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain
 from genecbs.highlevel import (
@@ -44,6 +44,11 @@ def hallway_swap():
 def open_swap_corridor():
     # 3x3 free block: two agents crossing diagonally opposite corners.
     return grid(3, 3, [], [(0, 0), (2, 2)], [(2, 2), (0, 0)])
+
+
+def entry_key(c):
+    """Key of the menu entry constraint `c` came from."""
+    return menu_key(COMPLETE if c.ctype in ("vertex", "edge") else c.ctype, c.radius)
 
 
 FULL_GRID_MENU = ConstraintMenu.of(
@@ -241,7 +246,7 @@ class TestGenECBS:
         assert len(children) == 6
         assert all(len(ch.agents_replan) == 1 for ch in children)
         assert all(ch.cost == root.cost and ch.conflicts == root.conflicts for ch in children)
-        types = [ch.constraints[-1].menu_key() for ch in children]
+        types = [entry_key(ch.constraints[-1]) for ch in children]
         assert types == ["complete", "complete", "avoidance", "avoidance", "sphere:1", "sphere:1"]
 
     def test_bound_and_solution(self):
@@ -290,7 +295,7 @@ class TestGenECBS:
                 1.0 - rho(ch, k) for k in incomplete
             )
             expected = sum(
-                1 for c in ch.constraints if c.menu_key() != COMPLETE
+                1 for c in ch.constraints if entry_key(c) != COMPLETE
             ) / len(ch.constraints)
             assert total_incomplete_share == pytest.approx(expected)
 
@@ -613,7 +618,7 @@ class TestSingleSelectionPath:
             head = (node.cost,) if engine.preset.unit_w else (len(node.conflicts), node.cost)
             if k == COMPLETE:
                 return head + (node.id,)
-            share = sum(c.menu_key() == k for c in node.constraints) / len(node.constraints) if node.constraints else 0.0
+            share = sum(entry_key(c) == k for c in node.constraints) / len(node.constraints) if node.constraints else 0.0
             return head + (1.0 - share, node.id)
 
         def cached_key(engine, node, k):
@@ -640,7 +645,10 @@ class TestSingleSelectionPath:
                 return node
 
             def recorded_spine_pop():
-                _, entry = min((n.lb, e) for e, n in engine.nodes.items() if n.spine)
+                _, entry = min(
+                    (n.lb, e) for e, n in engine.nodes.items()
+                    if all(c.ctype in ("vertex", "edge") for c in n.constraints)
+                )
                 least = engine.nodes[entry]
                 node = pop_spine()
                 spined.append(node is least and node.cost <= bounds[-1])
@@ -696,6 +704,25 @@ class TestSpineRule:
             engine = _CTEngine(scenario.build_domain(), deep_config(scenario, algo))
             r = engine.run()
             assert engine.spine_on == (r.stats.spine_pops > 0) == (algo in SPINE_ROWS), scenario.name
+
+
+GRID_S200 = {"width": 6, "height": 6, "n_agents": 2, "obstacle_density": 0.15}
+
+
+class TestBudgetDrop:
+    """A node dropped on a low-level budget hit may hold the optimum."""
+
+    @pytest.mark.parametrize("algo", ("cbs", "ecbs") + SPINE_ROWS)
+    def test_budget_drops_end_on_the_budget_under_the_optimum(self, algo):
+        # At 15 low-level expansions every row drops nodes over budget on
+        # grid-random-s200-001 (optimum 10) until none is left open.
+        scenario = generate_instances("grid-random", 2, seed=200, params=GRID_S200)[1]
+        domain = scenario.build_domain()
+        config = deep_config(scenario, algo)
+        config.ll_max_expansions = 15
+        r = solve(domain, config)
+        assert (r.status, r.stats.stopped_by) == ("timeout", "budget")
+        assert r.stats.lb <= composite_optimal_cost(domain) == 10
 
 
 def record_plans(monkeypatch):
