@@ -28,6 +28,7 @@ from .core import (
     Conflict,
     Constraint,
     Path,
+    json_list,
     json_number,
     json_object,
     menu_key,
@@ -109,7 +110,7 @@ class ConstraintMenu:
 
     @staticmethod
     def from_obj(obj: list) -> "ConstraintMenu":
-        return ConstraintMenu(enabled=tuple(MenuEntry.from_obj(e) for e in obj))
+        return ConstraintMenu(enabled=tuple(MenuEntry.from_obj(e) for e in json_list(obj, "menu")))
 
 
 def default_menu(domain: Domain) -> ConstraintMenu:

@@ -72,6 +72,13 @@ def json_object(value, name: str, *fields: str) -> dict:
     return value
 
 
+def json_list(value, name: str) -> list:
+    """A list read from a file. Raises ValueError naming `name`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 class MalformedPathError(ValueError):
     """A path contains an invalid transition or is empty."""
 
@@ -99,7 +106,7 @@ class Configuration:
 
     @staticmethod
     def from_obj(obj: Sequence[int]) -> "Configuration":
-        return Configuration(tuple(json_number(c, "coordinates", int) for c in obj))
+        return Configuration(tuple(json_number(c, "coordinates", int) for c in json_list(obj, "coordinates")))
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ class Path:
         json_object(obj, "path", "agent", "steps")
         return Path(
             agent=json_number(obj["agent"], "path agent", int),
-            steps=tuple(Configuration.from_obj(s) for s in obj["steps"]),
+            steps=tuple(Configuration.from_obj(s) for s in json_list(obj["steps"], "steps")),
         )
 
 
@@ -313,7 +320,7 @@ class SolverResult:
         sol = obj.get("solution")
         return SolverResult(
             status=status,
-            solution=None if sol is None else tuple(Path.from_obj(p) for p in sol),
+            solution=None if sol is None else tuple(Path.from_obj(p) for p in json_list(sol, "solution")),
             stats=SolverStats.from_obj(obj["stats"]),
         )
 

@@ -10,9 +10,11 @@ check is the verifier's independent reference. Domains are immutable after
 construction; the internal memo caches only store results of pure queries.
 
 The arm domain's conflict counter skips each (move, other arm) part that a
-bounding-box certificate proves clear and asks the primitive otherwise; it
-reads no memo itself. Below the primitives, one memo keeps each pose's link
-segments with their bounding box (`_shape`), another the exact link-pair
+certificate proves clear and asks the primitive otherwise: the bounding
+boxes first, then for a motion the end gaps of `_sweep`'s top-level test
+(`_certified`), which it reads through `_pair_gap` from the pose memos.
+Below the primitives, one memo keeps each pose's link segments with their
+bounding box (`_shape`, built in one pass), another the exact link-pair
 scan of a pose pair, both keyed by their full input, and `edge_collides`
 memoises its answers. The two pose memos keep integer poses only: a
 motion's end poses enter them, and every pose between them (sample or
@@ -29,7 +31,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import CT_AVOIDANCE, CT_EDGE, CT_VERTEX, Configuration, Constraint, Path, json_number, json_object
+from .core import CT_AVOIDANCE, CT_EDGE, CT_VERTEX, Configuration, Constraint, Path, json_list, json_number, json_object
 
 Point = Tuple[float, float]
 Segment = Tuple[Point, Point]
@@ -356,17 +358,6 @@ class ArmSpec:
         return sum(self.link_lengths)
 
 
-def _segs_bbox(segs: Sequence[Segment]) -> Box:
-    xs = [p[0] for seg in segs for p in seg]
-    ys = [p[1] for seg in segs for p in seg]
-    return (min(xs), min(ys), max(xs), max(ys))
-
-
-def _boxes_apart(a: Box, b: Box, enough: float) -> bool:
-    """Whether the boxes are more than `enough` apart on an axis."""
-    return a[0] - enough > b[2] or b[0] - enough > a[2] or a[1] - enough > b[3] or b[1] - enough > a[3]
-
-
 def _box_gap(a: Box, b: Box) -> float:
     """Distance between two boxes: a lower bound on that of their contents."""
     ax0, ay0, ax1, ay1 = a
@@ -374,6 +365,14 @@ def _box_gap(a: Box, b: Box) -> float:
     gx = ax0 - bx1 if ax0 > bx1 else (bx0 - ax1 if bx0 > ax1 else 0.0)
     gy = ay0 - by1 if ay0 > by1 else (by0 - ay1 if by0 > ay1 else 0.0)
     return math.hypot(gx, gy)
+
+
+def _certified(g0: float, g1: float, travel: float, margin: float) -> bool:
+    """The sweep certificate (adaptive dynamic collision checking, Schwarzer,
+    Saha & Latombe 2005): an interval whose end gaps are g0 and g1, over
+    which the separation changes by at most `travel`, keeps a separation
+    above `margin` throughout when (g0 + g1 - travel) / 2 > margin."""
+    return g0 + g1 - travel > 2.0 * margin
 
 
 def _seg_point_dist(seg: Segment, p: Point) -> float:
@@ -451,7 +450,7 @@ def _lerp(a: Tuple[int, ...], b: Tuple[int, ...], s: float) -> Tuple[float, ...]
         return a
     if s == 1.0:
         return b
-    return tuple(x + (y - x) * s for x, y in zip(a, b))
+    return tuple([x + (y - x) * s for x, y in zip(a, b)])
 
 
 class PlanarArmDomain(Domain):
@@ -531,24 +530,37 @@ class PlanarArmDomain(Domain):
 
     def _shape(self, agent: int, coords: Tuple[float, ...], memo: bool = True):
         """Link segments of the pose and their bounding box: the one pose
-        accessor. `memo` decides whether a computed pose is stored: the
-        motion checks pass it only at a motion's integer end poses, so no
-        pose between them (sample or bisection point) grows the memo."""
+        accessor. One pass places the links and keeps a running min/max of
+        their endpoints, so the box holds the endpoints' own floats. `memo`
+        decides whether a computed pose is stored: the motion checks pass it
+        only at a motion's integer end poses, so no pose between them
+        (sample or bisection point) grows the memo."""
         key = (agent, coords)
         hit = self._pose_cache.get(key)
         if hit is not None:
             return hit
         arm = self.arms[agent]
+        delta, cos, sin = self.delta, math.cos, math.sin
         x, y = arm.base
+        x0 = x1 = x
+        y0 = y1 = y
         theta = 0.0
         segs = []
         for length, c in zip(arm.link_lengths, coords):
-            theta += c * self.delta
-            nx = x + length * math.cos(theta)
-            ny = y + length * math.sin(theta)
+            theta += c * delta
+            nx = x + length * cos(theta)
+            ny = y + length * sin(theta)
             segs.append(((x, y), (nx, ny)))
+            if nx < x0:
+                x0 = nx
+            elif nx > x1:
+                x1 = nx
+            if ny < y0:
+                y0 = ny
+            elif ny > y1:
+                y1 = ny
             x, y = nx, ny
-        out = (tuple(segs), _segs_bbox(segs))
+        out = (tuple(segs), (x0, y0, x1, y1))
         if memo and len(self._pose_cache) < POSE_MEMO_CAP:
             self._pose_cache[key] = out
         return out
@@ -644,10 +656,12 @@ class PlanarArmDomain(Domain):
         only at a motion's integer end poses, so the memo keeps integer
         pose pairs only.
         """
-        segs_i, box_i = self._shape(i, coords_i, memo)
-        segs_j, box_j = self._shape(j, coords_j, memo)
-        if _boxes_apart(box_i, box_j, enough):
-            return _box_gap(box_i, box_j), None
+        segs_i, (ax0, ay0, ax1, ay1) = self._shape(i, coords_i, memo)
+        segs_j, (bx0, by0, bx1, by1) = self._shape(j, coords_j, memo)
+        if ax0 - enough > bx1 or bx0 - enough > ax1 or ay0 - enough > by1 or by0 - enough > ay1:
+            gx = ax0 - bx1 if ax0 > bx1 else (bx0 - ax1 if bx0 > ax1 else 0.0)
+            gy = ay0 - by1 if ay0 > by1 else (by0 - ay1 if by0 > ay1 else 0.0)
+            return math.hypot(gx, gy), None
         if not memo:
             return _closest_links(segs_i, segs_j, threshold)
         key = (i, coords_i, j, coords_j, threshold)
@@ -691,16 +705,18 @@ class PlanarArmDomain(Domain):
         at sub-time s (exact unless it exceeds `enough`) and a contact point
         when the separation is <= threshold; it reads its poses with
         `_lerp` and memoises them only at s = 0 and s = 1. The separation
-        changes at most `speed` per unit of sub-time, so an interval whose
-        end gaps g0, g1 satisfy (g0 + g1 - speed * width) / 2 > threshold is
-        contact-free throughout (adaptive dynamic collision checking,
-        Schwarzer, Saha & Latombe 2005). The `substeps` sample points are
-        probed first, in order, so a hit there is reported where the sampled
-        check reports it; each gap between neighbouring samples is then
-        bisected until it is certified, a midpoint is in contact, or it is
-        narrower than SWEEP_MIN_WIDTH, which counts as a contact at its
-        midpoint. Returns the first (point, sub-time) found, or None when
-        the whole motion is certified clear.
+        changes at most `speed` per unit of sub-time, so an interval of
+        width w is contact-free throughout when its end gaps pass
+        `_certified` with travel speed * w and margin threshold +
+        SWEEP_CERT_MARGIN. The whole motion is tried first, on its two end
+        gaps; `conflict_counter` runs that same test before it asks
+        `edge_collides`. Then the `substeps` sample points are probed, in
+        order, so a hit there is reported where the sampled check reports
+        it; each gap between neighbouring samples is then bisected until it
+        is certified, a midpoint is in contact, or it is narrower than
+        SWEEP_MIN_WIDTH, which counts as a contact at its midpoint. Returns
+        the first (point, sub-time) found, or None when the whole motion is
+        certified clear.
         """
         margin = threshold + SWEEP_CERT_MARGIN
         g0, p0 = gap(0.0, threshold, margin + speed / 2.0)
@@ -709,7 +725,7 @@ class PlanarArmDomain(Domain):
         if speed == 0.0:
             return None  # neither arm moves
         g1, p1 = gap(1.0, threshold, margin + speed / 2.0)
-        if g0 + g1 - speed > 2.0 * margin:
+        if _certified(g0, g1, speed, margin):
             return None
         m = self.substeps
         samples = [(0.0, g0)]
@@ -727,7 +743,7 @@ class PlanarArmDomain(Domain):
             while stack:
                 s0, g0, s1, g1 = stack.pop()
                 width = s1 - s0
-                if g0 + g1 - speed * width > 2.0 * margin:
+                if _certified(g0, g1, speed * width, margin):
                     continue
                 sm = s0 + width / 2.0
                 if width <= SWEEP_MIN_WIDTH:
@@ -790,21 +806,23 @@ class PlanarArmDomain(Domain):
 
     def conflict_counter(self, agent, other_paths):
         """The default's count ("vertex, else edge" per other arm), with
-        each part skipped when the bounding boxes already prove it clear
-        and asked of `agents_collide` / `edge_collides` otherwise.
+        each part settled by a certificate when it can be and asked of
+        `agents_collide` / `edge_collides` otherwise.
 
         The vertex part is clear when the boxes at t2 are more than the
         threshold apart on an axis (`_pair_gap`'s shortcut). The edge part
-        is clear when the box gaps g0, g1 at both ends of the motion pass
-        `_sweep`'s top-level test g0 + g1 - speed > 2 * (threshold +
-        SWEEP_CERT_MARGIN); a motion certified this way is clear at every
-        sub-time, so the count equals the default's. Each other arm in
-        reach has its poses, boxes and step speeds tabled once per call;
-        past its last step it waits, with speed 0. Arms out of reach can
-        never conflict and are dropped.
+        is clear when the gaps at both ends of the motion pass `_sweep`'s
+        top-level test (`_certified`): first the box gaps, then the
+        `_pair_gap` end gaps that `_sweep` would read, from the same pose
+        memos, lower arm index first. A motion certified either way is
+        clear at every sub-time, so the count equals the default's. Each
+        other arm in reach has its poses, boxes and step speeds tabled once
+        per call; past its last step it waits, with speed 0. Arms out of
+        reach can never conflict and are dropped.
         """
         shape = self._shape
         sweep_speed = self._sweep_speed
+        pair_gap = self._pair_gap
         thickness = self.arms[agent].thickness
         others = []
         for j, p in enumerate(other_paths):
@@ -814,8 +832,8 @@ class PlanarArmDomain(Domain):
             speeds = [sweep_speed(j, a, b) for a, b in zip(coords, coords[1:])] + [0.0]
             threshold = thickness + self.arms[j].thickness
             others.append((
-                j, p.steps, [shape(j, c)[1] for c in coords], speeds, len(coords) - 1,
-                threshold, 2.0 * (threshold + SWEEP_CERT_MARGIN),
+                j, p.steps, coords, [shape(j, c)[1] for c in coords], speeds, len(coords) - 1,
+                threshold, threshold + SWEEP_CERT_MARGIN,
             ))
         agents_collide = self.agents_collide
         edge_collides = self.edge_collides
@@ -828,15 +846,27 @@ class PlanarArmDomain(Domain):
             if motion is None:
                 motion = motions[(c, c2)] = (shape(agent, c)[1], shape(agent, c2)[1], sweep_speed(agent, c, c2))
             box, box2, speed = motion
+            x0, y0, x1, y1 = box2
             n = 0
-            for j, steps, boxes, speeds, last, threshold, cert in others:
+            for j, steps, coords, boxes, speeds, last, threshold, margin in others:
                 k2 = t2 if t2 < last else last
-                if not _boxes_apart(box2, boxes[k2], threshold):
+                bx0, by0, bx1, by1 = boxes[k2]
+                if not (x0 - threshold > bx1 or bx0 - threshold > x1 or y0 - threshold > by1 or by0 - threshold > y1):
                     if agents_collide(agent, q2, j, steps[k2]) is not None:
                         n += 1
                         continue
                 k1 = t2 - 1 if t2 <= last else last
-                if _box_gap(box, boxes[k1]) + _box_gap(box2, boxes[k2]) - (speed + speeds[k1]) > cert:
+                travel = speed + speeds[k1]
+                if _certified(_box_gap(box, boxes[k1]), _box_gap(box2, boxes[k2]), travel, margin):
+                    continue
+                enough = margin + travel / 2.0
+                if agent < j:
+                    g0, p0 = pair_gap(agent, c, j, coords[k1], threshold, enough)
+                    g1 = pair_gap(agent, c2, j, coords[k2], threshold, enough)[0]
+                else:
+                    g0, p0 = pair_gap(j, coords[k1], agent, c, threshold, enough)
+                    g1 = pair_gap(j, coords[k2], agent, c2, threshold, enough)[0]
+                if p0 is None and _certified(g0, g1, travel, margin):
                     continue
                 if edge_collides(agent, q, q2, j, steps[k1], steps[k2]) is not None:
                     n += 1
@@ -878,10 +908,13 @@ def free_configurations(domain: Domain, agent: int) -> Iterator[Configuration]:
 
 def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[Configuration]) -> Domain:
     """The domain a scenario's `domain` object describes; every number goes
-    through `json_number`, and the domain, its arms and its obstacles go
-    through `json_object`."""
+    through `json_number`, the domain, its arms and its obstacles go
+    through `json_object`, and every list through `json_list`."""
 
     def pair(values, name, number_type=float):
+        values = json_list(values, name)
+        if len(values) != 2:
+            raise ValueError(f"{name} must be [x, y] pairs, got {values!r}")
         x, y = values
         return json_number(x, name, number_type), json_number(y, name, number_type)
 
@@ -891,7 +924,7 @@ def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[
         return GridDomain(
             width=json_number(obj["width"], "width", int),
             height=json_number(obj["height"], "height", int),
-            blocked=[pair(c, "blocked cells", int) for c in obj.get("blocked", [])],
+            blocked=[pair(c, "blocked cells", int) for c in json_list(obj.get("blocked", []), "blocked")],
             starts=starts,
             goals=goals,
             substeps=json_number(obj.get("substeps", 4), "substeps", int),
@@ -901,15 +934,24 @@ def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[
         arms = [
             ArmSpec(
                 base=pair(a["base"], "arm bases"),
-                link_lengths=tuple(json_number(x, "link lengths") for x in a["link_lengths"]),
-                joint_limits=tuple(pair(lim, "joint limits", int) for lim in a["joint_limits"]),
+                link_lengths=tuple(
+                    json_number(x, "link lengths") for x in json_list(a["link_lengths"], "link_lengths")
+                ),
+                joint_limits=tuple(
+                    pair(lim, "joint limits", int) for lim in json_list(a["joint_limits"], "joint_limits")
+                ),
                 thickness=json_number(a["thickness"], "arm thickness"),
             )
-            for a in (json_object(a, "arm", "base", "link_lengths", "joint_limits", "thickness") for a in obj["arms"])
+            for a in (
+                json_object(a, "arm", "base", "link_lengths", "joint_limits", "thickness")
+                for a in json_list(obj["arms"], "arms")
+            )
         ]
         obstacles = [
             (pair(o["center"], "obstacle centers"), json_number(o["radius"], "obstacle radii"))
-            for o in (json_object(o, "obstacle", "center", "radius") for o in obj.get("obstacles", []))
+            for o in (
+                json_object(o, "obstacle", "center", "radius") for o in json_list(obj.get("obstacles", []), "obstacles")
+            )
         ]
         return PlanarArmDomain(
             arms=arms,

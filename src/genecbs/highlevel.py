@@ -69,7 +69,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -408,8 +408,9 @@ class _CTEngine:
         paths_t = tuple(paths)
         # Inherited conflicts are the parent's true set, so pairs of untouched
         # agents carry over; the root has none and replans every agent.
-        return replace(
-            node,
+        return CTNode(
+            id=node.id,
+            constraints=node.constraints,
             paths=paths_t,
             cost=float(sum(p.horizon for p in paths_t)),
             lb_per_agent=tuple(lbs),
@@ -417,6 +418,7 @@ class _CTEngine:
                 paths_t, self.domain, known=node.conflicts, replanned=node.agents_replan
             ),
             agents_replan=(),
+            tally=node.tally,
         )
 
     def _make_root(self) -> Optional[CTNode]:
@@ -441,7 +443,16 @@ class _CTEngine:
             tally = node.tally[:index] + (node.tally[index] + 1,) + node.tally[index + 1:]
             for c in (c_i, c_j):
                 constraints = node.constraints + (c,)
-                out.append(replace(node, id=next(self.ids), constraints=constraints, agents_replan=(c.agent,), tally=tally))
+                out.append(CTNode(
+                    id=next(self.ids),
+                    constraints=constraints,
+                    paths=node.paths,
+                    cost=node.cost,
+                    lb_per_agent=node.lb_per_agent,
+                    conflicts=node.conflicts,
+                    agents_replan=(c.agent,),
+                    tally=tally,
+                ))
         return out
 
     # ---- main loop -----------------------------------------------------

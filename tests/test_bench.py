@@ -1079,10 +1079,23 @@ class TestCLI:
         ("run", ("result", "stats"), [], "stats must be an object, got []"),
         ("run", ("result", "solution", 0), [], "path must be an object, got []"),
         ("run", ("result", "status"), 7, "status must be one of solved, timeout or exhausted, got 7"),
+        ("grid", ("solver", "menu"), "ab", "menu must be a list, got 'ab'"),
+        ("grid", ("solver", "menu"), {"type": "complete"}, "menu must be a list, got {'type': 'complete'}"),
+        ("grid", ("domain", "blocked"), {"x": 1}, "blocked must be a list, got {'x': 1}"),
+        ("grid", ("domain", "blocked"), [[1]], "blocked cells must be [x, y] pairs, got [1]"),
+        ("arm", ("domain", "arms"), {"x": 1}, "arms must be a list, got {'x': 1}"),
+        ("arm", ("domain", "obstacles"), "ab", "obstacles must be a list, got 'ab'"),
+        ("arm", ("domain", "arms", 0, "link_lengths"), 1.0, "link_lengths must be a list, got 1.0"),
+        ("arm", ("domain", "arms", 0, "joint_limits"), {"x": 1}, "joint_limits must be a list, got {'x': 1}"),
+        ("arm", ("domain", "arms", 0, "base"), "ab", "arm bases must be a list, got 'ab'"),
+        ("run", ("result", "solution"), {"agent": 0}, "solution must be a list, got {'agent': 0}"),
+        ("run", ("result", "solution", 0, "steps"), "ab", "steps must be a list, got 'ab'"),
+        ("grid", ("agents", 0, "start"), 5, "coordinates must be a list, got 5"),
     ])
     def test_every_file_reader_applies_the_field_rule(self, tmp_path, capsys, file, path, value, message):
         # Each object a scenario or run file holds rejects a field it does
-        # not know, and a value that is no object.
+        # not know, and a value that is no object; each list field rejects
+        # a value that is no list.
         scen = self._write_scenario(tmp_path)
         run_file = tmp_path / "run.json"
         assert cli_main(["solve", str(scen), "--algo", "cbs", "--out", str(run_file)]) == 0

@@ -165,7 +165,7 @@ class TestSerialization:
 
     def test_configuration_numbers(self):
         assert Configuration.from_obj([3.0, -2]).coords == (3, -2)
-        for bad in ([0.7, 1], [0, True], ["1", 2]):
+        for bad in ([0.7, 1], [0, True], ["1", 2], 5, "12"):
             with pytest.raises(ValueError, match="coordinates"):
                 Configuration.from_obj(bad)
 

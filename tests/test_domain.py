@@ -306,6 +306,18 @@ def random_motion(rng, d, agent):
     return q, rng.choice(d.successors(agent, q))
 
 
+def sweep_subtimes(m):
+    """The sub-times a motion check reads with m default samples: the ends,
+    the default and verifier samples (k / m, k / 2m) and the sweep's
+    bisection midpoints of intervals down to 1/512 wide."""
+    subtimes = {0.0, 1.0} | {k / m for k in range(m + 1)} | {k / (2 * m) for k in range(2 * m + 1)}
+    edges = [(k / m, (k + 1) / m) for k in range(m)]
+    for _ in range(8):
+        subtimes.update(s0 + (s1 - s0) / 2.0 for s0, s1 in edges)
+        edges = [e for s0, s1 in edges for e in ((s0, s0 + (s1 - s0) / 2.0), (s0 + (s1 - s0) / 2.0, s1))]
+    return sorted(subtimes)
+
+
 def arm_touches_disk(d, agent, coords, center, radius):
     """Brute force, sharing no collision code with the domain: some link
     axis of the pose lies within thickness + radius of center."""
@@ -499,6 +511,40 @@ class TestForwardKinematics:
         segs = d.fk_segments(0, (6, 6))  # 90 deg then +90 deg
         assert segs[0][1] == pytest.approx((0.0, 1.0))
         assert segs[1][1] == pytest.approx((-1.0, 1.0))
+
+    @staticmethod
+    def two_pass_shape(d, agent, coords):
+        """The reference: place the links, then take the box over their
+        endpoints in a second pass."""
+        arm = d.arms[agent]
+        x, y = arm.base
+        theta = 0.0
+        segs = []
+        for length, c in zip(arm.link_lengths, coords):
+            theta += c * d.delta
+            nx = x + length * math.cos(theta)
+            ny = y + length * math.sin(theta)
+            segs.append(((x, y), (nx, ny)))
+            x, y = nx, ny
+        xs = [p[0] for seg in segs for p in seg]
+        ys = [p[1] for seg in segs for p in seg]
+        return tuple(segs), (min(xs), min(ys), max(xs), max(ys))
+
+    def test_one_pass_shape_equals_the_two_pass_formula(self):
+        """Segments and box equal the reference float for float (repr
+        tells -0.0 from 0.0) at integer poses, at k/m and k/2m samples and
+        at bisection midpoints of random motions of every arm."""
+        d = arm_quad_037()
+        rng = random.Random(4)
+        subtimes = sweep_subtimes(d.substeps)
+        for agent, arm in enumerate(d.arms):
+            for _ in range(10):
+                a = tuple(rng.randint(lo, hi) for lo, hi in arm.joint_limits)
+                b = tuple(rng.randint(lo, hi) for lo, hi in arm.joint_limits)
+                for s in subtimes:
+                    coords = domain_module._lerp(a, b, s)
+                    got = d._shape(agent, coords, False)
+                    assert repr(got) == repr(self.two_pass_shape(d, agent, coords)), (agent, coords)
 
 
 class TestValidation:
@@ -697,8 +743,10 @@ def solved_arm_moves(n_instances=3):
 def counter_decisions(d, agent, others, queries):
     """Yield (q, q2, t2, calls) per query of d's counter over `others`,
     where calls is the set of (part, other arm) the counter passed to a
-    primitive. The counter reads no memo, so a part missing from calls was
-    decided by the bounding-box certificate alone."""
+    primitive. A part missing from calls was settled by a certificate: the
+    bounding boxes, or the end gaps the counter reads through `_pair_gap`
+    (and so from d's pose and gap memos, whose hits equal fresh values,
+    see TestPairGapMemo)."""
     calls = set()
     agents_collide, edge_collides = d.agents_collide, d.edge_collides
 
@@ -718,12 +766,26 @@ def counter_decisions(d, agent, others, queries):
         yield q, q2, t2, set(calls)
 
 
+def boxes_certify(d, agent, q, q2, j, q_j, q_j2):
+    """Whether the bounding-box gaps at both ends of the two motions pass
+    the sweep certificate on their own."""
+    threshold = d.arms[agent].thickness + d.arms[j].thickness
+    speed = d._sweep_speed(agent, q.coords, q2.coords) + d._sweep_speed(j, q_j.coords, q_j2.coords)
+    gaps = [
+        domain_module._box_gap(d._shape(agent, a.coords)[1], d._shape(j, b.coords)[1])
+        for a, b in ((q, q_j), (q2, q_j2))
+    ]
+    return gaps[0] + gaps[1] - speed > 2.0 * (threshold + domain_module.SWEEP_CERT_MARGIN)
+
+
 class TestArmCounterCertificate:
     def check_skips_are_clear(self, build, agent, others, queries):
         """Every part the counter skips is clear for the primitives of a
-        fresh domain; returns (vertex skips, edge skips, contacts found)."""
+        fresh domain; returns (vertex skips, edge skips, contacts found,
+        edge skips of arms in reach whose boxes alone do not certify the
+        motion)."""
         ref = build()
-        skipped_vertex = skipped_edge = contacts = 0
+        skipped_vertex = skipped_edge = contacts = end_certified = 0
         for q, q2, t2, calls in counter_decisions(build(), agent, others, queries):
             for j, path in enumerate(others):
                 if path is None:
@@ -741,11 +803,13 @@ class TestArmCounterCertificate:
                 if ("edge", j) not in calls:
                     assert edge is None, (motion, t2)
                     skipped_edge += 1
+                    # Arms out of reach are dropped before any certificate.
+                    end_certified += ref._in_reach[agent][j] and not boxes_certify(ref, *motion)
                 contacts += edge is not None
-        return skipped_vertex, skipped_edge, contacts
+        return skipped_vertex, skipped_edge, contacts, end_certified
 
     def test_skipped_pairs_are_clear_on_solved_cells(self):
-        totals = [0, 0, 0]
+        totals = [0, 0, 0, 0]
         for scenario, solution in solved_arm_moves():
             paths = sorted(solution, key=lambda p: p.agent)
             for agent, path in enumerate(paths):
@@ -760,14 +824,17 @@ class TestArmCounterCertificate:
                 ]
                 found = self.check_skips_are_clear(scenario.build_domain, agent, others, queries)
                 totals = [a + b for a, b in zip(totals, found)]
-        skipped_vertex, skipped_edge, contacts = totals
+        skipped_vertex, skipped_edge, contacts, end_certified = totals
         assert skipped_vertex > 0 and skipped_edge > 0 and contacts > 0
+        # Some motions the boxes leave open are settled by the end gaps,
+        # without a call to `edge_collides`.
+        assert end_certified > 0
 
     def test_skipped_pairs_are_clear_around_the_037_contact(self):
         d = arm_quad_037()
         i, q_i, q_i2, j, q_j, q_j2 = MOTION_037
         queries = [(q, q2, 1) for q, q2 in motions_near(d, i, q_i.coords)]
-        totals = [0, 0, 0]
+        totals = [0, 0, 0, 0]
         # Arm j makes each of its moves from its 037 pose.
         for move in d.successors(j, q_j):
             others = [None] * d.n_agents
@@ -808,7 +875,7 @@ class TestArmCounterCertificate:
         assert [count(*query) for query in queries] == [
             sum(reference_conflicts(build(), 0, others, *query)) for query in queries
         ]
-        _, _, contacts = self.check_skips_are_clear(build, 0, others, queries)
+        _, _, contacts, _ = self.check_skips_are_clear(build, 0, others, queries)
         assert contacts > 0
 
 
@@ -886,12 +953,7 @@ class TestPairGapMemo:
         motions."""
         d = arm_quad_037()
         rng = random.Random(11)
-        m = d.substeps
-        subtimes = {0.0, 1.0} | {k / m for k in range(m + 1)} | {k / (2 * m) for k in range(2 * m + 1)}
-        edges = [(k / m, (k + 1) / m) for k in range(m)]
-        for _ in range(8):  # midpoints of intervals down to 1/512 wide
-            subtimes.update(s0 + (s1 - s0) / 2.0 for s0, s1 in edges)
-            edges = [e for s0, s1 in edges for e in ((s0, s0 + (s1 - s0) / 2.0), (s0 + (s1 - s0) / 2.0, s1))]
+        subtimes = sweep_subtimes(d.substeps)
         motions = []
         for _ in range(20):
             agent = rng.randrange(d.n_agents)
@@ -903,7 +965,7 @@ class TestPairGapMemo:
         assert kinds == {0, 1, 2}
         d._pose_cache.clear()  # so `_shape` computes both poses
         for agent, a, b in motions:
-            for s in sorted(subtimes):
+            for s in subtimes:
                 got = domain_module._lerp(a, b, s)
                 want = tuple(x + (y - x) * s for x, y in zip(a, b))
                 assert got == want and hash(got) == hash(want), (a, b, s)

@@ -43,6 +43,41 @@ def nested_imports(source: str):
     )
 
 
+def unreferenced_private_names(sources):
+    """(module, line, name) of each private module-level function, class or
+    constant of `sources` (module name -> source) that no code references
+    outside its own definition: neither its own module nor a module that
+    imports it by name. Dunder names are exempt."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imports = {
+        module: {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        for module, tree in trees.items()
+    }
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            inside = set(map(id, ast.walk(node)))
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                readers = [t for m, t in trees.items() if m == module or name in imports[m]]
+                if not any(
+                    isinstance(n, ast.Name) and n.id == name and id(n) not in inside
+                    for t in readers
+                    for n in ast.walk(t)
+                ):
+                    out.append((module, node.lineno, name))
+    return sorted(out)
+
+
 def test_modules_are_found():
     assert {"bench.py", "cli.py", "core.py", "domain.py", "lowlevel.py"} <= {p.name for p in MODULES}
 
@@ -50,6 +85,29 @@ def test_modules_are_found():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_name_is_reported():
+    sources = {
+        "a.py": (
+            "_USED = 1\n"
+            "_LEFT = 2\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Shared: ...\n"
+            "__all__ = []\n"
+            "x = _helper()\n"
+        ),
+        "b.py": "from .a import _Shared\ny = _Shared()\n_LEFT = 3\nz = _LEFT\n",
+    }
+    assert unreferenced_private_names(sources) == [("a.py", 2, "_LEFT"), ("a.py", 5, "_recursive")]
 
 
 def test_unused_import_is_reported():
