@@ -119,12 +119,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algorithms:
+        raise ScenarioError(f"--algos names no algorithm, got {args.algos!r}")
     scenario_dir = FsPath(args.scenarios)
     files = sorted(scenario_dir.glob("*.json"))
     if not files:
         raise ScenarioError(f"no scenario files in {scenario_dir}")
     scenarios = [Scenario.load(f) for f in files]
-    algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
     records, aggregate = run_benchmark(
         scenarios,
         algorithms,

@@ -79,6 +79,15 @@ def json_list(value, name: str) -> list:
     return value
 
 
+def json_pair(values, name: str, kind: type = float) -> Tuple:
+    """Two numbers read from a file as one [x, y] list, each as `kind`
+    through `json_number`. Raises ValueError naming `name`."""
+    values = json_list(values, name)
+    if len(values) != 2:
+        raise ValueError(f"{name} must be [x, y] pairs, got {values!r}")
+    return json_number(values[0], name, kind), json_number(values[1], name, kind)
+
+
 class MalformedPathError(ValueError):
     """A path contains an invalid transition or is empty."""
 

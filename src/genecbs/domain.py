@@ -9,18 +9,17 @@ whole motion. `edge_collides` alone also takes a sample count: its sampled
 check is the verifier's independent reference. Domains are immutable after
 construction; the internal memo caches only store results of pure queries.
 
-The arm domain's conflict counter skips each (move, other arm) part that a
-certificate proves clear and asks the primitive otherwise: the bounding
-boxes first, then for a motion the end gaps of `_sweep`'s top-level test
-(`_certified`), which it reads through `_pair_gap` from the pose memos.
+The arm domain's conflict counter settles each other arm on one ladder:
+the box gaps at both ends of the move (`_sweep`'s top-level test,
+`_certified`), then `_pair_gap` on the t2 pose pair (the end gap and the
+vertex contact in one call), then on the t1 pair, then `edge_collides`.
 Below the primitives, one memo keeps each pose's link segments with their
 bounding box (`_shape`, built in one pass), another the exact link-pair
 scan of a pose pair, both keyed by their full input, and `edge_collides`
-memoises its answers. The two pose memos keep integer poses only: a
-motion's end poses enter them, and every pose between them (sample or
-bisection point, `_lerp`) is computed and dropped. Whether a pose touches a
-disk, a static obstacle or a sphere constraint's, has one answer:
-`_circle_gap`.
+memoises its answers. The two pose memos keep a pose iff its joint
+indices are ints (`_integral`): a motion's end poses, never a pose between
+them (sample or bisection point, `_lerp`). Whether a pose touches a disk,
+a static obstacle or a sphere constraint's, has one answer: `_circle_gap`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import CT_AVOIDANCE, CT_EDGE, CT_VERTEX, Configuration, Constraint, Path, json_list, json_number, json_object
+from .core import CT_AVOIDANCE, CT_EDGE, CT_VERTEX, Configuration, Constraint, Path
+from .core import json_list, json_number, json_object, json_pair
 
 Point = Tuple[float, float]
 Segment = Tuple[Point, Point]
@@ -221,8 +221,9 @@ class GridDomain(Domain):
         return 2
 
     def in_bounds(self, agent: int, q: Configuration) -> bool:
-        x, y = q.coords
-        return 0 <= x < self.width and 0 <= y < self.height
+        """A cell of the grid: two coordinates, within width and height."""
+        c = q.coords
+        return len(c) == 2 and 0 <= c[0] < self.width and 0 <= c[1] < self.height
 
     def is_static_free(self, agent: int, q: Configuration) -> bool:
         return (q.coords[0], q.coords[1]) not in self.blocked
@@ -244,16 +245,14 @@ class GridDomain(Domain):
         """The base rule decided from coordinates, without a successor list:
         a is a free in-bounds cell, and b is a or a free in-bounds
         4-neighbour of a."""
-        x, y = a.coords
-        width, height, blocked = self.width, self.height, self.blocked
-        if not (0 <= x < width and 0 <= y < height) or (x, y) in blocked:
+        ca, c = a.coords, b.coords
+        if not self.in_bounds(agent, a) or ca in self.blocked:
             return False
-        c = b.coords
-        if c == a.coords:
+        if c == ca:
             return True
-        if len(c) != 2 or abs(c[0] - x) + abs(c[1] - y) != 1:
+        if len(c) != 2 or abs(c[0] - ca[0]) + abs(c[1] - ca[1]) != 1:
             return False
-        return 0 <= c[0] < width and 0 <= c[1] < height and c not in blocked
+        return 0 <= c[0] < self.width and 0 <= c[1] < self.height and c not in self.blocked
 
     def constraint_key(self, c: Constraint) -> Hashable:
         """What a vertex, edge or avoidance constraint forbids, as the tuple
@@ -453,6 +452,12 @@ def _lerp(a: Tuple[int, ...], b: Tuple[int, ...], s: float) -> Tuple[float, ...]
     return tuple([x + (y - x) * s for x, y in zip(a, b)])
 
 
+def _integral(coords: Tuple[float, ...]) -> bool:
+    """Whether the pose memos keep a pose: no joint index is a float, as
+    `_lerp` gives a motion's ends and a wait, never a pose between."""
+    return float not in map(type, coords)
+
+
 class PlanarArmDomain(Domain):
     """Planar kinematic chains sharing a workspace.
 
@@ -528,13 +533,12 @@ class PlanarArmDomain(Domain):
         """Link segments of the arm at (possibly fractional) joint indices."""
         return self._shape(agent, tuple(coords))[0]
 
-    def _shape(self, agent: int, coords: Tuple[float, ...], memo: bool = True):
+    def _shape(self, agent: int, coords: Tuple[float, ...]):
         """Link segments of the pose and their bounding box: the one pose
         accessor. One pass places the links and keeps a running min/max of
-        their endpoints, so the box holds the endpoints' own floats. `memo`
-        decides whether a computed pose is stored: the motion checks pass it
-        only at a motion's integer end poses, so no pose between them
-        (sample or bisection point) grows the memo."""
+        their endpoints, so the box holds the endpoints' own floats. A
+        computed pose is stored iff it is `_integral`, so no pose between a
+        motion's ends (sample or bisection point) grows the memo."""
         key = (agent, coords)
         hit = self._pose_cache.get(key)
         if hit is not None:
@@ -561,7 +565,7 @@ class PlanarArmDomain(Domain):
                 y1 = ny
             x, y = nx, ny
         out = (tuple(segs), (x0, y0, x1, y1))
-        if memo and len(self._pose_cache) < POSE_MEMO_CAP:
+        if _integral(coords) and len(self._pose_cache) < POSE_MEMO_CAP:
             self._pose_cache[key] = out
         return out
 
@@ -638,10 +642,10 @@ class PlanarArmDomain(Domain):
         coords_j: Tuple[float, ...],
         threshold: float,
         enough: float,
-        memo: bool = True,
     ) -> Tuple[float, Optional[Point]]:
         """Lower bound on the distance between the two arms' link axes, and
-        the contact point when that distance is <= threshold.
+        the contact point when that distance is <= threshold. The pair is
+        read lower arm index first, whichever order it comes in.
 
         When the bounding boxes are more than `enough` (>= threshold) apart
         on an axis, their gap is the bound. Otherwise the link pairs
@@ -651,24 +655,22 @@ class PlanarArmDomain(Domain):
         for the closest pair.
 
         The scan's result depends only on the two poses and the threshold,
-        so `memo` calls keep it in `_gap_cache`; `enough` only decides
-        whether the box shortcut is taken. The motion checks pass `memo`
-        only at a motion's integer end poses, so the memo keeps integer
-        pose pairs only.
+        so `_gap_cache` keeps it when both poses are `_integral`; `enough`
+        only decides whether the box shortcut is taken.
         """
-        segs_i, (ax0, ay0, ax1, ay1) = self._shape(i, coords_i, memo)
-        segs_j, (bx0, by0, bx1, by1) = self._shape(j, coords_j, memo)
+        if i > j:
+            i, coords_i, j, coords_j = j, coords_j, i, coords_i
+        segs_i, box_i = self._shape(i, coords_i)
+        segs_j, box_j = self._shape(j, coords_j)
+        ax0, ay0, ax1, ay1 = box_i
+        bx0, by0, bx1, by1 = box_j
         if ax0 - enough > bx1 or bx0 - enough > ax1 or ay0 - enough > by1 or by0 - enough > ay1:
-            gx = ax0 - bx1 if ax0 > bx1 else (bx0 - ax1 if bx0 > ax1 else 0.0)
-            gy = ay0 - by1 if ay0 > by1 else (by0 - ay1 if by0 > ay1 else 0.0)
-            return math.hypot(gx, gy), None
-        if not memo:
-            return _closest_links(segs_i, segs_j, threshold)
+            return _box_gap(box_i, box_j), None
         key = (i, coords_i, j, coords_j, threshold)
         out = self._gap_cache.get(key)
         if out is None:
             out = _closest_links(segs_i, segs_j, threshold)
-            if len(self._gap_cache) < POSE_MEMO_CAP:
+            if _integral(coords_i) and _integral(coords_j) and len(self._gap_cache) < POSE_MEMO_CAP:
                 self._gap_cache[key] = out
         return out
 
@@ -679,12 +681,11 @@ class PlanarArmDomain(Domain):
         center: Point,
         threshold: float,
         enough: float,
-        memo: bool = True,
     ) -> Tuple[float, Optional[Point]]:
         """Lower bound on the distance from center to the arm's link axes,
         and center itself when that distance is <= threshold; the bounding
         box stands in as in `_pair_gap`."""
-        segs, (x0, y0, x1, y1) = self._shape(agent, coords, memo)
+        segs, (x0, y0, x1, y1) = self._shape(agent, coords)
         cx, cy = center
         gx = max(x0 - cx, cx - x1, 0.0)
         gy = max(y0 - cy, cy - y1, 0.0)
@@ -704,7 +705,7 @@ class PlanarArmDomain(Domain):
         `gap(s, threshold, enough)` returns a lower bound on the separation
         at sub-time s (exact unless it exceeds `enough`) and a contact point
         when the separation is <= threshold; it reads its poses with
-        `_lerp` and memoises them only at s = 0 and s = 1. The separation
+        `_lerp`, so the memos keep them only at s = 0 and s = 1. The separation
         changes at most `speed` per unit of sub-time, so an interval of
         width w is contact-free throughout when its end gaps pass
         `_certified` with travel speed * w and margin threshold +
@@ -758,8 +759,6 @@ class PlanarArmDomain(Domain):
     def agents_collide(self, i, q_i, j, q_j) -> Optional[Point]:
         if not self._in_reach[i][j]:
             return None
-        if i > j:
-            i, j, q_i, q_j = j, i, q_j, q_i
         threshold = self.arms[i].thickness + self.arms[j].thickness
         return self._pair_gap(i, q_i.coords, j, q_j.coords, threshold, threshold)[1]
 
@@ -785,9 +784,7 @@ class PlanarArmDomain(Domain):
         threshold = self.arms[i].thickness + self.arms[j].thickness
 
         def gap(s, thr, enough):
-            return self._pair_gap(
-                i, _lerp(a_i, b_i, s), j, _lerp(a_j, b_j, s), thr, enough, s == 0.0 or s == 1.0
-            )
+            return self._pair_gap(i, _lerp(a_i, b_i, s), j, _lerp(a_j, b_j, s), thr, enough)
 
         if substeps is None:
             speed = self._sweep_speed(i, a_i, b_i) + self._sweep_speed(j, a_j, b_j)
@@ -805,20 +802,24 @@ class PlanarArmDomain(Domain):
         return out
 
     def conflict_counter(self, agent, other_paths):
-        """The default's count ("vertex, else edge" per other arm), with
-        each part settled by a certificate when it can be and asked of
-        `agents_collide` / `edge_collides` otherwise.
+        """The default's count ("vertex, else edge" per other arm). Each
+        other arm's t1 -> t2 step goes down one ladder against the move
+        q -> q2, and stops at the first rung that settles it:
 
-        The vertex part is clear when the boxes at t2 are more than the
-        threshold apart on an axis (`_pair_gap`'s shortcut). The edge part
-        is clear when the gaps at both ends of the motion pass `_sweep`'s
-        top-level test (`_certified`): first the box gaps, then the
-        `_pair_gap` end gaps that `_sweep` would read, from the same pose
-        memos, lower arm index first. A motion certified either way is
-        clear at every sub-time, so the count equals the default's. Each
-        other arm in reach has its poses, boxes and step speeds tabled once
-        per call; past its last step it waits, with speed 0. Arms out of
-        reach can never conflict and are dropped.
+        1. The box gaps at both ends pass `_sweep`'s top-level test
+           (`_certified`): clear. The motion then keeps a separation above
+           the margin at every sub-time, s = 1 (the vertex poses) included.
+        2. `_pair_gap` on the t2 pose pair gives the end gap g1 and the
+           vertex contact, which counts 1; its `enough` is at least the
+           threshold, so the contact is the one `agents_collide` gives.
+        3. `_pair_gap` on the t1 pose pair gives g0: with no contact there
+           and g0, g1 certified, clear.
+        4. `edge_collides` decides.
+
+        A certified motion is clear at every sub-time, so the count equals
+        the default's. Each other arm in reach has its poses, boxes and
+        step speeds tabled once per call; past its last step it waits, with
+        speed 0. Arms out of reach can never conflict and are dropped.
         """
         shape = self._shape
         sweep_speed = self._sweep_speed
@@ -835,7 +836,6 @@ class PlanarArmDomain(Domain):
                 j, p.steps, coords, [shape(j, c)[1] for c in coords], speeds, len(coords) - 1,
                 threshold, threshold + SWEEP_CERT_MARGIN,
             ))
-        agents_collide = self.agents_collide
         edge_collides = self.edge_collides
         # (q, q2) -> the planning arm's boxes at q and q2 and its speed.
         motions: Dict[tuple, Tuple[Box, Box, float]] = {}
@@ -846,26 +846,19 @@ class PlanarArmDomain(Domain):
             if motion is None:
                 motion = motions[(c, c2)] = (shape(agent, c)[1], shape(agent, c2)[1], sweep_speed(agent, c, c2))
             box, box2, speed = motion
-            x0, y0, x1, y1 = box2
             n = 0
             for j, steps, coords, boxes, speeds, last, threshold, margin in others:
                 k2 = t2 if t2 < last else last
-                bx0, by0, bx1, by1 = boxes[k2]
-                if not (x0 - threshold > bx1 or bx0 - threshold > x1 or y0 - threshold > by1 or by0 - threshold > y1):
-                    if agents_collide(agent, q2, j, steps[k2]) is not None:
-                        n += 1
-                        continue
                 k1 = t2 - 1 if t2 <= last else last
                 travel = speed + speeds[k1]
                 if _certified(_box_gap(box, boxes[k1]), _box_gap(box2, boxes[k2]), travel, margin):
                     continue
                 enough = margin + travel / 2.0
-                if agent < j:
-                    g0, p0 = pair_gap(agent, c, j, coords[k1], threshold, enough)
-                    g1 = pair_gap(agent, c2, j, coords[k2], threshold, enough)[0]
-                else:
-                    g0, p0 = pair_gap(j, coords[k1], agent, c, threshold, enough)
-                    g1 = pair_gap(j, coords[k2], agent, c2, threshold, enough)[0]
+                g1, p1 = pair_gap(agent, c2, j, coords[k2], threshold, enough)
+                if p1 is not None:
+                    n += 1
+                    continue
+                g0, p0 = pair_gap(agent, c, j, coords[k1], threshold, enough)
                 if p0 is None and _certified(g0, g1, travel, margin):
                     continue
                 if edge_collides(agent, q, q2, j, steps[k1], steps[k2]) is not None:
@@ -885,7 +878,7 @@ class PlanarArmDomain(Domain):
         a, b = q.coords, q2.coords
 
         def gap(s, thr, enough):
-            return self._circle_gap(agent, _lerp(a, b, s), center, thr, enough, s == 0.0 or s == 1.0)
+            return self._circle_gap(agent, _lerp(a, b, s), center, thr, enough)
 
         return self._sweep(gap, self._sweep_speed(agent, a, b), threshold) is not None
 
@@ -909,14 +902,8 @@ def free_configurations(domain: Domain, agent: int) -> Iterator[Configuration]:
 def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[Configuration]) -> Domain:
     """The domain a scenario's `domain` object describes; every number goes
     through `json_number`, the domain, its arms and its obstacles go
-    through `json_object`, and every list through `json_list`."""
-
-    def pair(values, name, number_type=float):
-        values = json_list(values, name)
-        if len(values) != 2:
-            raise ValueError(f"{name} must be [x, y] pairs, got {values!r}")
-        x, y = values
-        return json_number(x, name, number_type), json_number(y, name, number_type)
+    through `json_object`, every list through `json_list`, and every pair
+    through `json_pair`."""
 
     kind = json_object(obj, "domain").get("type")
     if kind == "grid":
@@ -924,7 +911,7 @@ def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[
         return GridDomain(
             width=json_number(obj["width"], "width", int),
             height=json_number(obj["height"], "height", int),
-            blocked=[pair(c, "blocked cells", int) for c in json_list(obj.get("blocked", []), "blocked")],
+            blocked=[json_pair(c, "blocked cells", int) for c in json_list(obj.get("blocked", []), "blocked")],
             starts=starts,
             goals=goals,
             substeps=json_number(obj.get("substeps", 4), "substeps", int),
@@ -933,12 +920,12 @@ def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[
         json_object(obj, "planar_arm domain", "type", "delta", "substeps", "obstacles", "arms")
         arms = [
             ArmSpec(
-                base=pair(a["base"], "arm bases"),
+                base=json_pair(a["base"], "arm bases"),
                 link_lengths=tuple(
                     json_number(x, "link lengths") for x in json_list(a["link_lengths"], "link_lengths")
                 ),
                 joint_limits=tuple(
-                    pair(lim, "joint limits", int) for lim in json_list(a["joint_limits"], "joint_limits")
+                    json_pair(lim, "joint limits", int) for lim in json_list(a["joint_limits"], "joint_limits")
                 ),
                 thickness=json_number(a["thickness"], "arm thickness"),
             )
@@ -948,7 +935,7 @@ def domain_from_obj(obj: dict, starts: Sequence[Configuration], goals: Sequence[
             )
         ]
         obstacles = [
-            (pair(o["center"], "obstacle centers"), json_number(o["radius"], "obstacle radii"))
+            (json_pair(o["center"], "obstacle centers"), json_number(o["radius"], "obstacle radii"))
             for o in (
                 json_object(o, "obstacle", "center", "radius") for o in json_list(obj.get("obstacles", []), "obstacles")
             )

@@ -87,6 +87,7 @@ from .core import (
     SolverStats,
     json_number,
     json_object,
+    json_pair,
     menu_key,
 )
 from .constraints import (
@@ -640,10 +641,8 @@ class SolverConfig:
         if "menu" in obj:
             cfg.menu = ConstraintMenu.from_obj(obj["menu"])
         if "dts_prior" in obj:
-            cfg.dts_prior = {
-                k: (json_number(a, "dts_prior"), json_number(b, "dts_prior"))
-                for k, (a, b) in json_object(obj["dts_prior"], "dts_prior").items()
-            }
+            prior = json_object(obj["dts_prior"], "dts_prior")
+            cfg.dts_prior = {k: json_pair(v, "dts_prior") for k, v in prior.items()}
         # Numbers keep their default's type: w and the timeout are floats,
         # the seed and the caps integers.
         for name in ("w", "seed", "timeout_ms", "max_expansions", "ll_max_expansions", "pp_retries"):

@@ -1091,6 +1091,9 @@ class TestCLI:
         ("run", ("result", "solution"), {"agent": 0}, "solution must be a list, got {'agent': 0}"),
         ("run", ("result", "solution", 0, "steps"), "ab", "steps must be a list, got 'ab'"),
         ("grid", ("agents", 0, "start"), 5, "coordinates must be a list, got 5"),
+        ("grid", ("solver", "dts_prior"), {"avoidance": 5}, "dts_prior must be a list, got 5"),
+        ("grid", ("solver", "dts_prior"), {"avoidance": [1, 2, 3]}, "dts_prior must be [x, y] pairs, got [1, 2, 3]"),
+        ("grid", ("solver", "dts_prior"), {"avoidance": "ab"}, "dts_prior must be a list, got 'ab'"),
     ])
     def test_every_file_reader_applies_the_field_rule(self, tmp_path, capsys, file, path, value, message):
         # Each object a scenario or run file holds rejects a field it does
@@ -1308,7 +1311,7 @@ class TestCLI:
         for prior in ([True, 2], [1, "2"], [None, 1.0]):
             with pytest.raises(ValueError, match="dts_prior must be a number"):
                 SolverConfig.from_obj({"dts_prior": {"complete": prior}})
-        with pytest.raises(ValueError, match="too many values"):
+        with pytest.raises(ValueError, match=re.escape("dts_prior must be [x, y] pairs, got [1, 2, 3]")):
             SolverConfig.from_obj({"dts_prior": {"complete": [1, 2, 3]}})
         cfg = SolverConfig.from_obj({"dts_prior": {"complete": [1, 2.5]}})
         assert cfg.dts_prior == {"complete": (1.0, 2.5)}
@@ -1388,6 +1391,42 @@ class TestCLI:
         rows = list(csv.DictReader((tmp_path / "results.csv").open()))
         assert {r["algo"] for r in rows} == {"cbs", "gen-ecbs"}
         assert all(r["success"] == "1" for r in rows)
+
+    def test_bench_without_an_algorithm_returns_two_with_one_line(self, tmp_path, capsys):
+        scen_dir = tmp_path / "scen"
+        scen_dir.mkdir()
+        hallway_scenario().save(scen_dir / "hallway.json")
+        out = tmp_path / "results.csv"
+        for algos in (",", "", " , "):
+            capsys.readouterr()
+            assert cli_main(["bench", str(scen_dir), "--algos", algos, "--out", str(out)]) == 2, algos
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --algos names no algorithm, got {algos!r}\n", algos
+            assert captured.out == "", algos
+        assert list(tmp_path.iterdir()) == [scen_dir]
+
+    def test_verify_reports_a_step_of_the_wrong_dimension(self, tmp_path, capsys):
+        # On a grid as on arms, a configuration without the domain's number
+        # of coordinates is a static and a transition violation.
+        for template in ("hallway-swap", "arm-pair"):
+            scen_dir = tmp_path / template
+            assert cli_main(["gen", "--template", template, "--count", "1", "--out", str(scen_dir)]) == 0
+            (scen,) = scen_dir.glob("*.json")
+            run_file = tmp_path / f"{template}.run.json"
+            assert cli_main(["solve", str(scen), "--algo", "cbs", "--out", str(run_file)]) == 0
+            good = json.loads(run_file.read_text())
+            steps = good["result"]["solution"][0]["steps"]
+            assert len(steps) > 2
+            for step in (steps[1] + [0], steps[1][:1], []):
+                obj = json.loads(json.dumps(good))
+                obj["result"]["solution"][0]["steps"][1] = step
+                bad = tmp_path / "bad.json"
+                bad.write_text(json.dumps(obj))
+                capsys.readouterr()
+                assert cli_main(["verify", str(scen), str(bad)]) == 1, (template, step)
+                out = capsys.readouterr().out
+                assert f"violation static agents=(0,) t=1 configuration {tuple(step)}" in out, out
+                assert "violation transition agents=(0,) t=0 " in out and "violation transition agents=(0,) t=1 " in out
 
     def test_solve_determinism_byte_identical(self, tmp_path):
         scen = self._write_scenario(tmp_path)

@@ -86,7 +86,8 @@ class TestGridSuccessors:
 
     def test_transition_valid_matches_base_rule(self):
         # Every pair of cells within one cell of a 4x4 grid: out-of-bounds,
-        # blocked, diagonal and two-step moves, waits and 4-neighbour moves.
+        # blocked, diagonal and two-step moves, waits and 4-neighbour moves,
+        # plus wrong-dimension configurations as target and as source.
         d = GridDomain(4, 4, [(1, 1), (2, 1), (3, 3)], [C(0, 0)], [C(3, 0)])
         cells = [C(x, y) for x in range(-1, 5) for y in range(-1, 5)]
         valid = 0
@@ -95,8 +96,12 @@ class TestGridSuccessors:
                 expected = Domain.transition_valid(d, 0, a, b)
                 assert d.transition_valid(0, a, b) == expected, (a, b)
                 valid += expected
-            for b in (C(a.coords[0], a.coords[1], 0), C(a.coords[0] + 1, a.coords[1], 0)):
+            wrong = (C(a.coords[0], a.coords[1], 0), C(a.coords[0] + 1, a.coords[1], 0), C(a.coords[0]), C())
+            for b in wrong:
+                assert not d.in_bounds(0, b)
                 assert not d.transition_valid(0, a, b) and not Domain.transition_valid(d, 0, a, b)
+                assert not d.transition_valid(0, b, a) and not Domain.transition_valid(d, 0, b, a)
+                assert not d.transition_valid(0, b, b) and not Domain.transition_valid(d, 0, b, b)
         free = 16 - 3
         assert 0 < valid < free * 5
 
@@ -543,7 +548,7 @@ class TestForwardKinematics:
                 b = tuple(rng.randint(lo, hi) for lo, hi in arm.joint_limits)
                 for s in subtimes:
                     coords = domain_module._lerp(a, b, s)
-                    got = d._shape(agent, coords, False)
+                    got = d._shape(agent, coords)
                     assert repr(got) == repr(self.two_pass_shape(d, agent, coords)), (agent, coords)
 
 
@@ -742,26 +747,34 @@ def solved_arm_moves(n_instances=3):
 
 def counter_decisions(d, agent, others, queries):
     """Yield (q, q2, t2, calls) per query of d's counter over `others`,
-    where calls is the set of (part, other arm) the counter passed to a
-    primitive. A part missing from calls was settled by a certificate: the
-    bounding boxes, or the end gaps the counter reads through `_pair_gap`
-    (and so from d's pose and gap memos, whose hits equal fresh values,
-    see TestPairGapMemo)."""
+    where calls is the set of (part, other arm) the counter asked of the
+    geometry: ("vertex", j) when its `_pair_gap` received the move's t2
+    pose pair with arm j, ("edge", j) when it called `edge_collides`. A
+    part missing from calls was settled by a certificate: the bounding
+    boxes, or the end gaps the counter reads through `_pair_gap` (and so
+    from d's pose and gap memos, whose hits equal fresh values, see
+    TestPairGapMemo)."""
     calls = set()
-    agents_collide, edge_collides = d.agents_collide, d.edge_collides
+    pair_gap, edge_collides = d._pair_gap, d.edge_collides
+    vertex_poses = {}  # other arm j -> the current query's t2 pose pair with j
 
-    def vertex(i, q_i, j, q_j):
-        calls.add(("vertex", j))
-        return agents_collide(i, q_i, j, q_j)
+    def gap(i, coords_i, j, coords_j, threshold, enough):
+        poses = {(i, coords_i), (j, coords_j)}
+        calls.update(("vertex", other) for other, pair in vertex_poses.items() if poses == pair)
+        return pair_gap(i, coords_i, j, coords_j, threshold, enough)
 
     def edge(i, q_i, q_i2, j, q_j, q_j2):
         calls.add(("edge", j))
         return edge_collides(i, q_i, q_i2, j, q_j, q_j2)
 
-    d.agents_collide, d.edge_collides = vertex, edge
+    d._pair_gap, d.edge_collides = gap, edge
     count = d.conflict_counter(agent, others)
     for q, q2, t2 in queries:
         calls.clear()
+        vertex_poses.clear()
+        for j, path in enumerate(others):
+            if path is not None:
+                vertex_poses[j] = {(agent, q2.coords), (j, path.at(t2).coords)}
         count(q, q2, t2)
         yield q, q2, t2, set(calls)
 
@@ -892,7 +905,7 @@ class TestPairGapMemo:
         return out
 
     def test_memoised_gaps_equal_fresh_ones(self):
-        d, fresh = arm_quad_037(), arm_quad_037()
+        d = arm_quad_037()
         rng = random.Random(3)
         poses = self.endpoint_pairs(d, rng, 300)
         i, q_i, q_i2, j, q_j, q_j2 = MOTION_037
@@ -904,7 +917,7 @@ class TestPairGapMemo:
             for enough in (threshold, 0.3, 1.0, math.inf, threshold):
                 for pose in poses:
                     got = d._pair_gap(*pose, threshold, enough)
-                    assert got == fresh._pair_gap(*pose, threshold, enough, memo=False), (pose, enough)
+                    assert got == arm_quad_037()._pair_gap(*pose, threshold, enough), (pose, enough)
             exact += len(d._gap_cache)
         assert exact > 0
 
@@ -917,7 +930,7 @@ class TestPairGapMemo:
         for s in (0.0625, 0.125, 0.1875, 0.5):
             ci = tuple(a + (b - a) * s for a, b in zip(q_i.coords, q_i2.coords))
             cj = tuple(a + (b - a) * s for a, b in zip(q_j.coords, q_j2.coords))
-            d._pair_gap(i, ci, j, cj, threshold, threshold, memo=False)
+            d._pair_gap(i, ci, j, cj, threshold, threshold)
         assert d._gap_cache == before
         # The certified check probes the default samples and bisects between
         # them, and the verifier's sampled check probes twice as many poses;
@@ -963,13 +976,15 @@ class TestPairGapMemo:
             motions.append((agent, q.coords, tuple(rng.randint(lo, hi) for lo, hi in limits)))
         kinds = {sum(x != y for x, y in zip(a, b)) for _, a, b in motions}
         assert kinds == {0, 1, 2}
-        d._pose_cache.clear()  # so `_shape` computes both poses
         for agent, a, b in motions:
             for s in subtimes:
                 got = domain_module._lerp(a, b, s)
                 want = tuple(x + (y - x) * s for x, y in zip(a, b))
                 assert got == want and hash(got) == hash(want), (a, b, s)
-                assert d._shape(agent, got, False) == d._shape(agent, want, False), (a, b, s)
+                # So `_shape` computes both poses: want's floats are never
+                # stored, and got's entry would answer a later want.
+                d._pose_cache.clear()
+                assert d._shape(agent, want) == d._shape(agent, got), (a, b, s)
 
     def test_cap_holds(self, monkeypatch):
         monkeypatch.setattr(domain_module, "POSE_MEMO_CAP", 25)
