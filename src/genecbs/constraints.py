@@ -18,12 +18,13 @@ from typing import List, Optional, Tuple
 from .core import (
     CT_AVOIDANCE,
     CT_EDGE,
-    CT_PRIORITY,
     CT_SPHERE,
     CT_STEP_PRIORITY,
     CT_VERTEX,
     COMPLETE,
     EDGE,
+    KINDS,
+    OWN_MOVE,
     Configuration,
     Conflict,
     Constraint,
@@ -36,12 +37,10 @@ from .core import (
 from .domain import Domain, GridDomain, free_configurations
 from .lowlevel import ConstraintContext, is_forbidden
 
-INCOMPLETE_KINDS = (CT_SPHERE, CT_AVOIDANCE, CT_STEP_PRIORITY, CT_PRIORITY)
-
 
 @dataclass(frozen=True)
 class MenuEntry:
-    kind: str  # "complete" or one of INCOMPLETE_KINDS
+    kind: str  # "complete" or the name of an incomplete kind of `KINDS`
     radius: Optional[float] = None  # spheres only
 
     def __post_init__(self):
@@ -85,7 +84,7 @@ class ConstraintMenu:
         if len(set(keys)) != len(keys):
             raise ValueError(f"duplicate menu entries: {keys}")
         for e in self.enabled:
-            if e.kind not in (COMPLETE,) + INCOMPLETE_KINDS:
+            if e.kind != COMPLETE and (e.kind not in KINDS or KINDS[e.kind].complete):
                 raise ValueError(f"unknown constraint type: {e.kind!r}")
         if not self.allow_incomplete_only:
             if COMPLETE not in keys:
@@ -96,6 +95,11 @@ class ConstraintMenu:
     @property
     def keys(self) -> Tuple[str, ...]:
         return tuple(e.key for e in self.enabled)
+
+    @property
+    def sphere_radii(self) -> List[float]:
+        """The radii of the sphere entries, ascending."""
+        return sorted(e.radius for e in self.enabled if e.kind == CT_SPHERE)
 
     @staticmethod
     def complete_only() -> "ConstraintMenu":
@@ -136,49 +140,15 @@ def default_menu(domain: Domain) -> ConstraintMenu:
     )
 
 
-def _constraint_for(
-    entry: MenuEntry,
-    conflict: Conflict,
-    agent: int,
-    other: int,
-    mine: Tuple[Configuration, ...],
-    theirs: Tuple[Configuration, ...],
-) -> Constraint:
-    """The constraint of `entry` on `agent` for `conflict`, where `mine` and
-    `theirs` are the conflict's configurations of `agent` and `other`."""
-    t = conflict.time
-    is_edge = conflict.kind == EDGE
-    if entry.kind == COMPLETE:
-        return Constraint(
-            agent=agent, ctype=CT_EDGE if is_edge else CT_VERTEX, time=t,
-            q=mine[0], q2=mine[1] if is_edge else None,
-        )
-    if entry.kind == CT_SPHERE:
-        return Constraint(
-            agent=agent, ctype=CT_SPHERE, time=t, point=conflict.point, radius=entry.radius, from_edge=is_edge
-        )
-    if entry.kind == CT_AVOIDANCE:
-        # Snapshot the other agent's conflicting configuration(s); the
-        # constraint keeps forbidding this volume even after the other
-        # agent replans away from it.
-        return Constraint(
-            agent=agent, ctype=CT_AVOIDANCE, time=t, other=other,
-            q_other=theirs[0], q_other2=theirs[1] if is_edge else None, from_edge=is_edge,
-        )
-    if entry.kind == CT_STEP_PRIORITY:
-        # No snapshot: resolved against the other agent's current path at
-        # satisfaction-check time.
-        return Constraint(agent=agent, ctype=CT_STEP_PRIORITY, time=t, other=other, from_edge=is_edge)
-    if entry.kind == CT_PRIORITY:
-        return Constraint(agent=agent, ctype=CT_PRIORITY, time=None, other=other)
-    raise ValueError(f"unknown menu entry kind: {entry.kind!r}")
-
-
 def _pair_for_entry(entry: MenuEntry, conflict: Conflict) -> Tuple[Constraint, Constraint]:
+    name = (CT_EDGE if conflict.kind == EDGE else CT_VERTEX) if entry.kind == COMPLETE else entry.kind
+    kind = KINDS.get(name)
+    if kind is None or kind.complete != (entry.kind == COMPLETE):
+        raise ValueError(f"unknown menu entry kind: {entry.kind!r}")
     i, j = conflict.agents
     return (
-        _constraint_for(entry, conflict, i, j, conflict.configs_i, conflict.configs_j),
-        _constraint_for(entry, conflict, j, i, conflict.configs_j, conflict.configs_i),
+        kind.build(conflict, i, j, conflict.configs_i, conflict.configs_j, entry.radius),
+        kind.build(conflict, j, i, conflict.configs_j, conflict.configs_i, entry.radius),
     )
 
 
@@ -210,7 +180,7 @@ def mutually_disjunctive_check(c_i: Constraint, c_j: Constraint, domain: Domain)
     """
 
     def forbids(c: Constraint, q: Configuration, other: int, other_q: Configuration) -> bool:
-        if c.ctype == CT_EDGE:
+        if KINDS[c.ctype].target == OWN_MOVE:
             return c.q == q
         other_paths = (None,) * other + (Path(other, (other_q,)),)
         return is_forbidden(domain, ConstraintContext(c.agent, (c,), other_paths), q, c.time or 0)

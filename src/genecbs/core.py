@@ -1,18 +1,18 @@
 """Shared data model for the multi-agent planners.
 
-Configurations, paths, conflicts, constraints, constraint-tree nodes, and
-solver results. Everything here is immutable and hashable so search code can
-use these objects as dict keys and share them between tree nodes without
-copying. JSON conversion lives next to each type that files store
-(configurations, paths, results); the canonical byte form is produced by
-:func:`canonical_json`.
+Configurations, paths, conflicts, constraints with the table of their
+kinds (`KINDS`), constraint-tree nodes, and solver results. Everything here
+is immutable and hashable so search code can use these objects as dict keys
+and share them between tree nodes without copying. JSON conversion lives
+next to each type that files store (configurations, paths, results); the
+canonical byte form is produced by :func:`canonical_json`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 # Conflict kinds.
 VERTEX = "vertex"
@@ -188,19 +188,10 @@ class Conflict:
 
 @dataclass(frozen=True)
 class Constraint:
-    """A typed restriction on one agent.
+    """A typed restriction on one agent. `ctype` names its row of `KINDS`,
+    whose builder fills the payload fields that the kind reads.
 
-    Payload fields are populated per kind:
-      vertex        q
-      edge          q, q2
-      sphere        point, radius
-      avoidance     other, q_other (and q_other2 when created from an edge conflict)
-      step-priority other
-      priority      other (time is None; applies at every timestep)
-
-    `from_edge` marks constraints created from an edge conflict; each kind
-    forbids the originating motion over [time, time + 1], and only
-    avoidance and step-priority also cover time + 1 (a sphere does not).
+    `from_edge` marks constraints created from an edge conflict.
     """
 
     agent: int
@@ -221,6 +212,71 @@ class Constraint:
         time + 2 for one made from an edge conflict, time + 1 otherwise.
         Undefined for priority constraints, whose time is None."""
         return self.time + (2 if self.from_edge else 1)
+
+
+# What a constraint kind's checks compare against.
+OWN_CONFIG = "configuration"  # the agent's own configuration at t
+OWN_MOVE = "move"  # the agent's own move over [t, t + 1]
+DISK = "disk"  # a workspace disk
+OTHER_POSE = "other"  # the other agent's pose
+
+
+@dataclass(frozen=True)
+class ConstraintKind:
+    """What one constraint kind forbids, when, and against whom.
+
+    `target` is what its checks compare against. The configuration check
+    (occupying q at t) bites at the constraint's time, and at time + 1 too
+    for one made from an edge conflict when the kind `covers_next`; the
+    move check (q -> q2 over [t, t + 1]) bites at its time; an `every_step`
+    kind bites at every t (its time is None). A `snapshot` kind copies the
+    other agent's pose from the conflict, any other reads it from that
+    agent's current path; a move collides with that agent moving as it
+    moved where the configuration check also bites at t + 1, else holding
+    still. `build(conflict, agent, other, mine, theirs, radius)` makes the
+    constraint on `agent`, where `mine` and `theirs` are the conflict's
+    configurations of `agent` and `other`. The `complete` kinds (vertex or
+    edge, by the conflict) are one menu entry, whose branching keeps the
+    tree search complete; each other kind is an incomplete entry.
+    """
+
+    target: str
+    build: Callable[..., Constraint]
+    snapshot: bool = False
+    covers_next: bool = False
+    every_step: bool = False
+    complete: bool = False
+
+    def config_at(self, c: Constraint, t: int) -> bool:
+        """Whether c forbids some configuration at t."""
+        return self.target != OWN_MOVE and (
+            t == c.time or self.every_step or (c.from_edge and self.covers_next and t == c.time + 1)
+        )
+
+    def move_at(self, c: Constraint, t: int) -> bool:
+        """Whether c forbids some move over [t, t + 1]."""
+        return self.target != OWN_CONFIG and (t == c.time or self.every_step)
+
+
+# Every constraint kind by its `Constraint.ctype`.
+KINDS = {
+    CT_VERTEX: ConstraintKind(OWN_CONFIG, complete=True, build=lambda cf, a, b, mine, theirs, r: Constraint(
+        a, CT_VERTEX, cf.time, q=mine[0])),
+    CT_EDGE: ConstraintKind(OWN_MOVE, complete=True, build=lambda cf, a, b, mine, theirs, r: Constraint(
+        a, CT_EDGE, cf.time, q=mine[0], q2=mine[1])),
+    CT_SPHERE: ConstraintKind(DISK, build=lambda cf, a, b, mine, theirs, r: Constraint(
+        a, CT_SPHERE, cf.time, point=cf.point, radius=r, from_edge=cf.kind == EDGE)),
+    # Keeps forbidding the other agent's conflicting configuration(s) after
+    # that agent replans away from them.
+    CT_AVOIDANCE: ConstraintKind(
+        OTHER_POSE, snapshot=True, covers_next=True, build=lambda cf, a, b, mine, theirs, r: Constraint(
+            a, CT_AVOIDANCE, cf.time, other=b, q_other=theirs[0],
+            q_other2=theirs[1] if cf.kind == EDGE else None, from_edge=cf.kind == EDGE)),
+    CT_STEP_PRIORITY: ConstraintKind(OTHER_POSE, covers_next=True, build=lambda cf, a, b, mine, theirs, r: Constraint(
+        a, CT_STEP_PRIORITY, cf.time, other=b, from_edge=cf.kind == EDGE)),
+    CT_PRIORITY: ConstraintKind(OTHER_POSE, every_step=True, build=lambda cf, a, b, mine, theirs, r: Constraint(
+        a, CT_PRIORITY, None, other=b)),
+}
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import CT_AVOIDANCE, CT_EDGE, CT_VERTEX, Configuration, Constraint, Path
+from .core import KINDS, OWN_CONFIG, OWN_MOVE, Configuration, Constraint, Path
 from .core import json_list, json_number, json_object, json_pair
 
 Point = Tuple[float, float]
@@ -255,25 +255,25 @@ class GridDomain(Domain):
         return 0 <= c[0] < self.width and 0 <= c[1] < self.height and c not in self.blocked
 
     def constraint_key(self, c: Constraint) -> Hashable:
-        """What a vertex, edge or avoidance constraint forbids, as the tuple
-        (horizon, item, ...): cells (cell, t) and moves (cell, cell2, t),
-        in a fixed order per kind. A point robot collides only on a cell or
-        in a swap, so the avoidance constraint of a vertex conflict forbids
-        the cell of the vertex constraint and gets its key. One from an
-        edge conflict, where the other agent moved q_other -> q_other2 over
-        [t, t + 1], forbids q_other at t, q_other2 at t + 1 and the swap
-        q_other2 -> q_other over [t, t + 1]. Spheres and the priority kinds
-        keep their identity: a sphere's cells would take a scan of the grid
-        to list, and the priority kinds read the other agents' paths."""
-        ctype, t = c.ctype, c.time
-        if ctype not in (CT_VERTEX, CT_EDGE, CT_AVOIDANCE):
-            return c
-        if ctype == CT_VERTEX:
+        """What a constraint on the agent's own configuration or move, or
+        on a snapshot of the other agent's pose, forbids, as the tuple
+        (horizon, item, ...): cells (cell, t) and moves (cell, cell2, t), in
+        a fixed order per target. A point robot collides only on a cell or
+        in a swap, so a snapshot of a vertex conflict forbids the cell of
+        the vertex constraint and gets its key. One that bites at t + 1 too,
+        where the other agent moved q_other -> q_other2, forbids q_other at
+        t, q_other2 at t + 1 and the swap q_other2 -> q_other over
+        [t, t + 1]. Disks (a scan of the grid to list) and the other agent's
+        current path (not in the constraint) keep their identity."""
+        kind, t = KINDS[c.ctype], c.time
+        if kind.target == OWN_CONFIG:
             return (c.horizon, (c.q.coords, t))
-        if ctype == CT_EDGE:
+        if kind.target == OWN_MOVE:
             return (c.horizon, (c.q.coords, c.q2.coords, t))
+        if not kind.snapshot:
+            return c
         a = c.q_other.coords
-        if not c.from_edge:
+        if not kind.config_at(c, t + 1):
             return (c.horizon, (a, t))
         b = c.q_other2.coords
         if a == b:

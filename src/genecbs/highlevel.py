@@ -73,9 +73,11 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
+    CT_PRIORITY,
     CT_SPHERE,
     EDGE,
     EXHAUSTED,
+    KINDS,
     SOLVED,
     TIMEOUT,
     VERTEX,
@@ -92,7 +94,6 @@ from .core import (
 )
 from .constraints import (
     COMPLETE,
-    INCOMPLETE_KINDS,
     ConstraintMenu,
     MenuEntry,
     default_menu,
@@ -553,20 +554,20 @@ def parse_sub_type(spec: str, menu: ConstraintMenu) -> MenuEntry:
     etc.), which rank the configured radii ascending.
     """
     spec = spec.strip().replace("(", ":").replace(")", "")
-    radii = sorted(e.radius for e in menu.enabled if e.kind == "sphere")
-    if spec.startswith("sphere"):
+    radii = menu.sphere_radii
+    if spec.startswith(CT_SPHERE):
         if not radii:
             raise ValueError("no sphere radii configured in the menu")
-        suffix = spec[len("sphere"):].lstrip(":")
+        suffix = spec[len(CT_SPHERE):].lstrip(":")
         aliases = {"s": 0, "m": min(1, len(radii) - 1), "l": len(radii) - 1}
         if suffix.lower() in aliases:
-            return MenuEntry("sphere", radius=radii[aliases[suffix.lower()]])
+            return MenuEntry(CT_SPHERE, radius=radii[aliases[suffix.lower()]])
         try:
             radius = float(suffix)
         except ValueError:
             raise ValueError(f"unknown substitution type: {spec!r}") from None
-        return MenuEntry("sphere", radius=radius)
-    if spec in INCOMPLETE_KINDS:
+        return MenuEntry(CT_SPHERE, radius=radius)
+    if spec in KINDS and not KINDS[spec].complete:
         return MenuEntry(spec)
     raise ValueError(f"unknown substitution type: {spec!r}")
 
@@ -584,10 +585,10 @@ def resolve_prior(
     spheres and for two keys that name one queue; other unknown keys are
     left for `DTSState` to reject.
     """
-    radii = sorted(e.radius for e in menu.enabled if e.kind == "sphere")
+    radii = menu.sphere_radii
     out: Dict[str, Tuple[float, float]] = {}
     for name, params in prior.items():
-        if name not in menu.keys and name.strip().startswith("sphere"):
+        if name not in menu.keys and name.strip().startswith(CT_SPHERE):
             r = parse_sub_type(name, menu).radius
             name = menu_key(CT_SPHERE, min(radii, key=lambda x: (abs(x - r), x)))
         if name in out:
@@ -746,7 +747,7 @@ def solve_pp(
         failed = False
         for agent in perm:
             constraints = tuple(
-                Constraint(agent=agent, ctype="priority", time=None, other=b) for b in planned
+                Constraint(agent=agent, ctype=CT_PRIORITY, time=None, other=b) for b in planned
             )
             ctx = ConstraintContext(
                 agent=agent, constraints=constraints, other_paths=tuple(paths)

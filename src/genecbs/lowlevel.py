@@ -47,17 +47,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core import (
-    CT_AVOIDANCE,
-    CT_EDGE,
-    CT_PRIORITY,
-    CT_SPHERE,
-    CT_STEP_PRIORITY,
-    CT_VERTEX,
-    Configuration,
-    Constraint,
-    Path,
-)
+from .core import DISK, KINDS, OWN_CONFIG, OWN_MOVE, Configuration, Constraint, ConstraintKind, Path
 from .domain import Domain
 
 OK = "ok"
@@ -102,28 +92,16 @@ def is_forbidden(domain: Domain, ctx: ConstraintContext, q: Configuration, t: in
     """True iff some constraint in ctx forbids the agent occupying q at t."""
     agent = ctx.agent
     for c in ctx.constraints:
-        ctype = c.ctype
-        if ctype == CT_VERTEX:
-            if c.time == t and c.q == q:
-                return True
-        elif ctype == CT_SPHERE:
-            if c.time == t and domain.occupancy_intersects_circle(agent, q, c.point, c.radius):
-                return True
-        elif ctype == CT_AVOIDANCE:
-            if c.time == t and domain.agents_collide(agent, q, c.other, c.q_other) is not None:
-                return True
-            if (
-                c.from_edge
-                and c.time is not None
-                and t == c.time + 1
-                and domain.agents_collide(agent, q, c.other, c.q_other2) is not None
-            ):
-                return True
-        elif ctype == CT_PRIORITY or (
-            ctype == CT_STEP_PRIORITY and (t == c.time or (c.from_edge and t == c.time + 1))
-        ):
-            other = ctx.other_path(c.other)
-            if other is not None and domain.agents_collide(agent, q, c.other, other.at(t)) is not None:
+        kind = KINDS[c.ctype]
+        if kind.config_at(c, t):
+            if kind.target == OWN_CONFIG:
+                hit = c.q == q
+            elif kind.target == DISK:
+                hit = domain.occupancy_intersects_circle(agent, q, c.point, c.radius)
+            else:
+                pose = _other_pose(ctx, c, kind, t)
+                hit = pose is not None and domain.agents_collide(agent, q, c.other, pose) is not None
+            if hit:
                 return True
     return False
 
@@ -132,33 +110,34 @@ def is_forbidden_edge(
     domain: Domain, ctx: ConstraintContext, q: Configuration, q2: Configuration, t: int
 ) -> bool:
     """True iff some constraint forbids the transition q -> q2 over [t, t+1].
-
-    Volume-style constraints at time t also block transitions starting at t:
-    the swept motion is interpolated against the constraint volume, which
-    guarantees the conflict a constraint was created from can never recur in
-    the replanned path.
-    """
+    A constraint's volume at its time also blocks the moves that start then
+    (the swept motion is checked against it), so the conflict it was made
+    from cannot recur in the replanned path."""
     agent = ctx.agent
     for c in ctx.constraints:
-        ctype = c.ctype
-        if ctype == CT_EDGE:
-            if c.time == t and c.q == q and c.q2 == q2:
+        kind = KINDS[c.ctype]
+        if kind.move_at(c, t):
+            if kind.target == OWN_MOVE:
+                hit = c.q == q and c.q2 == q2
+            elif kind.target == DISK:
+                hit = domain.edge_intersects_circle(agent, q, q2, c.point, c.radius)
+            else:
+                pose = _other_pose(ctx, c, kind, t)
+                to = _other_pose(ctx, c, kind, t + 1) if kind.config_at(c, t + 1) else pose
+                hit = pose is not None and domain.edge_collides(agent, q, q2, c.other, pose, to) is not None
+            if hit:
                 return True
-        elif ctype == CT_SPHERE:
-            if c.time == t and domain.edge_intersects_circle(agent, q, q2, c.point, c.radius):
-                return True
-        elif ctype == CT_AVOIDANCE:
-            if c.time == t:
-                other_to = c.q_other2 if c.from_edge else c.q_other
-                if domain.edge_collides(agent, q, q2, c.other, c.q_other, other_to) is not None:
-                    return True
-        elif ctype == CT_PRIORITY or (ctype == CT_STEP_PRIORITY and c.time == t):
-            other = ctx.other_path(c.other)
-            if other is not None:
-                other_to = other.at(t + 1) if (ctype == CT_PRIORITY or c.from_edge) else other.at(t)
-                if domain.edge_collides(agent, q, q2, c.other, other.at(t), other_to) is not None:
-                    return True
     return False
+
+
+def _other_pose(ctx: ConstraintContext, c: Constraint, kind: ConstraintKind, t: int) -> Optional[Configuration]:
+    """The other agent's pose at t as c reads it: a snapshot holds it at
+    q_other, and at q_other2 after c's time when c was made from an edge
+    conflict; None when c reads a path that ctx lacks."""
+    if kind.snapshot:
+        return c.q_other2 if c.from_edge and t > c.time else c.q_other
+    path = ctx.other_path(c.other)
+    return None if path is None else path.at(t)
 
 
 def _compile(domain: Domain, ctx: ConstraintContext):
@@ -166,30 +145,31 @@ def _compile(domain: Domain, ctx: ConstraintContext):
 
     Returns (priority, vertex_at, edge_at, horizon). `priority(q, q2, t2)` is
     nonzero iff the move q -> q2 into t2 conflicts with the path of an agent
-    that a priority constraint names (None without such constraints).
-    `vertex_at[t]` and `edge_at[t]` are contexts holding the other
-    constraints that `is_forbidden` at t and `is_forbidden_edge` over
-    [t, t + 1] can fire on. `horizon` is the latest timestep any constraint
-    can still bite.
+    that an every-step (priority) constraint names (None without such
+    constraints). `vertex_at[t]` and `edge_at[t]` are contexts holding the
+    other constraints that `is_forbidden` at t and `is_forbidden_edge` over
+    [t, t + 1] can fire on, filed by their rows' `config_at` and `move_at`
+    from each constraint's time up to its `Constraint.horizon`. `horizon`
+    is the latest timestep any constraint can still bite.
     """
     prio_paths: List[Optional[Path]] = [None] * len(ctx.other_paths)
     vertex: Dict[int, List[Constraint]] = {}
     edge: Dict[int, List[Constraint]] = {}
     horizon = 0
     for c in ctx.constraints:
-        if c.ctype == CT_PRIORITY:
+        kind = KINDS[c.ctype]
+        if kind.every_step:
             other = ctx.other_path(c.other)
             if other is not None:
                 prio_paths[c.other] = other
                 horizon = max(horizon, other.horizon)
             continue
         horizon = max(horizon, c.horizon)
-        if c.ctype != CT_EDGE:
-            vertex.setdefault(c.time, []).append(c)
-            if c.from_edge and c.ctype in (CT_AVOIDANCE, CT_STEP_PRIORITY):
-                vertex.setdefault(c.time + 1, []).append(c)
-        if c.ctype != CT_VERTEX:
-            edge.setdefault(c.time, []).append(c)
+        for t in range(c.time, c.horizon):
+            if kind.config_at(c, t):
+                vertex.setdefault(t, []).append(c)
+            if kind.move_at(c, t):
+                edge.setdefault(t, []).append(c)
     priority = None
     if any(p is not None for p in prio_paths):
         priority = domain.conflict_counter(ctx.agent, prio_paths)
@@ -215,7 +195,7 @@ def _earliest_rest_time(
     agent = ctx.agent
     rest = 0
     for c in ctx.constraints:
-        other = ctx.other_path(c.other) if c.ctype == CT_PRIORITY else None
+        other = ctx.other_path(c.other) if KINDS[c.ctype].every_step else None
         if other is None:
             continue
         steps = other.steps

@@ -1,10 +1,13 @@
-"""Reference copies of the low-level search loop and rest-time scan that
-`genecbs.lowlevel` replaced, kept for differential tests only.
+"""Reference copies of the low-level search loop, rest-time scan and
+constraint checks that `genecbs.lowlevel` replaced, kept for differential
+tests only.
 
 `plan` keeps three heaps (every generated state on OPEN and on the
 migration heap, plus FOCAL) and the `closed` and `in_focal` sets;
 `earliest_rest_time` tests every constraint at every timestep up to the
-horizon. Both must give exactly the package's answers.
+horizon; `per_kind_is_forbidden` and `per_kind_is_forbidden_edge` check each
+constraint kind in a branch of its own, as the checks did before they read
+`core.KINDS`. All must give exactly the package's answers.
 """
 
 from __future__ import annotations
@@ -12,7 +15,16 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from genecbs.core import CT_PRIORITY, Configuration, Path
+from genecbs.core import (
+    CT_AVOIDANCE,
+    CT_EDGE,
+    CT_PRIORITY,
+    CT_SPHERE,
+    CT_STEP_PRIORITY,
+    CT_VERTEX,
+    Configuration,
+    Path,
+)
 from genecbs.domain import Domain
 from genecbs.lowlevel import (
     BUDGET,
@@ -24,6 +36,61 @@ from genecbs.lowlevel import (
     is_forbidden,
     is_forbidden_edge,
 )
+
+
+def per_kind_is_forbidden(domain: Domain, ctx: ConstraintContext, q: Configuration, t: int) -> bool:
+    agent = ctx.agent
+    for c in ctx.constraints:
+        ctype = c.ctype
+        if ctype == CT_VERTEX:
+            if c.time == t and c.q == q:
+                return True
+        elif ctype == CT_SPHERE:
+            if c.time == t and domain.occupancy_intersects_circle(agent, q, c.point, c.radius):
+                return True
+        elif ctype == CT_AVOIDANCE:
+            if c.time == t and domain.agents_collide(agent, q, c.other, c.q_other) is not None:
+                return True
+            if (
+                c.from_edge
+                and c.time is not None
+                and t == c.time + 1
+                and domain.agents_collide(agent, q, c.other, c.q_other2) is not None
+            ):
+                return True
+        elif ctype == CT_PRIORITY or (
+            ctype == CT_STEP_PRIORITY and (t == c.time or (c.from_edge and t == c.time + 1))
+        ):
+            other = ctx.other_path(c.other)
+            if other is not None and domain.agents_collide(agent, q, c.other, other.at(t)) is not None:
+                return True
+    return False
+
+
+def per_kind_is_forbidden_edge(
+    domain: Domain, ctx: ConstraintContext, q: Configuration, q2: Configuration, t: int
+) -> bool:
+    agent = ctx.agent
+    for c in ctx.constraints:
+        ctype = c.ctype
+        if ctype == CT_EDGE:
+            if c.time == t and c.q == q and c.q2 == q2:
+                return True
+        elif ctype == CT_SPHERE:
+            if c.time == t and domain.edge_intersects_circle(agent, q, q2, c.point, c.radius):
+                return True
+        elif ctype == CT_AVOIDANCE:
+            if c.time == t:
+                other_to = c.q_other2 if c.from_edge else c.q_other
+                if domain.edge_collides(agent, q, q2, c.other, c.q_other, other_to) is not None:
+                    return True
+        elif ctype == CT_PRIORITY or (ctype == CT_STEP_PRIORITY and c.time == t):
+            other = ctx.other_path(c.other)
+            if other is not None:
+                other_to = other.at(t + 1) if (ctype == CT_PRIORITY or c.from_edge) else other.at(t)
+                if domain.edge_collides(agent, q, q2, c.other, other.at(t), other_to) is not None:
+                    return True
+    return False
 
 
 def earliest_rest_time(

@@ -12,7 +12,7 @@ from genecbs.constraints import (
     make_constraints,
     mutually_disjunctive_check,
 )
-from genecbs.core import EDGE, VERTEX, Configuration, Conflict, Constraint
+from genecbs.core import EDGE, KINDS, VERTEX, Configuration, Conflict, Constraint
 from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain, free_configurations
 from genecbs.lowlevel import ConstraintContext, is_forbidden, is_forbidden_edge
 
@@ -359,6 +359,18 @@ UNEVEN_VERTEX = Conflict(
 
 class TestConstraintPairs:
     """Each kind's pair, written out field by field."""
+
+    def test_every_kind_menu_builds_every_row(self):
+        """A new row of `core.KINDS` fails here until `every_kind_menu`,
+        and so the pair tests below, cover it."""
+        built = {
+            c.ctype
+            for conflict in (UNEVEN_VERTEX, edge_conflict())
+            for _, ci, cj in make_constraints(conflict, every_kind_menu())
+            for c in (ci, cj)
+        }
+        assert built == set(KINDS)
+        assert {e.kind for e in every_kind_menu().enabled} == {COMPLETE} | {k for k in KINDS if not KINDS[k].complete}
 
     def test_vertex_conflict_pairs(self):
         pairs = {e.key: (ci, cj) for e, ci, cj in make_constraints(UNEVEN_VERTEX, every_kind_menu())}

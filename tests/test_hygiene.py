@@ -78,6 +78,33 @@ def unreferenced_private_names(sources):
     return sorted(out)
 
 
+def ctype_comparisons(source: str):
+    """Line of each comparison with a constraint's kind on either side: an
+    attribute named `ctype`, or a name assigned one (`ctype = c.ctype`,
+    `ctype, t = c.ctype, c.time`), such as `c.ctype == "vertex"` or
+    `ctype in kinds`."""
+    tree = ast.parse(source)
+
+    def is_ctype(node):
+        return isinstance(node, ast.Attribute) and node.attr == "ctype"
+
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                else:
+                    pairs = [(target, node.value)]
+                aliases |= {t.id for t, v in pairs if isinstance(t, ast.Name) and is_ctype(v)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(is_ctype(x) or (isinstance(x, ast.Name) and x.id in aliases) for x in [node.left, *node.comparators])
+    )
+
+
 def test_modules_are_found():
     assert {"bench.py", "cli.py", "core.py", "domain.py", "lowlevel.py"} <= {p.name for p in MODULES}
 
@@ -136,3 +163,26 @@ def test_nested_import_is_reported():
         "    from typing import List\n"
     )
     assert nested_imports(source) == [(3, "json"), (4, None), (6, "typing")]
+
+
+@pytest.mark.parametrize("module", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_only_the_kind_table_compares_constraint_kinds(module):
+    """What a constraint kind means is read from its row of `core.KINDS`;
+    no other module tells kinds apart by comparing their names."""
+    assert ctype_comparisons(module.read_text()) == []
+
+
+def test_ctype_comparison_is_reported():
+    source = (
+        "if c.ctype == 'vertex':\n"
+        "    pass\n"
+        "kind = KINDS[c.ctype]\n"
+        "y = c.ctype in ('sphere', 'avoidance')\n"
+        "z = 'edge' != other.ctype\n"
+        "w = entry.kind == 'sphere'\n"
+        "ctype, t = c.ctype, c.time\n"
+        "u = ctype == 'edge' or t == 3\n"
+        "name = c.ctype\n"
+        "v = name != 'priority'\n"
+    )
+    assert ctype_comparisons(source) == [1, 4, 5, 8, 10]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from genecbs import core
 from genecbs.bench import generate_instances
 from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, make_constraints
 from genecbs.core import VERTEX, Configuration, Conflict, Constraint, Path, canonical_json, path_cost
@@ -440,7 +441,7 @@ def _random_context(rng, d, n):
     others = (None,) + tuple(walk(j) if rng.random() < 0.7 else None for j in range(1, n))
     cs = []
     for _ in range(rng.randint(0, 8)):
-        kind = rng.choice(("vertex", "edge", "sphere", "avoidance", "step-priority", "priority"))
+        kind = rng.choice(KINDS)
         t, q, b = rng.randint(0, 15), rng.choice(free), rng.randint(1, n - 1)
         from_edge = rng.random() < 0.5
         if kind == "vertex":
@@ -455,8 +456,10 @@ def _random_context(rng, d, n):
                            q_other2=q if from_edge else None, from_edge=from_edge)
         elif kind == "step-priority":
             c = Constraint(agent=0, ctype=kind, time=t, other=b, from_edge=from_edge)
-        else:
+        elif kind == "priority":
             c = Constraint(agent=0, ctype=kind, time=None, other=b)
+        else:
+            raise ValueError(kind)
         cs.append(c)
     return ConstraintContext(agent=0, constraints=tuple(cs), other_paths=others)
 
@@ -475,7 +478,7 @@ class TestCompiledHorizon:
             assert _compile(d, ctx)[3] == reference_constraint_horizon(ctx), ctx
         # Every kind was drawn, from-edge constraints and priority
         # constraints against a missing path among them.
-        assert {k for k, _, _ in kinds} == {"vertex", "edge", "sphere", "avoidance", "step-priority", "priority"}
+        assert {k for k, _, _ in kinds} == set(core.KINDS)
         assert ("step-priority", True, False) in kinds and ("priority", False, True) in kinds
 
 
@@ -562,6 +565,12 @@ class TestConstraintKey:
 
 
 KINDS = ("vertex", "edge", "sphere", "avoidance", "step-priority", "priority")
+
+
+def test_kinds_are_the_rows_of_the_kind_table():
+    """Every random context here draws from KINDS, so a new row of
+    `core.KINDS` fails this test until the generators build it."""
+    assert KINDS == tuple(core.KINDS)
 
 
 def _walk(rng, d, agent, q, length):
@@ -724,3 +733,127 @@ class TestPlanMatchesReferenceLoop:
                 total = [a + b for a, b in zip(total, calls)]
         assert set(KINDS) | {OK, BUDGET, 1.0, 1.3, 2.0, True, False} <= seen
         assert total[0] < total[1], total
+
+
+PRIMITIVES = ("agents_collide", "edge_collides", "occupancy_intersects_circle", "edge_intersects_circle")
+
+
+def _logging_primitives(d, log):
+    """Make the collision primitives of `d` append (name, *args) to `log`.
+    Undo with `_plain_primitives`."""
+    for name in PRIMITIVES:
+        def logged(*args, _f=getattr(d, name), _name=name):
+            log.append((_name,) + args)
+            return _f(*args)
+
+        setattr(d, name, logged)
+
+
+def _plain_primitives(d):
+    for name in PRIMITIVES:
+        delattr(d, name)
+
+
+def _one_of_kind(rng, d, kind, from_edge, own, others):
+    """A constraint of `kind` on agent 0 at a timestep of its walk `own`,
+    with `from_edge` as given whatever the kind, against another agent whose
+    path may be missing."""
+    t, b = rng.randint(0, 6), rng.randint(1, d.n_agents - 1)
+    q, theirs = own.at(t), others[b] or own
+    if kind == "vertex":
+        return Constraint(agent=0, ctype=kind, time=t, q=q, from_edge=from_edge)
+    if kind == "edge":
+        return Constraint(agent=0, ctype=kind, time=t, q=q, q2=own.at(t + 1), from_edge=from_edge)
+    if kind == "sphere":
+        radius = rng.choice((0.5, 1.0) if isinstance(d, GridDomain) else (0.1, 0.3))
+        return Constraint(agent=0, ctype=kind, time=t, point=_workspace_point(d, 0, q), radius=radius,
+                          from_edge=from_edge)
+    if kind == "avoidance":
+        return Constraint(agent=0, ctype=kind, time=t, other=b, q_other=theirs.at(t),
+                          q_other2=theirs.at(t + 1) if from_edge else None, from_edge=from_edge)
+    if kind == "step-priority":
+        return Constraint(agent=0, ctype=kind, time=t, other=b, from_edge=from_edge)
+    if kind == "priority":
+        return Constraint(agent=0, ctype=kind, time=None, other=b, from_edge=from_edge)
+    raise ValueError(kind)
+
+
+class TestChecksMatchPerKindReference:
+    """`is_forbidden` and `is_forbidden_edge`, which read each constraint's
+    row of `core.KINDS`, answer as the per-kind checks frozen in
+    `tests/reference_lowlevel.py` do and make the same collision calls in the
+    same order, for every kind made with `from_edge` either way, for
+    priority-style constraints against a missing path, on each
+    configuration and move tried and at every t in [0, horizon + 2]."""
+
+    def _contexts(self, rng, d, own, others):
+        """One context per (kind, from_edge), then two of mixed kinds."""
+        for kind in KINDS:
+            for from_edge in (False, True):
+                yield ConstraintContext(0, (_one_of_kind(rng, d, kind, from_edge, own, others),), others)
+        for _ in range(2):
+            cs = tuple(
+                _one_of_kind(rng, d, rng.choice(KINDS), rng.random() < 0.5, own, others)
+                for _ in range(rng.randint(2, 6))
+            )
+            yield ConstraintContext(0, cs, others)
+
+    def _check(self, d, ctx, configs, seen):
+        horizon = _compile(d, ctx)[3]
+        queries = [((q,), is_forbidden, reference_lowlevel.per_kind_is_forbidden) for q in configs] + [
+            ((q, q2), is_forbidden_edge, reference_lowlevel.per_kind_is_forbidden_edge)
+            for q in configs
+            for q2 in d.successors(0, q)
+        ]
+        log = []
+        _logging_primitives(d, log)
+        try:
+            for t in range(horizon + 3):
+                for args, check, reference in queries:
+                    del log[:]
+                    answer = check(d, ctx, *args, t)
+                    calls = log[:]
+                    del log[:]
+                    assert reference(d, ctx, *args, t) == answer, (ctx, args, t)
+                    assert log == calls, (ctx, args, t)
+                    seen.add((check.__name__, answer))
+        finally:
+            _plain_primitives(d)
+        seen.update(
+            (c.ctype, c.from_edge, c.other is not None and ctx.other_path(c.other) is None) for c in ctx.constraints
+        )
+
+    def _assert_coverage(self, seen):
+        assert {(k, e) for k in KINDS for e in (False, True)} <= {item[:2] for item in seen}
+        assert ("priority", False, True) in seen and ("step-priority", True, True) in seen
+        assert {(f, a) for f in ("is_forbidden", "is_forbidden_edge") for a in (False, True)} <= seen
+
+    def test_random_grids(self):
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(30):
+            width, height = rng.randint(3, 5), rng.randint(3, 5)
+            cells = [(x, y) for x in range(width) for y in range(height)]
+            blocked = rng.sample(cells, rng.randint(0, len(cells) // 5))
+            free = [C(*xy) for xy in cells if xy not in blocked]
+            d = GridDomain(width, height, blocked, [rng.choice(free) for _ in range(3)],
+                           [rng.choice(free) for _ in range(3)])
+            own = _walk(rng, d, 0, d.starts[0], 8)
+            others = (None,) + tuple(
+                _walk(rng, d, j, d.starts[j], rng.randint(0, 8)) if rng.random() < 0.6 else None for j in (1, 2)
+            )
+            for ctx in self._contexts(rng, d, own, others):
+                self._check(d, ctx, free, seen)
+        self._assert_coverage(seen)
+
+    def test_random_arm_pairs(self):
+        rng = random.Random(31)
+        seen = set()
+        for scenario in generate_instances("arm-pair", 6, seed=3):
+            d = scenario.build_domain()
+            own = _walk(rng, d, 0, d.starts[0], 8)
+            others = (None, _walk(rng, d, 1, d.starts[1], 8) if rng.random() < 0.6 else None)
+            configs = sorted(set(own.steps), key=lambda q: q.coords)
+            for ctx in self._contexts(rng, d, own, others):
+                self._check(d, ctx, configs, seen)
+        self._assert_coverage(seen)
