@@ -34,7 +34,7 @@ from .core import (
     sum_of_costs,
     unchecked_path_cost,
 )
-from .domain import Domain, PlanarArmDomain, domain_from_obj, free_configurations
+from .domain import Domain, PlanarArmDomain, domain_from_obj, free_configurations, index_l1
 from .highlevel import PRESETS, SolverConfig, solve
 
 SCENARIO_VERSION = 1
@@ -269,9 +269,9 @@ def shortcut(solution: Sequence[Path], domain: Domain, passes: int = 1) -> Tuple
     paths: List[Path] = sorted(solution, key=lambda p: p.agent)
     for _ in range(max(0, passes)):
         for agent in range(len(paths)):
-            # A move changes the heuristic (grid Manhattan, arm joint-index L1
-            # distance) by at most 1, so no segment shortens a path whose
-            # cost already equals it.
+            # The heuristic (grid Manhattan, arm exact distance) is at most
+            # the length of any route of moves, so no segment shortens a
+            # path whose cost already equals it.
             p = paths[agent]
             cost_now = path_cost(p, domain)
             if cost_now == domain.heuristic(agent, p.steps[0], domain.goals[agent]):
@@ -352,8 +352,9 @@ def _grid_random(rng: random.Random, params: dict) -> Tuple[dict, list]:
 
 def _reachable(domain: Domain, agent: int, start: Configuration, goal: Configuration) -> bool:
     """Whether `agent` can move from start to goal, ignoring the others.
-    Greedy best-first on the domain's heuristic: the answer does not depend
-    on the order, and this one reaches a goal in few expansions."""
+    Greedy best-first on `index_l1`, the distance instance generation plans
+    with: the answer does not depend on the order, and this one reaches a
+    goal in few expansions."""
     seen = {start.coords}
     frontier = [(0.0, start.coords, start)]
     while frontier:
@@ -363,7 +364,7 @@ def _reachable(domain: Domain, agent: int, start: Configuration, goal: Configura
         for q2 in domain.successors(agent, q):
             if q2.coords not in seen:
                 seen.add(q2.coords)
-                heapq.heappush(frontier, (domain.heuristic(agent, q2, goal), q2.coords, q2))
+                heapq.heappush(frontier, (index_l1(agent, q2, goal), q2.coords, q2))
     return False
 
 
@@ -437,13 +438,17 @@ def _arm_poses(
 def _root_conflicts(domain: Domain, starts, goals) -> int:
     """Pairwise conflicts between the agents' individually optimal paths
     from `starts` to `goals`; a cheap solver-neutral proxy for coordination
-    depth."""
+    depth. The paths are planned on `index_l1`, which the seeded suites were
+    drawn with, whatever heuristic the solvers use: the heuristic breaks
+    ties between optimal paths, so another one would redraw the suites."""
     paths = []
     for agent in range(domain.n_agents):
         ctx = lowlevel.ConstraintContext(
             agent=agent, constraints=(), other_paths=(None,) * domain.n_agents
         )
-        res = lowlevel.plan(domain, agent, starts[agent], goals[agent], ctx, count_conflicts=False)
+        res = lowlevel.plan(
+            domain, agent, starts[agent], goals[agent], ctx, count_conflicts=False, heuristic=index_l1
+        )
         if res.status != lowlevel.OK:
             return 10**9
         paths.append(res.path)

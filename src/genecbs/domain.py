@@ -20,12 +20,21 @@ memoises its answers. The two pose memos keep a pose iff its joint
 indices are ints (`_integral`): a motion's end poses, never a pose between
 them (sample or bisection point, `_lerp`). Whether a pose touches a disk,
 a static obstacle or a sphere constraint's, has one answer: `_circle_gap`.
+
+The arm heuristic is the exact distance to the goal: one breadth-first
+search per (agent, goal) over the arm's joint box, built the first time it
+is asked for. It learns which poses are static-free from one byte per pose
+of that box (unknown, free or blocked), which `is_static_free` fills as it
+is asked and the table build completes; the build places poses without
+storing them (`_place`), so the pose memo only holds what the solvers ask
+about. Grids keep Manhattan distance, `index_l1`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
@@ -50,6 +59,21 @@ SWEEP_CERT_MARGIN = 1e-9
 POSE_MEMO_CAP = 400_000
 # Size cap of the arm motion memo: certified and sampled edge answers.
 EDGE_MEMO_CAP = 1_000_000
+# States of a pose in an arm's static map.
+UNKNOWN, FREE, BLOCKED = 0, 1, 2
+
+
+def index_l1(agent: int, q: Configuration, goal: Configuration) -> float:
+    """L1 distance between the coordinate tuples: Manhattan distance on a
+    grid, joint-index L1 on an arm. Each move changes one coordinate by 1,
+    so it is admissible and consistent on both domains. It is the grid
+    heuristic, and instance generation plans with it whatever heuristic the
+    solvers use, so the seeded suites keep their bytes. Grid cells and the
+    shipped arms have two coordinates, which are summed without a loop."""
+    a, b = q.coords, goal.coords
+    if len(a) == 2:
+        return float(abs(a[0] - b[0]) + abs(a[1] - b[1]))
+    return float(sum(map(abs, map(operator.sub, a, b))))
 
 
 class Domain(ABC):
@@ -57,7 +81,10 @@ class Domain(ABC):
 
     Implementations provide per-agent successor sets, an admissible and
     consistent heuristic under unit costs, and pairwise collision queries
-    returning workspace points.
+    returning workspace points. The heuristic is Manhattan distance on grids
+    (`index_l1`) and the exact distance to the goal on arms; it reads
+    infinity where the goal cannot be reached, and `lowlevel.plan` then
+    returns INFEASIBLE at once.
     """
 
     n_agents: int
@@ -239,7 +266,7 @@ class GridDomain(Domain):
         return out
 
     def heuristic(self, agent: int, q: Configuration, goal: Configuration) -> float:
-        return float(abs(q.coords[0] - goal.coords[0]) + abs(q.coords[1] - goal.coords[1]))
+        return index_l1(agent, q, goal)
 
     def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
         """The base rule decided from coordinates, without a successor list:
@@ -440,6 +467,25 @@ def _closest_links(
     return best, (point if best <= threshold else None)
 
 
+def _circle_gap(shape, center: Point, threshold: float, enough: float) -> Tuple[float, Optional[Point]]:
+    """Lower bound on the distance from center to the link axes of a pose's
+    (segments, box), and center itself when that distance is <= threshold;
+    the bounding box stands in as in `PlanarArmDomain._pair_gap`."""
+    segs, (x0, y0, x1, y1) = shape
+    cx, cy = center
+    gx = max(x0 - cx, cx - x1, 0.0)
+    gy = max(y0 - cy, cy - y1, 0.0)
+    if gx > enough or gy > enough:
+        return math.hypot(gx, gy), None
+    best = math.inf
+    for seg in segs:
+        dist = _seg_point_dist(seg, center)
+        if dist <= threshold:
+            return dist, center
+        best = min(best, dist)
+    return best, None
+
+
 def _lerp(a: Tuple[int, ...], b: Tuple[int, ...], s: float) -> Tuple[float, ...]:
     """Joint indices at sub-time s of the linear motion a -> b: the integer
     end pose at s = 0 and s = 1 and for a wait, else x + (y - x) * s per
@@ -504,7 +550,11 @@ class PlanarArmDomain(Domain):
             raise ValueError("arms, starts, and goals must have the same length")
         # (agent, integer joint indices) -> (link segments, their bounding box).
         self._pose_cache: Dict[Tuple[int, Tuple[float, ...]], Tuple[Tuple[Segment, ...], Box]] = {}
-        self._static_cache: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
+        # Per arm, made on first use (`_box`): the position of each pose of
+        # its joint box, and the static map over those positions.
+        self._boxes: List[Optional[Tuple[Dict[Tuple[int, ...], int], bytearray]]] = [None] * len(self.arms)
+        # (agent, goal coords) -> the exact distance to the goal by position.
+        self._tables: Dict[Tuple[int, Tuple[int, ...]], List[float]] = {}
         self._succ_cache: Dict[Tuple[int, Tuple[int, ...]], List[Configuration]] = {}
         self._edge_cache: Dict[tuple, Optional[Tuple[Point, float]]] = {}
         # Exact branch of _pair_gap at integer poses: (i, coords_i, j,
@@ -534,15 +584,23 @@ class PlanarArmDomain(Domain):
         return self._shape(agent, tuple(coords))[0]
 
     def _shape(self, agent: int, coords: Tuple[float, ...]):
-        """Link segments of the pose and their bounding box: the one pose
-        accessor. One pass places the links and keeps a running min/max of
-        their endpoints, so the box holds the endpoints' own floats. A
-        computed pose is stored iff it is `_integral`, so no pose between a
-        motion's ends (sample or bisection point) grows the memo."""
+        """Link segments of the pose and their bounding box (`_place`): the
+        one memoised pose accessor. A computed pose is stored iff it is
+        `_integral`, so no pose between a motion's ends (sample or bisection
+        point) grows the memo."""
         key = (agent, coords)
         hit = self._pose_cache.get(key)
         if hit is not None:
             return hit
+        out = self._place(agent, coords)
+        if _integral(coords) and len(self._pose_cache) < POSE_MEMO_CAP:
+            self._pose_cache[key] = out
+        return out
+
+    def _place(self, agent: int, coords: Tuple[float, ...]):
+        """Link segments of the pose and their bounding box, stored nowhere.
+        One pass places the links and keeps a running min/max of their
+        endpoints, so the box holds the endpoints' own floats."""
         arm = self.arms[agent]
         delta, cos, sin = self.delta, math.cos, math.sin
         x, y = arm.base
@@ -564,21 +622,41 @@ class PlanarArmDomain(Domain):
             elif ny > y1:
                 y1 = ny
             x, y = nx, ny
-        out = (tuple(segs), (x0, y0, x1, y1))
-        if _integral(coords) and len(self._pose_cache) < POSE_MEMO_CAP:
-            self._pose_cache[key] = out
-        return out
+        return tuple(segs), (x0, y0, x1, y1)
+
+    def _clear_of_obstacles(self, agent: int, shape) -> bool:
+        """Whether the arm's pose, given as its (segments, box), touches no
+        obstacle."""
+        thickness = self.arms[agent].thickness
+        for center, r in self.obstacles:
+            if _circle_gap(shape, center, thickness + r, thickness + r)[1] is not None:
+                return False
+        return True
+
+    def _box(self, agent: int) -> Optional[Tuple[Dict[Tuple[int, ...], int], bytearray]]:
+        """The arm's joint box: each pose's position, in `itertools.product`
+        order, and the static map, one UNKNOWN/FREE/BLOCKED byte per
+        position. None for a box of more than POSE_MEMO_CAP poses, whose
+        poses are checked every time."""
+        box = self._boxes[agent]
+        if box is None:
+            limits = self.arms[agent].joint_limits
+            if math.prod(hi - lo + 1 for lo, hi in limits) <= POSE_MEMO_CAP:
+                poses = itertools.product(*(range(lo, hi + 1) for lo, hi in limits))
+                position = {coords: i for i, coords in enumerate(poses)}
+                box = self._boxes[agent] = (position, bytearray(len(position)))
+        return box
 
     def is_static_free(self, agent: int, q: Configuration) -> bool:
-        key = (agent, q.coords)
-        hit = self._static_cache.get(key)
-        if hit is None:
-            thickness = self.arms[agent].thickness
-            hit = self._static_cache[key] = all(
-                self._circle_gap(agent, q.coords, center, thickness + r, thickness + r)[1] is None
-                for center, r in self.obstacles
-            )
-        return hit
+        box = self._box(agent)
+        i = None if box is None else box[0].get(q.coords)
+        if i is None:
+            return self._clear_of_obstacles(agent, self._shape(agent, q.coords))
+        static = box[1]
+        state = static[i]
+        if state == UNKNOWN:
+            state = static[i] = FREE if self._clear_of_obstacles(agent, self._shape(agent, q.coords)) else BLOCKED
+        return state == FREE
 
     def successors(self, agent: int, q: Configuration) -> List[Configuration]:
         key = (agent, q.coords)
@@ -599,7 +677,64 @@ class PlanarArmDomain(Domain):
         return out
 
     def heuristic(self, agent: int, q: Configuration, goal: Configuration) -> float:
-        return float(sum(abs(a - b) for a, b in zip(q.coords, goal.coords)))
+        """The exact distance from q to the goal, in moves (`_distance_table`),
+        infinity where no path of moves reaches it. An arm whose joint box
+        holds more than POSE_MEMO_CAP poses keeps `index_l1`."""
+        table = self._tables.get((agent, goal.coords))
+        if table is None:
+            box = self._box(agent)
+            if box is None:
+                return index_l1(agent, q, goal)
+            table = self._tables[(agent, goal.coords)] = self._distance_table(agent, goal.coords, *box)
+        i = self._boxes[agent][0].get(q.coords)
+        return math.inf if i is None else table[i]
+
+    def _distance_table(
+        self, agent: int, goal: Tuple[int, ...], position: Dict[Tuple[int, ...], int], static: bytearray
+    ) -> List[float]:
+        """Breadth-first search from the goal over the arm's joint box: the
+        number of moves to the goal from each pose, by position, infinity
+        where the goal cannot be reached.
+
+        A move turns one joint by one index to a static-free pose within its
+        limits, as `successors` lists them, and can be made both ways, so
+        the distance to the goal is the distance from it; it changes by at
+        most 1 per move, so it is admissible and consistent. The static
+        map is completed first; no pose is stored in the pose memo.
+        """
+        poses = list(position)
+        for i, coords in enumerate(poses):
+            if static[i] == UNKNOWN:
+                static[i] = FREE if self._clear_of_obstacles(agent, self._place(agent, coords)) else BLOCKED
+        dist = [math.inf] * len(poses)
+        start = position.get(goal)
+        if start is None or static[start] != FREE:
+            return dist
+        # Position step of each joint: later joints vary fastest.
+        limits = self.arms[agent].joint_limits
+        strides = []
+        stride = 1
+        for lo, hi in reversed(limits):
+            strides.append(stride)
+            stride *= hi - lo + 1
+        strides.reverse()
+        dist[start] = 0.0
+        frontier, d = [start], 0.0
+        while frontier:
+            d += 1.0
+            near = []
+            for i in frontier:
+                for c, (lo, hi), stride in zip(poses[i], limits, strides):
+                    if c < hi:
+                        near.append(i + stride)
+                    if c > lo:
+                        near.append(i - stride)
+            frontier = []
+            for n in near:
+                if static[n] == FREE and dist[n] == math.inf:
+                    dist[n] = d
+                    frontier.append(n)
+        return dist
 
     def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
         """The base rule decided from coordinates, without a successor list:
@@ -673,31 +808,6 @@ class PlanarArmDomain(Domain):
             if _integral(coords_i) and _integral(coords_j) and len(self._gap_cache) < POSE_MEMO_CAP:
                 self._gap_cache[key] = out
         return out
-
-    def _circle_gap(
-        self,
-        agent: int,
-        coords: Tuple[float, ...],
-        center: Point,
-        threshold: float,
-        enough: float,
-    ) -> Tuple[float, Optional[Point]]:
-        """Lower bound on the distance from center to the arm's link axes,
-        and center itself when that distance is <= threshold; the bounding
-        box stands in as in `_pair_gap`."""
-        segs, (x0, y0, x1, y1) = self._shape(agent, coords)
-        cx, cy = center
-        gx = max(x0 - cx, cx - x1, 0.0)
-        gy = max(y0 - cy, cy - y1, 0.0)
-        if gx > enough or gy > enough:
-            return math.hypot(gx, gy), None
-        best = math.inf
-        for seg in segs:
-            dist = _seg_point_dist(seg, center)
-            if dist <= threshold:
-                return dist, center
-            best = min(best, dist)
-        return best, None
 
     def _sweep(self, gap, speed: float, threshold: float) -> Optional[Tuple[Point, float]]:
         """Certified check of a motion over sub-time [0, 1].
@@ -869,7 +979,7 @@ class PlanarArmDomain(Domain):
 
     def occupancy_intersects_circle(self, agent, q, center, radius) -> bool:
         threshold = self.arms[agent].thickness + radius
-        return self._circle_gap(agent, q.coords, center, threshold, threshold)[1] is not None
+        return _circle_gap(self._shape(agent, q.coords), center, threshold, threshold)[1] is not None
 
     def edge_intersects_circle(self, agent, q, q2, center, radius) -> bool:
         """Whether the arm's motion q -> q2 touches the disk, certified over
@@ -878,7 +988,7 @@ class PlanarArmDomain(Domain):
         a, b = q.coords, q2.coords
 
         def gap(s, thr, enough):
-            return self._circle_gap(agent, _lerp(a, b, s), center, thr, enough)
+            return _circle_gap(self._shape(agent, _lerp(a, b, s)), center, thr, enough)
 
         return self._sweep(gap, self._sweep_speed(agent, a, b), threshold) is not None
 

@@ -40,16 +40,19 @@ expansions, the rule stays on for the rest of the solve:
     pops; this is EECBS's cleanup pop (Li, Ruml & Koenig, AAAI 2021)
     restricted to the spine.
 
-It is sound because each complete pair is mutually disjunctive
-(`constraints.mutually_disjunctive_check` finds no counterexample): every
-solution satisfies the constraints of one of the two complete children, so
-the optimum stays feasible under some open spine node, whose lb bounds OPT
-from below. A spine node costs at most w * lb <= w * LB, so
-every spine pop lies within the focal bound. If a node is dropped on a
-low-level budget hit, the optimum may have been under it: the reported lb is
-at most that node's lb, running out of nodes ends `timeout` with
-`stopped_by="budget"` rather than `exhausted`, and after a spine node the
-rule is off for the rest of the solve. The bound proved before stays a valid
+It is sound because every collision-free solution satisfies the
+constraints of one of the two complete children. For a vertex conflict's
+pair, `constraints.mutually_disjunctive_check` finds no counterexample. The
+edge pair forbids each agent its move of the conflict (on a grid, the two
+moves of a swap), and no collision-free solution makes both moves together;
+the probe reads an edge constraint as its start occupancy, so it does report
+a counterexample for this pair. The optimum thus stays feasible under some
+open spine node, whose lb bounds OPT from below. A spine node costs at most
+w * lb <= w * LB, so every spine pop lies within the focal bound. If a node
+is dropped on a low-level budget hit, the optimum may have been under it:
+the reported lb is at most that node's lb, running out of nodes ends
+`timeout` with `stopped_by="budget"` rather than `exhausted`, and after a
+spine node the rule is off for the rest of the solve. The bound proved before stays a valid
 floor, which is why the focal bound reads the running max of LB. An empty
 spine falls back to min lb(OPEN). A search whose LB keeps rising never turns
 the rule on.

@@ -44,8 +44,9 @@ negative, so no other arrival could replace the record.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import DISK, KINDS, OWN_CONFIG, OWN_MOVE, Configuration, Constraint, ConstraintKind, Path
 from .domain import Domain
@@ -233,8 +234,13 @@ def plan(
     w: float = 1.0,
     count_conflicts: bool = True,
     max_expansions: int = 200_000,
+    heuristic: Optional[Callable[[int, Configuration, Configuration], float]] = None,
 ) -> LLResult:
     """Find a constraint-satisfying path from start to goal.
+
+    `heuristic(agent, q, goal)` defaults to `domain.heuristic`; instance
+    generation passes `index_l1`. A start it reads as infinitely far
+    from the goal is INFEASIBLE at once, with no expansion.
 
     States with f <= w * f_min form the focal list, which pops the fewest
     accumulated conflicts with `ctx.other_paths` first when
@@ -252,6 +258,11 @@ def plan(
     parent with fewer conflicts than its record. The answers are those of
     counting every arrival.
     """
+    if heuristic is None:
+        heuristic = domain.heuristic
+    h0 = heuristic(agent, start, goal)
+    if h0 == math.inf:
+        return LLResult(INFEASIBLE)
     priority, vertex_at, edge_at, horizon = _compile(domain, ctx)
     rest_time = _earliest_rest_time(domain, ctx, goal, vertex_at, edge_at)
     if rest_time is None:
@@ -259,7 +270,6 @@ def plan(
     if is_forbidden(domain, ctx, start, 0):
         return LLResult(INFEASIBLE)
 
-    h0 = domain.heuristic(agent, start, goal)
     longest_other = max(
         (p.horizon for p in ctx.other_paths if p is not None), default=0
     )
@@ -378,7 +388,7 @@ def plan(
                 continue
             h = h_cache.get(c2)
             if h is None:
-                h = h_cache[c2] = domain.heuristic(agent, q2, goal)
+                h = h_cache[c2] = heuristic(agent, q2, goal)
             f2 = t2 + h
             if f2 not in open_count:
                 push(open_fs, f2)

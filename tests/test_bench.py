@@ -45,7 +45,7 @@ from genecbs.core import (
     path_cost,
     sum_of_costs,
 )
-from genecbs.domain import GridDomain, domain_from_obj
+from genecbs.domain import GridDomain, PlanarArmDomain, domain_from_obj
 from genecbs.highlevel import SolverConfig, solve, find_conflicts
 
 
@@ -196,6 +196,28 @@ class TestSuiteDigests:
     ])
     def test_suite_bytes(self, template, seed, count, params, digest):
         suite = generate_instances(template, count, seed=seed, params=params)
+        text = "".join(canonical_json(s.to_obj()) for s in suite)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+class TestGenerationIgnoresTheSolverHeuristic:
+    """Arm generation plans its root paths on `index_l1`, whatever
+    heuristic the solvers use, so the arm suites keep the `TestSuiteDigests`
+    bytes when the arm heuristic reads 0 everywhere. arm-pair has no
+    root-conflict filter, so its rows hold either way; arm-quad seed 2024
+    changes bytes when the filter plans with the arm heuristic."""
+
+    @pytest.mark.parametrize("template,seed,count,digest", [
+        ("arm-quad", 2024, 50, "bce23988fe5a75e8"),
+        ("arm-quad", 5, 3, "cad20dcb07f73a98"),
+        ("arm-quad", 3, 1, "20abec0f5aa71de7"),
+        ("arm-quad", 7, 5, "c4b147da9ac4fc4d"),
+        ("arm-pair", 0, 5, "85c6771e5277acee"),
+        ("arm-pair", 1, 3, "0765e0ad7976fce7"),
+    ])
+    def test_suite_bytes_under_a_zero_heuristic(self, monkeypatch, template, seed, count, digest):
+        monkeypatch.setattr(PlanarArmDomain, "heuristic", lambda self, agent, q, goal: 0.0)
+        suite = generate_instances(template, count, seed=seed)
         text = "".join(canonical_json(s.to_obj()) for s in suite)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
@@ -610,6 +632,25 @@ class TestShortcutParity:
                 assert out == reference_shortcut(solution, d, passes=passes), (solution, passes)
                 improved += sum_of_costs(out, d) < sum_of_costs(solution, d)
             skipped += len(at_bound)
+        assert skipped > 0 and improved > 0
+
+    def test_skip_at_the_arm_table_changes_no_output(self, monkeypatch):
+        # The arm-quad benchmark's cells: the arm heuristic is the exact
+        # distance, and an agent whose cost equals it gives the output it
+        # gives when nothing is skipped.
+        scenarios = [s for k, s in enumerate(generate_instances("arm-quad", 17, seed=2024)) if k != 5]
+        skipped = improved = 0
+        for scenario in scenarios:
+            for algo in ("gen-ecbs", "ecbs", "pp", "ecbs-sub:avoidance"):
+                domain, solution = self._solution(scenario, algo)
+                skipped += sum(
+                    path_cost(p, domain) == domain.heuristic(p.agent, p.steps[0], domain.goals[p.agent])
+                    for p in solution
+                )
+                out = shortcut(solution, domain)
+                monkeypatch.setattr(domain, "heuristic", lambda agent, q, goal: -1.0)
+                assert shortcut(solution, domain) == out, (scenario.name, algo)
+                improved += sum_of_costs(out, domain) < sum_of_costs(solution, domain)
         assert skipped > 0 and improved > 0
 
     def test_segment_check_matches_reference_on_random_segments(self):

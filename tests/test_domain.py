@@ -17,8 +17,10 @@ from genecbs.domain import (
     _seg_seg_closest,
     domain_from_obj,
     free_configurations,
+    index_l1,
 )
 from genecbs.highlevel import SolverConfig, solve
+from genecbs.lowlevel import INFEASIBLE, ConstraintContext, plan
 
 from oracles import bfs_distances
 
@@ -185,6 +187,113 @@ class TestHeuristic:
             for q2 in d.successors(0, C(x, y)):
                 if q2.coords in dist:
                     assert d.heuristic(0, C(x, y), C(*goal)) <= 1 + d.heuristic(0, q2, C(*goal))
+
+
+def brute_force_distances(d, agent, goal):
+    """Moves from each pose to the goal: breadth-first over
+    `free_configurations` and `successors`."""
+    free = set(free_configurations(d, agent))
+    dist = {goal: 0}
+    frontier = [goal]
+    while frontier:
+        grown = []
+        for q in frontier:
+            for q2 in d.successors(agent, q):
+                if q2 in free and q2 not in dist:
+                    dist[q2] = dist[q] + 1
+                    grown.append(q2)
+        frontier = grown
+    return free, dist
+
+
+def walled_off_arm():
+    """One single-link arm whose pose 4 touches an obstacle, so poses 0-3
+    cannot reach poses 5-8."""
+    arm = ArmSpec(base=(0.0, 0.0), link_lengths=(1.0,), joint_limits=((0, 8),), thickness=0.1)
+    wall = (math.cos(4 * DELTA), math.sin(4 * DELTA))
+    return PlanarArmDomain([arm], [(wall, 0.05)], DELTA, [C(0)], [C(8)])
+
+
+class TestDistanceTable:
+    @pytest.fixture(scope="class")
+    def domains(self):
+        return [
+            generate_instances("arm-pair", 1, seed=1)[0].build_domain(),
+            generate_instances("arm-quad", 1, seed=2024)[0].build_domain(),
+        ]
+
+    def test_entries_are_the_brute_force_distances(self, domains):
+        blocked = 0
+        for d in domains:
+            for agent in range(d.n_agents):
+                goal = d.goals[agent]
+                free, dist = brute_force_distances(d, agent, goal)
+                lo_hi = d.arms[agent].joint_limits
+                for coords in itertools.product(*(range(lo, hi + 1) for lo, hi in lo_hi)):
+                    q = C(*coords)
+                    want = float(dist[q]) if q in dist else math.inf
+                    assert d.heuristic(agent, q, goal) == want, (agent, q)
+                blocked += len(free) < math.prod(hi - lo + 1 for lo, hi in lo_hi)
+        # Obstacles block poses, so the table is not the L1 distance.
+        assert blocked > 0
+
+    def test_consistent_and_above_l1(self, domains):
+        above = 0
+        for d in domains:
+            for agent in range(d.n_agents):
+                goal = d.goals[agent]
+                assert d.heuristic(agent, goal, goal) == 0.0
+                for q in free_configurations(d, agent):
+                    h = d.heuristic(agent, q, goal)
+                    assert h >= index_l1(agent, q, goal)
+                    above += h > index_l1(agent, q, goal)
+                    for q2 in d.successors(agent, q):
+                        assert abs(h - d.heuristic(agent, q2, goal)) <= 1, (agent, q, q2)
+        assert above > 0
+
+    def test_building_stores_no_pose(self):
+        # Fresh domains: the table build places every pose of the box, and
+        # completes the static map, without storing a pose.
+        for template, seed in (("arm-pair", 1), ("arm-quad", 2024)):
+            d = generate_instances(template, 1, seed=seed)[0].build_domain()
+            for agent in range(d.n_agents):
+                before = len(d._pose_cache)
+                d.heuristic(agent, d.starts[agent], d.goals[agent])
+                assert len(d._pose_cache) == before
+                assert domain_module.UNKNOWN not in d._boxes[agent][1]
+
+    def test_walled_off_goal_fails_at_once(self):
+        d = walled_off_arm()
+        assert not d.is_static_free(0, C(4)) and d.is_static_free(0, C(8))
+        assert d.heuristic(0, C(0), C(8)) == math.inf and d.heuristic(0, C(5), C(8)) == 3.0
+        ctx = ConstraintContext(agent=0, constraints=(), other_paths=(None,))
+        res = plan(d, 0, C(0), C(8), ctx)
+        assert res.status == INFEASIBLE and res.expansions == 0
+        for algo in ("ecbs", "gen-ecbs", "pp"):
+            assert solve(walled_off_arm(), SolverConfig(algorithm=algo)).status == "exhausted", algo
+
+    @pytest.mark.parametrize("cap", [117, 116])
+    def test_boxes_above_the_pose_memo_cap_keep_l1(self, monkeypatch, cap):
+        # The shipped arms' boxes hold 9 x 13 = 117 poses.
+        scenario = generate_instances("arm-quad", 1, seed=2024)[0]
+        mapped = scenario.build_domain()
+        monkeypatch.setattr(domain_module, "POSE_MEMO_CAP", cap)
+        d = scenario.build_domain()
+        table = cap >= 117
+        above = 0
+        for agent in range(d.n_agents):
+            goal = d.goals[agent]
+            assert math.prod(hi - lo + 1 for lo, hi in d.arms[agent].joint_limits) == 117
+            free, dist = brute_force_distances(d, agent, goal)
+            # Without a static map, poses are checked every time, alike.
+            assert free == set(free_configurations(mapped, agent))
+            for q in free:
+                above += dist.get(q, math.inf) > index_l1(agent, q, goal)
+                want = float(dist.get(q, math.inf)) if table else index_l1(agent, q, goal)
+                assert d.heuristic(agent, q, goal) == want, (agent, q)
+            assert ((agent, goal.coords) in d._tables) == table
+            assert (d._boxes[agent] is not None) == table
+        assert above > 0
 
 
 class TestAgentsCollide:

@@ -15,7 +15,7 @@ from genecbs.bench import cell_seed, generate_instances
 from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, default_menu
 from genecbs.core import Configuration, Path, SolverResult, canonical_json, menu_key, sum_of_costs
 from genecbs.lowlevel import ConstraintContext
-from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain
+from genecbs.domain import ArmSpec, GridDomain, PlanarArmDomain, index_l1
 from genecbs.highlevel import (
     DTSState,
     SolverConfig,
@@ -513,7 +513,9 @@ class TestCrowdParity:
 # enough that many low-level requests repeat within a solve (300-expansion
 # cap, default menu, no prior, `cell_seed` seeds), recorded before the engine
 # answered repeated requests from its per-solve memo, and before it had the
-# spine rule: they hold with `SPINE_STALL` out of reach.
+# spine rule: they hold with `SPINE_STALL` out of reach. They were recorded
+# while arms planned on the joint-index L1 distance (`index_l1`), and hold
+# with the arm heuristic set to it.
 DEEP_DIGESTS = {
     ("grid-random-s300-018", "cbs"): "57842b802b29fcc48ee7328c6739d5a2a39280d66995b64c2614fa2c577c37f6",
     ("grid-random-s300-018", "ecbs"): "57842b802b29fcc48ee7328c6739d5a2a39280d66995b64c2614fa2c577c37f6",
@@ -532,6 +534,12 @@ SPINE_DIGESTS = {
     ("grid-random-s300-018", "ac-ecbs-lazy"): "0700cf38309fa3fa3c0066da20c2318f511fdfe62cbe45715630415e009b215b",
     ("grid-random-s300-018", "gen-ecbs"): "e131c8c75ce50db354a8d6318a645a99d2dd76f0d88ed1c9cf1ab9858c957d2f",
     ("grid-random-s300-018", "gen-cbs"): "619a15185ee6532a25969ae5639fbb54eaf4e47e90e088e3461293eeb3c5b042",
+}
+
+# The arm rows under the arm's own heuristic, its exact-distance table.
+TABLE_DIGESTS = {
+    ("arm-quad-s2024-000", "ecbs"): "636f88b471e6e1c4f94ecf9265c27bc5b1b2effc65274e2d361763690634e643",
+    ("arm-quad-s2024-010", "ecbs"): "c993406249cadf49c422361eaf015f575e22b286d67ccd8aced190d84f08150e",
 }
 
 GRID_S300 = {"width": 5, "height": 5, "n_agents": 3, "obstacle_density": 0.12}
@@ -553,11 +561,16 @@ def deep_config(scenario, algo):
     )
 
 
+def plan_arms_on_l1(monkeypatch):
+    monkeypatch.setattr(PlanarArmDomain, "heuristic", staticmethod(index_l1))
+
+
 class TestDeepTreeParity:
     @pytest.mark.parametrize("name,algo", sorted(DEEP_DIGESTS))
     def test_results_match_recorded_digests(self, deep_scenarios, monkeypatch, name, algo):
         # A spine rule that never turns on leaves every byte as it was.
         monkeypatch.setattr(highlevel, "SPINE_STALL", math.inf)
+        plan_arms_on_l1(monkeypatch)
         scenario = deep_scenarios[name]
         r = solve(scenario.build_domain(), deep_config(scenario, algo))
         digest = hashlib.sha256(canonical_json(r.to_obj()).encode()).hexdigest()
@@ -565,12 +578,21 @@ class TestDeepTreeParity:
         assert r.stats.spine_pops == 0
 
     @pytest.mark.parametrize("name,algo", sorted(DEEP_DIGESTS))
-    def test_default_spine_rule_matches_recorded_digests(self, deep_scenarios, name, algo):
+    def test_default_spine_rule_matches_recorded_digests(self, deep_scenarios, monkeypatch, name, algo):
+        plan_arms_on_l1(monkeypatch)
         scenario = deep_scenarios[name]
         r = solve(scenario.build_domain(), deep_config(scenario, algo))
         digest = hashlib.sha256(canonical_json(r.to_obj()).encode()).hexdigest()
         assert digest == SPINE_DIGESTS.get((name, algo), DEEP_DIGESTS[(name, algo)])
         assert (r.stats.spine_pops > 0) == ((name, algo) in SPINE_DIGESTS)
+
+    @pytest.mark.parametrize("name,algo", sorted(TABLE_DIGESTS))
+    def test_arm_table_matches_recorded_digests(self, deep_scenarios, name, algo):
+        scenario = deep_scenarios[name]
+        r = solve(scenario.build_domain(), deep_config(scenario, algo))
+        digest = hashlib.sha256(canonical_json(r.to_obj()).encode()).hexdigest()
+        assert digest == TABLE_DIGESTS[(name, algo)]
+        assert digest != DEEP_DIGESTS[(name, algo)]
 
 
 def record_expansions(engine):

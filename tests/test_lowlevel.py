@@ -8,7 +8,7 @@ from genecbs import core
 from genecbs.bench import generate_instances
 from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, make_constraints
 from genecbs.core import VERTEX, Configuration, Conflict, Constraint, Path, canonical_json, path_cost
-from genecbs.domain import ArmSpec, Domain, GridDomain, PlanarArmDomain
+from genecbs.domain import ArmSpec, Domain, GridDomain, PlanarArmDomain, index_l1
 from genecbs.lowlevel import (
     BUDGET,
     INFEASIBLE,
@@ -258,9 +258,10 @@ def _results_digest(results):
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
-def _pp_results(d, seed):
+def _pp_results(d, seed, heuristic=None):
     """Plan the agents one by one in a seeded order, each under priority
-    constraints against every agent planned before it."""
+    constraints against every agent planned before it, with `plan`'s
+    `heuristic`."""
     order = list(range(d.n_agents))
     random.Random(seed).shuffle(order)
     paths = [None] * d.n_agents
@@ -268,7 +269,9 @@ def _pp_results(d, seed):
     for k, a in enumerate(order):
         cs = tuple(Constraint(agent=a, ctype="priority", time=None, other=b) for b in order[:k])
         ctx = ConstraintContext(agent=a, constraints=cs, other_paths=tuple(paths))
-        res = plan(d, a, d.starts[a], d.goals[a], ctx, count_conflicts=False, max_expansions=20_000)
+        res = plan(
+            d, a, d.starts[a], d.goals[a], ctx, count_conflicts=False, max_expansions=20_000, heuristic=heuristic
+        )
         results.append(res)
         if res.status == OK:
             paths[a] = res.path
@@ -305,9 +308,9 @@ def _mixed_constraints(d, a, paths, rng, radius, spread):
     return tuple(cs)
 
 
-def _mixed_results(d, seed, radius):
+def _mixed_results(d, seed, radius, heuristic=None):
     paths = [
-        plan(d, a, d.starts[a], d.goals[a], ConstraintContext.for_agent(a, (), ())).path
+        plan(d, a, d.starts[a], d.goals[a], ConstraintContext.for_agent(a, (), ()), heuristic=heuristic).path
         for a in range(d.n_agents)
     ]
     rng = random.Random(seed)
@@ -315,14 +318,18 @@ def _mixed_results(d, seed, radius):
     for a in range(d.n_agents):
         for spread in (False, True):
             ctx = ConstraintContext.for_agent(a, _mixed_constraints(d, a, paths, rng, radius, spread), paths)
-            results.append(plan(d, a, d.starts[a], d.goals[a], ctx, w=1.3, max_expansions=20_000))
+            results.append(
+                plan(d, a, d.starts[a], d.goals[a], ctx, w=1.3, max_expansions=20_000, heuristic=heuristic)
+            )
     return results
 
 
 class TestConstraintIndexParity:
     """`plan` under priority and mixed constraint contexts gives the same
     `LLResult`s as the per-constraint scan it replaced; the digests were
-    recorded with that scan."""
+    recorded with that scan, when both domains planned on the index-space L1
+    distance, `index_l1`, which these checks pass to `plan`. The arm rows
+    under the arm's own distance table are recorded beside them."""
 
     @pytest.fixture(scope="class")
     def domains(self):
@@ -340,7 +347,11 @@ class TestConstraintIndexParity:
         ("arm", 2, "3e69597fdf5794ac"),
     ])
     def test_priority_contexts(self, domains, name, seed, digest):
-        assert _results_digest(_pp_results(domains[name], seed)) == digest
+        assert _results_digest(_pp_results(domains[name], seed, index_l1)) == digest
+
+    @pytest.mark.parametrize("seed,digest", [(1, "5d9fc2278b349e23"), (2, "3d53eaf109504b47")])
+    def test_priority_contexts_on_the_arm_table(self, domains, seed, digest):
+        assert _results_digest(_pp_results(domains["arm"], seed)) == digest
 
     @pytest.mark.parametrize("name,seed,digest", [
         ("grid", 1, "76e76635503d2ba2"),
@@ -350,7 +361,11 @@ class TestConstraintIndexParity:
     ])
     def test_mixed_contexts(self, domains, name, seed, digest):
         radius = 1.0 if name == "grid" else 0.105
-        assert _results_digest(_mixed_results(domains[name], seed, radius)) == digest
+        assert _results_digest(_mixed_results(domains[name], seed, radius, index_l1)) == digest
+
+    @pytest.mark.parametrize("seed,digest", [(1, "3c5ead1d7937bfd8"), (2, "6cd068894c19d437")])
+    def test_mixed_contexts_on_the_arm_table(self, domains, seed, digest):
+        assert _results_digest(_mixed_results(domains["arm"], seed, 0.105)) == digest
 
 
 def _rearrival_case(kind, trial):
