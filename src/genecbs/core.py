@@ -107,9 +107,6 @@ class Configuration:
 
     coords: Tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.coords)
-
     def to_obj(self) -> list:
         return list(self.coords)
 
@@ -209,9 +206,10 @@ class Constraint:
     @property
     def horizon(self) -> int:
         """The timestep from which on this constraint forbids nothing:
-        time + 2 for one made from an edge conflict, time + 1 otherwise.
+        time + 2 where its row's configuration check also bites at time + 1
+        (made from an edge conflict, `covers_next`), time + 1 otherwise.
         Undefined for priority constraints, whose time is None."""
-        return self.time + (2 if self.from_edge else 1)
+        return self.time + (2 if self.from_edge and KINDS[self.ctype].covers_next else 1)
 
 
 # What a constraint kind's checks compare against.

@@ -8,6 +8,9 @@ Grid motion checks are exact, and arm motion checks are certified over the
 whole motion. `edge_collides` alone also takes a sample count: its sampled
 check is the verifier's independent reference. Domains are immutable after
 construction; the internal memo caches only store results of pure queries.
+`in_bounds` alone says whether a configuration is well formed. Arm moves
+are written once, in `successors`, which `transition_valid` reads; grid
+moves once, in `GRID_MOVES`.
 
 The arm domain's conflict counter settles each other arm on one ladder:
 the box gaps at both ends of the move (`_sweep`'s top-level test,
@@ -79,7 +82,8 @@ def index_l1(agent: int, q: Configuration, goal: Configuration) -> float:
 class Domain(ABC):
     """Shared interface over planning domains.
 
-    Implementations provide per-agent successor sets, an admissible and
+    Implementations provide the shape rule (`in_bounds`), per-agent
+    successor sets (which `transition_valid` reads), an admissible and
     consistent heuristic under unit costs, and pairwise collision queries
     returning workspace points. The heuristic is Manhattan distance on grids
     (`index_l1`) and the exact distance to the goal on arms; it reads
@@ -93,10 +97,9 @@ class Domain(ABC):
     substeps: int
 
     @abstractmethod
-    def dimension(self, agent: int) -> int: ...
-
-    @abstractmethod
-    def in_bounds(self, agent: int, q: Configuration) -> bool: ...
+    def in_bounds(self, agent: int, q: Configuration) -> bool:
+        """Whether q is a well-formed configuration of the agent: the right
+        number of coordinates, each within its range. The one shape rule."""
 
     @abstractmethod
     def is_static_free(self, agent: int, q: Configuration) -> bool: ...
@@ -188,21 +191,20 @@ class Domain(ABC):
         return c
 
     def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
-        """b must be a (wait or primitive) successor of a."""
+        """Whether a is an in-bounds static-free configuration and b one of
+        its `successors` (a wait or a primitive move)."""
         if not (self.in_bounds(agent, a) and self.is_static_free(agent, a)):
             return False
         return b in self.successors(agent, a)
 
     def validate_instance(self) -> None:
-        """Check starts/goals: dimensionality, bounds, static freedom, and
-        mutual conflict freedom. Raises ValueError on the first failure,
-        and on an instance without agents."""
+        """Check starts/goals: bounds (a wrong number of coordinates is out
+        of bounds), static freedom, and mutual conflict freedom. Raises
+        ValueError on the first failure, and on an instance without agents."""
         if self.n_agents == 0:
             raise ValueError("an instance needs at least one agent")
         for agent in range(self.n_agents):
             for label, q in (("start", self.starts[agent]), ("goal", self.goals[agent])):
-                if len(q) != self.dimension(agent):
-                    raise ValueError(f"agent {agent} {label} has wrong dimensionality")
                 if not self.in_bounds(agent, q):
                     raise ValueError(f"agent {agent} {label} out of bounds: {q.coords}")
                 if not self.is_static_free(agent, q):
@@ -244,16 +246,13 @@ class GridDomain(Domain):
         if len(self.goals) != self.n_agents:
             raise ValueError("starts and goals must have the same length")
 
-    def dimension(self, agent: int) -> int:
-        return 2
-
     def in_bounds(self, agent: int, q: Configuration) -> bool:
         """A cell of the grid: two coordinates, within width and height."""
         c = q.coords
         return len(c) == 2 and 0 <= c[0] < self.width and 0 <= c[1] < self.height
 
     def is_static_free(self, agent: int, q: Configuration) -> bool:
-        return (q.coords[0], q.coords[1]) not in self.blocked
+        return q.coords not in self.blocked
 
     def successors(self, agent: int, q: Configuration) -> List[Configuration]:
         x, y = q.coords
@@ -269,17 +268,15 @@ class GridDomain(Domain):
         return index_l1(agent, q, goal)
 
     def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
-        """The base rule decided from coordinates, without a successor list:
-        a is a free in-bounds cell, and b is a or a free in-bounds
-        4-neighbour of a."""
+        """The base rule decided from coordinates, as grids keep no successor
+        memo: a is a free in-bounds cell, and b is a or a free in-bounds cell
+        one `GRID_MOVES` offset from a."""
         ca, c = a.coords, b.coords
         if not self.in_bounds(agent, a) or ca in self.blocked:
             return False
         if c == ca:
             return True
-        if len(c) != 2 or abs(c[0] - ca[0]) + abs(c[1] - ca[1]) != 1:
-            return False
-        return 0 <= c[0] < self.width and 0 <= c[1] < self.height and c not in self.blocked
+        return self.in_bounds(agent, b) and (c[0] - ca[0], c[1] - ca[1]) in GRID_MOVES and c not in self.blocked
 
     def constraint_key(self, c: Constraint) -> Hashable:
         """What a constraint on the agent's own configuration or move, or
@@ -570,9 +567,6 @@ class PlanarArmDomain(Domain):
             for a in self.arms
         )
 
-    def dimension(self, agent: int) -> int:
-        return len(self.arms[agent].link_lengths)
-
     def in_bounds(self, agent: int, q: Configuration) -> bool:
         limits = self.arms[agent].joint_limits
         if len(q.coords) != len(limits):
@@ -719,6 +713,7 @@ class PlanarArmDomain(Domain):
             stride *= hi - lo + 1
         strides.reverse()
         dist[start] = 0.0
+        # A stride walk, not `successors`: it builds no Configuration per pose.
         frontier, d = [start], 0.0
         while frontier:
             d += 1.0
@@ -735,24 +730,6 @@ class PlanarArmDomain(Domain):
                     dist[n] = d
                     frontier.append(n)
         return dist
-
-    def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
-        """The base rule decided from coordinates, without a successor list:
-        a is an in-bounds static-free pose, and b is a or moves one joint of
-        a by one step, within that joint's limits, to a static-free pose."""
-        if not (self.in_bounds(agent, a) and self.is_static_free(agent, a)):
-            return False
-        ca, cb = a.coords, b.coords
-        if cb == ca:
-            return True
-        if len(cb) != len(ca):
-            return False
-        moved = [j for j, (x, y) in enumerate(zip(ca, cb)) if x != y]
-        if len(moved) != 1:
-            return False
-        j = moved[0]
-        lo, hi = self.arms[agent].joint_limits[j]
-        return abs(cb[j] - ca[j]) == 1 and lo <= cb[j] <= hi and self.is_static_free(agent, b)
 
     def _sweep_speed(self, agent: int, a: Sequence[float], b: Sequence[float]) -> float:
         """Upper bound on the workspace speed, per unit of sub-time, of any

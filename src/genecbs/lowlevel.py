@@ -13,8 +13,9 @@ forever without violating any remaining constraint.
 Focal search orders OPEN's near-best states by the number of conflicts with
 the other agents' current paths. Those counts come from
 `Domain.conflict_counter`, built once per `plan` call: grids look them up in
-per-timestep occupancy and move tables, other domains check every other path
-with the pairwise collision primitives.
+per-timestep occupancy and move tables, arms take each other arm down the
+box-gap ladder of `PlanarArmDomain.conflict_counter`, and the base class
+checks every other path with the pairwise collision primitives.
 
 Constraint checks are compiled once per `plan` call too (`_compile`).
 Priority constraints become one more `conflict_counter` over the

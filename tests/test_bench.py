@@ -967,6 +967,24 @@ class TestCLI:
             err = capsys.readouterr().err
             assert err == "error: an instance needs at least one agent\n", err
 
+    def test_wrong_length_endpoints_return_two_with_one_line(self, tmp_path, capsys):
+        # A start or goal without the domain's number of coordinates is out
+        # of bounds: a grid cell has two, an arm-pair arm two joint indices.
+        grid = hallway_scenario().to_obj()
+        arm = generate_instances("arm-pair", 1, seed=0)[0].to_obj()
+        cases = [(grid, wrong) for wrong in ([1], [1, 2, 3], [])] + [(arm, wrong) for wrong in ([5], [5, -4, 0])]
+        for scenario, wrong in cases:
+            for label in ("start", "goal"):
+                obj = json.loads(json.dumps(scenario))
+                obj["agents"][0][label] = wrong
+                bad = tmp_path / "bad.json"
+                bad.write_text(json.dumps(obj))
+                capsys.readouterr()
+                assert cli_main(["solve", str(bad), "--algo", "ecbs"]) == 2, (label, wrong)
+                captured = capsys.readouterr()
+                assert captured.err == f"error: agent 0 {label} out of bounds: {tuple(wrong)}\n", captured.err
+                assert captured.out == ""
+
     def test_malformed_domain_numbers_return_two_with_one_line(self, tmp_path, capsys):
         def edited(obj, **fields):
             obj = json.loads(json.dumps(obj))

@@ -108,6 +108,26 @@ class TestGridSuccessors:
         assert 0 < valid < free * 5
 
 
+def arm_coordinate_rule(d, agent, a, b):
+    """The arm's move rule decided from coordinates, without a successor
+    list: a is an in-bounds static-free pose, and b is a or moves one joint
+    of a by one step, within that joint's limits, to a static-free pose.
+    The reference that the base rule over `successors` must match."""
+    if not (d.in_bounds(agent, a) and d.is_static_free(agent, a)):
+        return False
+    ca, cb = a.coords, b.coords
+    if cb == ca:
+        return True
+    if len(cb) != len(ca):
+        return False
+    moved = [j for j, (x, y) in enumerate(zip(ca, cb)) if x != y]
+    if len(moved) != 1:
+        return False
+    j = moved[0]
+    lo, hi = d.arms[agent].joint_limits[j]
+    return abs(cb[j] - ca[j]) == 1 and lo <= cb[j] <= hi and d.is_static_free(agent, b)
+
+
 class TestArmSuccessors:
     def test_both_joints_at_limit_maxima(self):
         d = make_arms()
@@ -129,6 +149,9 @@ class TestArmSuccessors:
         # Every pair of poses within two steps per joint, one step past the
         # limits: out-of-limit and blocked poses, two-joint and two-step
         # moves, waits and single-joint moves, plus wrong-dimension poses.
+        # Arms answer through the base rule, checked against the coordinate
+        # rule.
+        assert "transition_valid" not in PlanarArmDomain.__dict__
         tip_up = (1.0 + math.cos(DELTA), math.sin(DELTA))
         d = make_arms(
             limits=(((-3, 3), (-3, 3)), ((9, 15), (-3, 3))),
@@ -140,11 +163,12 @@ class TestArmSuccessors:
             blocked += d.in_bounds(0, a) and not d.is_static_free(0, a)
             for b in poses:
                 if max(abs(u - v) for u, v in zip(a.coords, b.coords)) <= 2:
-                    expected = Domain.transition_valid(d, 0, a, b)
+                    expected = arm_coordinate_rule(d, 0, a, b)
                     assert d.transition_valid(0, a, b) == expected, (a, b)
                     valid += expected
             for b in (C(*a.coords, 0), C(a.coords[0] + 1), C(*a.coords[:1])):
-                assert not d.transition_valid(0, a, b) and not Domain.transition_valid(d, 0, a, b)
+                assert not d.transition_valid(0, a, b) and not arm_coordinate_rule(d, 0, a, b)
+                assert not d.transition_valid(0, b, a) and not d.transition_valid(0, b, b)
         assert blocked > 0 and 0 < valid < 49 * 5
 
     def test_transition_valid_matches_base_rule_on_random_pairs(self):
@@ -157,7 +181,7 @@ class TestArmSuccessors:
                 a = C(*(rng.randint(lo - 1, hi + 1) for lo, hi in limits))
                 b = C(*(c + rng.choice((-1, 0, 0, 1)) for c in a.coords))
                 for q in (b, C(*(rng.randint(lo, hi) for lo, hi in limits)), C(*b.coords[:-1])):
-                    expected = Domain.transition_valid(d, agent, a, q)
+                    expected = arm_coordinate_rule(d, agent, a, q)
                     assert d.transition_valid(agent, a, q) == expected, (agent, a, q)
                     checked += expected
         assert checked > 0
@@ -677,6 +701,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             d.validate_instance()
 
+    @pytest.mark.parametrize("label", ["start", "goal"])
+    @pytest.mark.parametrize("wrong", [(1,), (1, 2, 3), ()])
+    def test_wrong_length_grid_endpoint_is_out_of_bounds(self, label, wrong):
+        ends = {"start": C(0, 0), "goal": C(1, 1), label: C(*wrong)}
+        d = GridDomain(4, 4, [], [ends["start"]], [ends["goal"]])
+        with pytest.raises(ValueError, match=f"agent 0 {label} out of bounds"):
+            d.validate_instance()
+
+    @pytest.mark.parametrize("label", ["start", "goal"])
+    @pytest.mark.parametrize("wrong", [(0,), (0, 0, 0)])
+    def test_wrong_length_arm_endpoint_is_out_of_bounds(self, label, wrong):
+        arm = ArmSpec(base=(0.0, 0.0), link_lengths=(1.0, 1.0), joint_limits=((-6, 6), (-6, 6)), thickness=0.1)
+        ends = {"start": C(0, 0), "goal": C(1, 1), label: C(*wrong)}
+        d = PlanarArmDomain([arm], [], DELTA, [ends["start"]], [ends["goal"]])
+        with pytest.raises(ValueError, match=f"agent 0 {label} out of bounds"):
+            d.validate_instance()
+
     @pytest.mark.parametrize("substeps", [0, -1, 2.5, None])
     def test_substeps_must_be_a_positive_integer(self, substeps):
         with pytest.raises(ValueError, match="substeps"):
@@ -701,7 +742,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("limits", [((-6, 6),), ((-6, 6), (-6, 6), (-6, 6)), ((-6, 6), (3, 2))])
     def test_arm_needs_one_ordered_joint_limit_per_link(self, limits):
-        # Caught here, not later as a wrong dimensionality or out of bounds.
+        # Caught here, not later as out of bounds.
         arm = ArmSpec(base=(0.0, 0.0), link_lengths=(1.0, 1.0), joint_limits=limits, thickness=0.1)
         with pytest.raises(ValueError, match="joint limits must be one"):
             PlanarArmDomain([arm], [], DELTA, [C(0, 0)], [C(1, 1)])

@@ -105,6 +105,38 @@ def ctype_comparisons(source: str):
     )
 
 
+def unasked_interface_methods(sources):
+    """(module, line, name) of each public method that a class named
+    `Domain` declares in `sources` (module name -> source) and that no code
+    of `sources` reads as an attribute (`x.name`) outside the definitions
+    of a method of that name: an interface method that nothing asks for."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    declared = [
+        (module, item.lineno, item.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "Domain"
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+    out = []
+    for module, line, name in declared:
+        inside = {
+            id(n)
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+            for n in ast.walk(node)
+        }
+        if not any(
+            isinstance(n, ast.Attribute) and n.attr == name and id(n) not in inside
+            for tree in trees.values()
+            for n in ast.walk(tree)
+        ):
+            out.append((module, line, name))
+    return sorted(out)
+
+
 def test_modules_are_found():
     assert {"bench.py", "cli.py", "core.py", "domain.py", "lowlevel.py"} <= {p.name for p in MODULES}
 
@@ -135,6 +167,39 @@ def test_unreferenced_private_name_is_reported():
         "b.py": "from .a import _Shared\ny = _Shared()\n_LEFT = 3\nz = _LEFT\n",
     }
     assert unreferenced_private_names(sources) == [("a.py", 2, "_LEFT"), ("a.py", 5, "_recursive")]
+
+
+def test_every_domain_method_is_asked_for():
+    """Each public method of the `Domain` interface is read somewhere in the
+    package, outside its own definitions."""
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unasked_interface_methods(sources) == []
+
+
+def test_unasked_interface_method_is_reported():
+    sources = {
+        "a.py": (
+            "class Domain:\n"
+            "    def asked(self): ...\n"
+            "    def unasked(self): ...\n"
+            "    def recursive(self):\n"
+            "        return self.recursive()\n"
+            "    def overridden(self): ...\n"
+            "    def _private(self): ...\n"
+            "    def helper(self):\n"
+            "        return self.asked()\n"
+        ),
+        "b.py": (
+            "class Grid(Domain):\n"
+            "    def overridden(self):\n"
+            "        return self.overridden\n"
+            "def f(d):\n"
+            "    return d.helper(), unasked, overridden()\n"
+        ),
+    }
+    assert unasked_interface_methods(sources) == [
+        ("a.py", 3, "unasked"), ("a.py", 4, "recursive"), ("a.py", 6, "overridden"),
+    ]
 
 
 def test_unused_import_is_reported():

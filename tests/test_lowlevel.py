@@ -7,7 +7,7 @@ import pytest
 from genecbs import core
 from genecbs.bench import generate_instances
 from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, make_constraints
-from genecbs.core import VERTEX, Configuration, Conflict, Constraint, Path, canonical_json, path_cost
+from genecbs.core import EDGE, VERTEX, Configuration, Conflict, Constraint, Path, canonical_json, path_cost
 from genecbs.domain import ArmSpec, Domain, GridDomain, PlanarArmDomain, index_l1
 from genecbs.lowlevel import (
     BUDGET,
@@ -434,7 +434,7 @@ def reference_constraint_horizon(ctx):
     h = 0
     for c in ctx.constraints:
         if c.time is not None:
-            h = max(h, c.time + (2 if c.from_edge else 1))
+            h = max(h, c.time + (2 if c.from_edge and core.KINDS[c.ctype].covers_next else 1))
         if c.ctype in ("priority",):
             other = ctx.other_path(c.other)
             if other is not None:
@@ -497,12 +497,13 @@ class TestCompiledHorizon:
         assert ("step-priority", True, False) in kinds and ("priority", False, True) in kinds
 
 
-def brute_force_forbidden(d, c):
+def brute_force_forbidden(d, c, other_paths=None):
     """The (cell, t) and (cell, cell2, t) items that `c` forbids on grid `d`,
     found by asking `is_forbidden` and `is_forbidden_edge` about every free
     cell, every successor move (waits included) and every t up to one past
-    the constraint's horizon."""
-    ctx = ConstraintContext(agent=c.agent, constraints=(c,), other_paths=(None,) * d.n_agents)
+    the constraint's horizon. The other agents have no path unless
+    `other_paths` gives them."""
+    ctx = ConstraintContext(agent=c.agent, constraints=(c,), other_paths=other_paths or (None,) * d.n_agents)
     horizon = _compile(d, ctx)[3]
     free = [C(x, y) for x in range(d.width) for y in range(d.height) if (x, y) not in d.blocked]
     items = set()
@@ -514,6 +515,37 @@ def brute_force_forbidden(d, c):
                 if is_forbidden_edge(d, ctx, q, q2, t):
                     items.add((q.coords, q2.coords, t))
     return frozenset(items), horizon
+
+
+class TestConstraintHorizonIsTight:
+    """`Constraint.horizon` is one past the last timestep at which the
+    constraint forbids anything, for every kind with a time (an every-step
+    kind has none), made from a vertex and from an edge conflict."""
+
+    # Agent 1 holds (2, 1) until t = 3 and then moves up through (2, 2);
+    # the vertex conflict meets agent 0 on (2, 1) at t = 3, the edge
+    # conflict is the swap (2, 2) <-> (2, 1) over [3, 4].
+    OTHER = Path(1, (C(2, 1),) * 4 + (C(2, 2), C(2, 3), C(2, 4)))
+    CONFLICTS = {
+        VERTEX: Conflict(VERTEX, (0, 1), 3, (C(2, 1),), (C(2, 1),), (2.5, 1.5)),
+        EDGE: Conflict(EDGE, (0, 1), 3, (C(2, 2), C(2, 1)), (C(2, 1), C(2, 2)), (2.5, 2.0)),
+    }
+
+    MENU = ConstraintMenu.of(
+        MenuEntry(COMPLETE), MenuEntry("sphere", radius=0.4), MenuEntry("avoidance"), MenuEntry("step-priority")
+    )
+
+    def test_last_forbidden_timestep_is_horizon_minus_one(self):
+        d = make_grid()
+        seen = set()
+        for conflict in self.CONFLICTS.values():
+            for _, c, _ in make_constraints(conflict, self.MENU):
+                items, horizon = brute_force_forbidden(d, c, other_paths=(None, self.OTHER))
+                assert horizon == c.horizon, c
+                assert max(item[-1] for item in items) == c.horizon - 1, (c, sorted(items, key=lambda i: i[-1]))
+                seen.add((c.ctype, c.from_edge))
+        assert {k for k, _ in seen} == {k for k, row in core.KINDS.items() if not row.every_step}
+        assert {k for k, from_edge in seen if from_edge} == {"sphere", "avoidance", "step-priority"}
 
 
 class TestConstraintKey:
