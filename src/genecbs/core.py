@@ -130,9 +130,9 @@ class Path:
         return len(self.steps)
 
     def __hash__(self) -> int:
-        # Cached on first use: the low-level memo hashes the same paths in
-        # every key. The fields are ints, so the cached value is the same in
-        # every process and may travel with a pickled Path.
+        # Cached on first use: the low-level request table hashes the same
+        # paths in every key. The fields are ints, so the cached value is the
+        # same in every process and may travel with a pickled Path.
         try:
             return self._hash
         except AttributeError:
@@ -313,7 +313,7 @@ class SolverStats:
     lb: Optional[float] = None
     dts_rewards: Tuple[Tuple[str, int], ...] = ()
     dts_penalties: Tuple[Tuple[str, int], ...] = ()
-    # Low-level searches run (requests the tree engine's memo did not
+    # Low-level searches run (requests the solve's request table did not
     # answer), which limit ended an unsolved search: "cap" (max_expansions),
     # "clock" (timeout_ms), "budget" (ll_max_expansions) or None, and the
     # tree engine's spine pops.
@@ -429,5 +429,6 @@ def sum_of_costs(solution: Sequence[Path], domain) -> float:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON encoding used for every file this package writes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON encoding used for every file this package writes.
+    Strict: NaN and the infinities raise ValueError instead of being written."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"

@@ -185,9 +185,9 @@ class Domain(ABC):
     def constraint_key(self, c: Constraint) -> Hashable:
         """A hashable value that two constraints share only when they forbid
         the same (configuration, t) and (move, t) sets and share
-        `Constraint.horizon`, which `lowlevel._compile` reads. The tree
-        engine keys its low-level memo on these values. This default is the
-        constraint itself."""
+        `Constraint.horizon`, which `lowlevel._compile` reads. The solvers'
+        low-level request table is keyed on these values. This default is
+        the constraint itself."""
         return c
 
     def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:

@@ -57,12 +57,14 @@ floor, which is why the focal bound reads the running max of LB. An empty
 spine falls back to min lb(OPEN). A search whose LB keeps rising never turns
 the rule on.
 
-Sibling subtrees that forbid the same thing under two constraint types repeat
-their replans call for call, so each engine answers a low-level request that
-repeats one of the same solve from a table (`_CTEngine._plan_agent`), keyed
-on what the constraints forbid (`Domain.constraint_key`) rather than on how
-they are named. `ll_calls` counts every request, answered from the table or
-not; `ll_searches` counts the searches that ran.
+Both solver families ask the low level through one `_Requester` per solve.
+Sibling subtrees that forbid the same thing under two constraint types
+repeat their replans call for call, and a pp retry repeats the requests of
+an earlier order's prefix, so the requester answers a request that repeats
+one of the same solve from a table, keyed on what the constraints forbid
+(`Domain.constraint_key`) rather than on how they are named. `ll_calls`
+counts every request, answered from the table or not; `ll_searches` counts
+the searches that ran.
 """
 
 from __future__ import annotations
@@ -229,6 +231,42 @@ class DTSState:
         self.penalties[k] += 1
 
 
+class _Requester:
+    """The low-level requests of one solve: each is scoped to its agent,
+    planned with the solve's constants (start, goal, w, count_conflicts,
+    budget), and answered from `table` when it repeats one of this solve.
+
+    `plan` reads only the context and those constants. It reads the
+    constraints only through what they forbid at each timestep, the
+    priority counter and the horizon, and neither order nor repeats matter,
+    so the agent, the set of its constraints' `constraint_key`s and the
+    other paths decide the result, whatever its status."""
+
+    def __init__(self, domain: Domain, w: float, count_conflicts: bool, max_expansions: int):
+        self.domain = domain
+        self.w = w
+        self.count_conflicts = count_conflicts
+        self.max_expansions = max_expansions
+        self.calls = 0  # every request
+        self.searches = 0  # the requests that ran `plan`
+        # (agent, frozenset of its constraints' keys, other paths) -> LLResult.
+        self.table: Dict[tuple, lowlevel.LLResult] = {}
+
+    def ask(self, agent: int, constraints, paths) -> lowlevel.LLResult:
+        ctx = ConstraintContext.for_agent(agent, constraints, paths)
+        self.calls += 1
+        key = (agent, frozenset(map(self.domain.constraint_key, ctx.constraints)), ctx.other_paths)
+        res = self.table.get(key)
+        if res is None:
+            self.searches += 1
+            d = self.domain
+            res = self.table[key] = lowlevel.plan(
+                d, agent, d.starts[agent], d.goals[agent], ctx,
+                w=self.w, count_conflicts=self.count_conflicts, max_expansions=self.max_expansions,
+            )
+        return res
+
+
 class _CTEngine:
     """Shared constraint-tree search. The preset row of `config.algorithm`
     selects the family member; `config` supplies w, menu, prior, seed and
@@ -265,15 +303,12 @@ class _CTEngine:
         self.lb_rose_at = 0  # hl_expansions when LB last rose
         self.ids = itertools.count()
 
+        self.requester = _Requester(domain, w, preset.count_conflicts, config.ll_max_expansions)
         self.hl_expansions = 0
         self.evaluations = 0
-        self.ll_calls = 0
-        self.ll_searches = 0
         self.spine_pops = 0
         self.min_lb_final: float = 0.0
         self.budget_lb = math.inf  # least lb of a node dropped on a low-level budget hit
-        # (agent, frozenset of its constraints' keys, other paths) -> LLResult.
-        self.ll_memo: Dict[tuple, lowlevel.LLResult] = {}
 
     # ---- node plumbing -------------------------------------------------
 
@@ -359,47 +394,13 @@ class _CTEngine:
 
     # ---- planning ------------------------------------------------------
 
-    def _plan_agent(self, agent: int, constraints, paths) -> lowlevel.LLResult:
-        """One low-level request of the tree, answered from `ll_memo` when
-        it repeats one of this solve.
-
-        `plan` reads only the context and per-solve constants (start, goal,
-        w, count_conflicts, budget). It reads the constraints only through
-        what they forbid at each timestep, the priority counter and the
-        horizon, and neither order nor repeats matter, so the agent, the set
-        of its constraints' `constraint_key`s and the other paths decide the
-        result, whatever its status. Only the root plans without
-        constraints, once per agent, so those requests skip the memo."""
-        ctx = ConstraintContext.for_agent(agent, constraints, paths)
-        self.ll_calls += 1
-        key = None
-        if ctx.constraints:
-            forbids = frozenset(map(self.domain.constraint_key, ctx.constraints))
-            key = (agent, forbids, ctx.other_paths)
-        res = None if key is None else self.ll_memo.get(key)
-        if res is None:
-            self.ll_searches += 1
-            res = lowlevel.plan(
-                self.domain,
-                agent,
-                self.domain.starts[agent],
-                self.domain.goals[agent],
-                ctx,
-                w=self.w,
-                count_conflicts=self.preset.count_conflicts,
-                max_expansions=self.config.ll_max_expansions,
-            )
-            if key is not None:
-                self.ll_memo[key] = res
-        return res
-
     def _evaluate_node(self, node: CTNode) -> Optional[CTNode]:
         """Replan the pending agents; None when any subproblem is infeasible
         or over budget (the node is then discarded)."""
         paths = list(node.paths)
         lbs = list(node.lb_per_agent)
         for agent in sorted(node.agents_replan):
-            res = self._plan_agent(agent, node.constraints, tuple(paths))
+            res = self.requester.ask(agent, node.constraints, tuple(paths))
             if res.status != lowlevel.OK:
                 if res.status == lowlevel.BUDGET:
                     self.budget_lb = min(self.budget_lb, node.lb)
@@ -474,12 +475,12 @@ class _CTEngine:
                 runtime_ms=runtime_ms,
                 hl_expansions=self.hl_expansions,
                 evaluations=self.evaluations,
-                ll_calls=self.ll_calls,
+                ll_calls=self.requester.calls,
                 cost=None if node is None else node.cost,
                 lb=min(self.min_lb_final, self.budget_lb),
                 dts_rewards=tuple(sorted(self.dts.rewards.items())),
                 dts_penalties=tuple(sorted(self.dts.penalties.items())),
-                ll_searches=self.ll_searches,
+                ll_searches=self.requester.searches,
                 stopped_by=stopped_by,
                 spine_pops=self.spine_pops,
             )
@@ -720,16 +721,17 @@ def solve_pp(
     rng = random.Random(config.seed)
     n = domain.n_agents
     start_time = time.perf_counter()
-    ll_calls = 0
+    # One table for every attempt, so a retry's repeated requests skip the search.
+    requester = _Requester(domain, w=1.0, count_conflicts=False, max_expansions=config.ll_max_expansions)
 
     def finish(status: str, solution: Optional[Tuple[Path, ...]] = None) -> SolverResult:
         solved = solution is not None
         stats = SolverStats(
             runtime_ms=(time.perf_counter() - start_time) * 1000.0,
-            ll_calls=ll_calls,
+            ll_calls=requester.calls,
             cost=float(sum(p.horizon for p in solution)) if solved else None,
             lb=0.0 if solved else None,
-            ll_searches=ll_calls,
+            ll_searches=requester.searches,
             stopped_by="clock" if status == TIMEOUT else None,
         )
         return SolverResult(status, solution, stats)
@@ -752,19 +754,7 @@ def solve_pp(
             constraints = tuple(
                 Constraint(agent=agent, ctype=CT_PRIORITY, time=None, other=b) for b in planned
             )
-            ctx = ConstraintContext(
-                agent=agent, constraints=constraints, other_paths=tuple(paths)
-            )
-            ll_calls += 1
-            res = lowlevel.plan(
-                domain,
-                agent,
-                domain.starts[agent],
-                domain.goals[agent],
-                ctx,
-                count_conflicts=False,
-                max_expansions=config.ll_max_expansions,
-            )
+            res = requester.ask(agent, constraints, tuple(paths))
             if res.status != lowlevel.OK:
                 failed = True
                 break

@@ -763,7 +763,8 @@ class TestRunBenchmark:
         assert cells["cbs"]["success"] == "0" and cells["cbs"]["stopped_by"] == "cap"
         assert 0 < int(cells["cbs"]["ll_searches"]) <= int(cells["cbs"]["ll_calls"])
         assert cells["pp"]["stopped_by"] == ""
-        assert cells["pp"]["ll_searches"] == cells["pp"]["ll_calls"]
+        # Each of pp's 9 orders fails on its second agent; the retries share one table.
+        assert (cells["pp"]["ll_calls"], cells["pp"]["ll_searches"]) == ("18", "4")
 
     def test_process_pool_matches_serial_run(self, tmp_path):
         # Two worker processes; every cell ends well inside its caps and clock.
@@ -1310,6 +1311,23 @@ class TestCLI:
             assert captured.err == f"error: {message}\n", prior
             assert captured.out == "", prior
         assert not run_file.exists()
+
+    @pytest.mark.parametrize("algo", ["cbs", "gen-cbs", "pp"])
+    def test_non_finite_w_in_a_run_file_returns_two_with_one_line(self, tmp_path, capsys, algo):
+        # These rows ignore w, so the solve runs; the run file would carry
+        # the NaN, which strict JSON cannot hold.
+        scen = self._write_scenario(tmp_path)
+        run_file = tmp_path / "run.json"
+        argv = ["solve", str(scen), "--algo", algo, "--w", "nan"]
+        capsys.readouterr()
+        assert cli_main(argv + ["--out", str(run_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not run_file.exists()
+        # Without a run file w is never written; pp finds no order that
+        # passes in the corridor.
+        assert cli_main(argv) == (1 if algo == "pp" else 0)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -181,6 +181,11 @@ class TestSerialization:
         obj = {"b": [1.5, 2], "a": {"y": None, "x": "s"}}
         assert canonical_json(obj) == canonical_json(json.loads(canonical_json(obj)))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_canonical_json_is_strict(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            canonical_json({"w": value})
+
 
 class TestImmutability:
     def test_core_types_hashable_and_frozen(self):

@@ -12,6 +12,7 @@ import pytest
 import genecbs
 from genecbs import highlevel, lowlevel
 from genecbs.bench import cell_seed, generate_instances
+from genecbs.cli import main as cli_main
 from genecbs.constraints import COMPLETE, ConstraintMenu, MenuEntry, default_menu
 from genecbs.core import Configuration, Path, SolverResult, canonical_json, menu_key, sum_of_costs
 from genecbs.lowlevel import ConstraintContext
@@ -761,9 +762,15 @@ def record_plans(monkeypatch):
     return calls
 
 
+# sha256 of the RUN.json that `genecbs solve --algo pp --w 1.3
+# --max-expansions 100 --timeout-ms 600000` writes for hallway-swap-s0-000.
+HALLWAY_PP_RUN = "3b47cafa8c0f0c1c0028375b72e5830cdc3ba89bb4eac8f78a17aade4729de4c"
+
+
 class TestLowLevelMemo:
-    """The engine answers a repeated (agent, constraint set, other paths)
-    request from a per-solve table instead of searching again."""
+    """Each solve's requester answers a repeated (agent, constraint set,
+    other paths) request from a per-solve table instead of searching
+    again."""
 
     @pytest.mark.parametrize("name", ["grid-random-s300-018", "arm-quad-s2024-000"])
     def test_plan_ignores_constraint_order_and_duplicates(self, deep_scenarios, monkeypatch, name):
@@ -811,15 +818,13 @@ class TestLowLevelMemo:
         engine = _CTEngine(scenario.build_domain(), config)
         domain = engine.domain
         requests = []
-        original = engine._plan_agent
+        original = engine.requester.ask
 
         def recorded(agent, constraints, paths):
-            ctx = ConstraintContext.for_agent(agent, constraints, paths)
-            if ctx.constraints:
-                requests.append(ctx)
+            requests.append(ConstraintContext.for_agent(agent, constraints, paths))
             return original(agent, constraints, paths)
 
-        engine._plan_agent = recorded
+        engine.requester.ask = recorded
         calls = record_plans(monkeypatch)
         result = engine.run()
         monkeypatch.undo()
@@ -827,7 +832,7 @@ class TestLowLevelMemo:
         def key(ctx):
             return (ctx.agent, frozenset(map(domain.constraint_key, ctx.constraints)), ctx.other_paths)
 
-        searched = [key(ctx) for _, _, ctx, _ in calls if ctx.constraints]
+        searched = [key(ctx) for _, _, ctx, _ in calls]
         assert len(set(searched)) == len(searched)  # no search ran twice
         assert result.stats.ll_searches == len(calls) < result.stats.ll_calls
 
@@ -856,6 +861,22 @@ class TestLowLevelMemo:
         r = solve(d, SolverConfig(algorithm="ac-ecbs", w=1.0))
         assert r.solved and r.stats.hl_expansions == 0
         assert len(calls) == r.stats.ll_calls == 2
+
+    def test_pp_retries_share_one_table(self, tmp_path, monkeypatch):
+        # The corridor has no passing place, so each of pp's 9 orders plans
+        # its first agent and fails on the second; later orders repeat the
+        # earlier ones' requests.
+        scenario = generate_instances("hallway-swap", 1, seed=0)[0]
+        scenario_file, run_file = tmp_path / "hallway.json", tmp_path / "run.json"
+        scenario.save(scenario_file)
+        argv = ["solve", str(scenario_file), "--algo", "pp", "--w", "1.3", "--max-expansions", "100",
+                "--timeout-ms", "600000", "--out", str(run_file)]
+        assert cli_main(argv) == 1
+        assert hashlib.sha256(run_file.read_bytes()).hexdigest() == HALLWAY_PP_RUN
+        calls = record_plans(monkeypatch)
+        r = solve_pp(scenario.build_domain(), SolverConfig(algorithm="pp"))
+        assert r.status == "exhausted" and r.stats.ll_calls == 18
+        assert r.stats.ll_searches == len(calls) < r.stats.ll_calls
 
 
 class TestRuntimeStats:

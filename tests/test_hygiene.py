@@ -137,6 +137,47 @@ def unasked_interface_methods(sources):
     return sorted(out)
 
 
+def module_uses(source: str, module: str, names):
+    """(scope, line) of each use of `<module>.<name>` in `source` for a name
+    in `names`: an attribute of the module (`json.dumps`) or a name imported
+    from it (`from json import dumps as d`, `from .lowlevel import plan`).
+    The scope is the dotted name of the innermost enclosing class or
+    function, "" at module level."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module
+        for alias in node.names
+        if alias.name in names
+    }
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in names
+                and isinstance(child.value, ast.Name)
+                and child.value.id == module
+            ) or (isinstance(child, ast.Name) and child.id in aliases):
+                out.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(out)
+
+
+def uses_in_package(module: str, names):
+    """(file name, scope) of each use of `<module>.<name>` in the package."""
+    return {
+        (p.name, scope) for p in sorted(SRC.glob("*.py")) for scope, _ in module_uses(p.read_text(), module, names)
+    }
+
+
 def test_modules_are_found():
     assert {"bench.py", "cli.py", "core.py", "domain.py", "lowlevel.py"} <= {p.name for p in MODULES}
 
@@ -251,3 +292,35 @@ def test_ctype_comparison_is_reported():
         "v = name != 'priority'\n"
     )
     assert ctype_comparisons(source) == [1, 4, 5, 8, 10]
+
+
+def test_only_the_requester_and_the_suite_probe_ask_the_planner():
+    """Solvers ask `lowlevel.plan` through their requester, which scopes,
+    counts and tables every request; instance generation plans its
+    coordination probe with its own heuristic."""
+    assert uses_in_package("lowlevel", {"plan"}) == {
+        ("highlevel.py", "_Requester.ask"), ("bench.py", "_root_conflicts"),
+    }
+
+
+def test_only_canonical_json_writes_json():
+    """Every file the package writes goes through one strict encoder."""
+    assert uses_in_package("json", {"dump", "dumps"}) == {("core.py", "canonical_json")}
+
+
+def test_module_use_is_reported():
+    source = (
+        "import json\n"
+        "from json import dumps as to_text\n"
+        "from .lowlevel import plan\n"
+        "x = json.dumps({})\n"
+        "def write(obj, fh):\n"
+        "    return json.dump(obj, fh)\n"
+        "class Store:\n"
+        "    def save(self):\n"
+        "        return to_text(self), json.loads('1')\n"
+        "    def ask(self, lowlevel):\n"
+        "        return lowlevel.plan(), plan, lowlevel.other()\n"
+    )
+    assert module_uses(source, "json", {"dump", "dumps"}) == [("", 4), ("Store.save", 9), ("write", 6)]
+    assert module_uses(source, "lowlevel", {"plan"}) == [("Store.ask", 11), ("Store.ask", 11)]
