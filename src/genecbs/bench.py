@@ -697,7 +697,7 @@ def run_cell(
                 if not verify(domain, shorter).clean:
                     shorter = result.solution  # never emit a worse-than-input artifact
             cost_short = sum_of_costs(shorter, domain)
-            subopt = (cost / lb) if lb > 0 else 1.0
+            subopt = cost / lb if lb > 0 else None
             horizon = max(p.horizon for p in shorter)
             frames = [
                 [list(p.at(t).coords) for p in sorted(shorter, key=lambda p: p.agent)]

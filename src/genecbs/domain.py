@@ -8,9 +8,10 @@ Grid motion checks are exact, and arm motion checks are certified over the
 whole motion. `edge_collides` alone also takes a sample count: its sampled
 check is the verifier's independent reference. Domains are immutable after
 construction; the internal memo caches only store results of pure queries.
-`in_bounds` alone says whether a configuration is well formed. Arm moves
-are written once, in `successors`, which `transition_valid` reads; grid
-moves once, in `GRID_MOVES`.
+`in_bounds` alone says whether a configuration is well formed, and
+`Domain.transition_valid` alone whether a -> b is a move: a wait or one
+`index_l1` step between static-free configurations, decided from
+coordinates. No domain memoises successors.
 
 The arm domain's conflict counter settles each other arm on one ladder:
 the box gaps at both ends of the move (`_sweep`'s top-level test,
@@ -83,12 +84,12 @@ class Domain(ABC):
     """Shared interface over planning domains.
 
     Implementations provide the shape rule (`in_bounds`), per-agent
-    successor sets (which `transition_valid` reads), an admissible and
-    consistent heuristic under unit costs, and pairwise collision queries
-    returning workspace points. The heuristic is Manhattan distance on grids
-    (`index_l1`) and the exact distance to the goal on arms; it reads
-    infinity where the goal cannot be reached, and `lowlevel.plan` then
-    returns INFEASIBLE at once.
+    successor sets (the unit index moves that `transition_valid` accepts),
+    an admissible and consistent heuristic under unit costs, and pairwise
+    collision queries returning workspace points. The heuristic is
+    Manhattan distance on grids (`index_l1`) and the exact distance to the
+    goal on arms; it reads infinity where the goal cannot be reached, and
+    `lowlevel.plan` then returns INFEASIBLE at once.
     """
 
     n_agents: int
@@ -191,11 +192,14 @@ class Domain(ABC):
         return c
 
     def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
-        """Whether a is an in-bounds static-free configuration and b one of
-        its `successors` (a wait or a primitive move)."""
+        """Whether a is an in-bounds static-free configuration and b is a (a
+        wait) or an in-bounds static-free configuration one `index_l1` step
+        from a: one of a's `successors`, decided from coordinates."""
         if not (self.in_bounds(agent, a) and self.is_static_free(agent, a)):
             return False
-        return b in self.successors(agent, a)
+        if b.coords == a.coords:
+            return True
+        return self.in_bounds(agent, b) and index_l1(agent, a, b) == 1.0 and self.is_static_free(agent, b)
 
     def validate_instance(self) -> None:
         """Check starts/goals: bounds (a wrong number of coordinates is out
@@ -266,17 +270,6 @@ class GridDomain(Domain):
 
     def heuristic(self, agent: int, q: Configuration, goal: Configuration) -> float:
         return index_l1(agent, q, goal)
-
-    def transition_valid(self, agent: int, a: Configuration, b: Configuration) -> bool:
-        """The base rule decided from coordinates, as grids keep no successor
-        memo: a is a free in-bounds cell, and b is a or a free in-bounds cell
-        one `GRID_MOVES` offset from a."""
-        ca, c = a.coords, b.coords
-        if not self.in_bounds(agent, a) or ca in self.blocked:
-            return False
-        if c == ca:
-            return True
-        return self.in_bounds(agent, b) and (c[0] - ca[0], c[1] - ca[1]) in GRID_MOVES and c not in self.blocked
 
     def constraint_key(self, c: Constraint) -> Hashable:
         """What a constraint on the agent's own configuration or move, or
@@ -552,7 +545,6 @@ class PlanarArmDomain(Domain):
         self._boxes: List[Optional[Tuple[Dict[Tuple[int, ...], int], bytearray]]] = [None] * len(self.arms)
         # (agent, goal coords) -> the exact distance to the goal by position.
         self._tables: Dict[Tuple[int, Tuple[int, ...]], List[float]] = {}
-        self._succ_cache: Dict[Tuple[int, Tuple[int, ...]], List[Configuration]] = {}
         self._edge_cache: Dict[tuple, Optional[Tuple[Point, float]]] = {}
         # Exact branch of _pair_gap at integer poses: (i, coords_i, j,
         # coords_j, threshold) -> (distance bound, contact point).
@@ -653,10 +645,6 @@ class PlanarArmDomain(Domain):
         return state == FREE
 
     def successors(self, agent: int, q: Configuration) -> List[Configuration]:
-        key = (agent, q.coords)
-        hit = self._succ_cache.get(key)
-        if hit is not None:
-            return hit
         limits = self.arms[agent].joint_limits
         out = []
         for j in range(len(q.coords)):
@@ -667,7 +655,6 @@ class PlanarArmDomain(Domain):
                     if self.is_static_free(agent, cfg):
                         out.append(cfg)
         out.append(q)  # wait
-        self._succ_cache[key] = out
         return out
 
     def heuristic(self, agent: int, q: Configuration, goal: Configuration) -> float:
@@ -694,7 +681,9 @@ class PlanarArmDomain(Domain):
         limits, as `successors` lists them, and can be made both ways, so
         the distance to the goal is the distance from it; it changes by at
         most 1 per move, so it is admissible and consistent. The static
-        map is completed first; no pose is stored in the pose memo.
+        map is completed first; no pose is stored in the pose memo. The
+        search restates that move on box positions, one stride per joint,
+        so that it builds no Configuration per pose.
         """
         poses = list(position)
         for i, coords in enumerate(poses):
@@ -713,7 +702,6 @@ class PlanarArmDomain(Domain):
             stride *= hi - lo + 1
         strides.reverse()
         dist[start] = 0.0
-        # A stride walk, not `successors`: it builds no Configuration per pose.
         frontier, d = [start], 0.0
         while frontier:
             d += 1.0

@@ -295,13 +295,15 @@ def plan(
     lb_seen = 0.0
     expansions = 0
 
-    def rearrival_forbidden(q: Configuration, q2: Configuration, t2: int) -> bool:
-        # The state's vertex checks passed when it was first generated, so
-        # only the move is left: `priority` counts no vertex hit on it.
+    def move_forbidden(q: Configuration, q2: Configuration, t2: int) -> bool:
+        # The move q -> q2 into t2, once (q2, t2) has passed its vertex
+        # bucket: a priority path, then the edge bucket at t2 - 1. A later
+        # arrival at a state asks only this, as its vertex checks passed
+        # at the first.
+        if priority is not None and priority(q, q2, t2):
+            return True
         edge_ctx = edge_at.get(t2 - 1)
-        return (priority is not None and priority(q, q2, t2)) or (
-            edge_ctx is not None and is_forbidden_edge(domain, edge_ctx, q, q2, t2 - 1)
-        )
+        return edge_ctx is not None and is_forbidden_edge(domain, edge_ctx, q, q2, t2 - 1)
 
     while True:
         # Current certified lower bound: best f over not-yet-expanded states.
@@ -327,7 +329,7 @@ def plan(
                     _, q, nconf = states[pkey][:3]
                     if nconf < best:
                         nconf2 = nconf + count(q, q2, t2)
-                        if nconf2 < best and not rearrival_forbidden(q, q2, t2):
+                        if nconf2 < best and not move_forbidden(q, q2, t2):
                             rec[0], best = pkey, nconf2
                 rec[2] = best
             push(focal_heap, (rec[2], f, ng, key))
@@ -357,7 +359,6 @@ def plan(
         if t2 > t_max:
             continue
         vertex_ctx = vertex_at.get(t2)
-        edge_ctx = edge_at.get(t)
         successors = succ_cache.get(coords)
         if successors is None:
             successors = succ_cache[coords] = domain.successors(agent, q)
@@ -376,16 +377,12 @@ def plan(
                 elif where == _FOCAL and nconf < known[2]:
                     # Without counting every nconf is 0, so count is set here.
                     nconf2 = nconf + count(q, q2, t2)
-                    if nconf2 < known[2] and not rearrival_forbidden(q, q2, t2):
+                    if nconf2 < known[2] and not move_forbidden(q, q2, t2):
                         known[0], known[2] = key, nconf2
                         if known[3] <= bound:
                             push(focal_heap, (nconf2, known[3], -t2, key2))
                 continue
-            if (
-                (priority is not None and priority(q, q2, t2))
-                or (vertex_ctx is not None and is_forbidden(domain, vertex_ctx, q2, t2))
-                or (edge_ctx is not None and is_forbidden_edge(domain, edge_ctx, q, q2, t))
-            ):
+            if (vertex_ctx is not None and is_forbidden(domain, vertex_ctx, q2, t2)) or move_forbidden(q, q2, t2):
                 continue
             h = h_cache.get(c2)
             if h is None:

@@ -849,7 +849,7 @@ class TestShortcutSkip:
         assert record == {
             "scenario": "grid-random-s17-000", "algo": "pp", "success": True,
             "hl_expansions": 0, "ll_calls": 6, "cost": 32.0, "cost_shortcut": 32.0,
-            "lb": 0.0, "subopt": 1.0, "ll_searches": 6, "stopped_by": None,
+            "lb": 0.0, "subopt": None, "ll_searches": 6, "stopped_by": None,
         }
 
 

@@ -86,33 +86,37 @@ class TestGridSuccessors:
         assert (2, 3) not in succ and (3, 2) not in succ
         assert len(succ) == 3
 
-    def test_transition_valid_matches_base_rule(self):
+    def test_transition_valid_matches_successors(self):
         # Every pair of cells within one cell of a 4x4 grid: out-of-bounds,
         # blocked, diagonal and two-step moves, waits and 4-neighbour moves,
-        # plus wrong-dimension configurations as target and as source.
+        # plus wrong-dimension configurations as target and as source. From
+        # a free in-bounds cell the moves are its successors; from any other
+        # cell there are none.
+        assert "transition_valid" not in GridDomain.__dict__
         d = GridDomain(4, 4, [(1, 1), (2, 1), (3, 3)], [C(0, 0)], [C(3, 0)])
         cells = [C(x, y) for x in range(-1, 5) for y in range(-1, 5)]
         valid = 0
         for a in cells:
+            succ = d.successors(0, a) if d.in_bounds(0, a) and d.is_static_free(0, a) else []
             for b in cells:
-                expected = Domain.transition_valid(d, 0, a, b)
+                expected = b in succ
                 assert d.transition_valid(0, a, b) == expected, (a, b)
                 valid += expected
             wrong = (C(a.coords[0], a.coords[1], 0), C(a.coords[0] + 1, a.coords[1], 0), C(a.coords[0]), C())
             for b in wrong:
                 assert not d.in_bounds(0, b)
-                assert not d.transition_valid(0, a, b) and not Domain.transition_valid(d, 0, a, b)
-                assert not d.transition_valid(0, b, a) and not Domain.transition_valid(d, 0, b, a)
-                assert not d.transition_valid(0, b, b) and not Domain.transition_valid(d, 0, b, b)
-        free = 16 - 3
-        assert 0 < valid < free * 5
+                assert not d.transition_valid(0, a, b)
+                assert not d.transition_valid(0, b, a)
+                assert not d.transition_valid(0, b, b)
+        assert valid == sum(len(d.successors(0, q)) for q in free_configurations(d, 0))
 
 
 def arm_coordinate_rule(d, agent, a, b):
     """The arm's move rule decided from coordinates, without a successor
     list: a is an in-bounds static-free pose, and b is a or moves one joint
     of a by one step, within that joint's limits, to a static-free pose.
-    The reference that the base rule over `successors` must match."""
+    The reference, joint by joint, that the base rule over `index_l1` and
+    the arm's `successors` must both match."""
     if not (d.in_bounds(agent, a) and d.is_static_free(agent, a)):
         return False
     ca, cb = a.coords, b.coords
@@ -150,7 +154,7 @@ class TestArmSuccessors:
         # limits: out-of-limit and blocked poses, two-joint and two-step
         # moves, waits and single-joint moves, plus wrong-dimension poses.
         # Arms answer through the base rule, checked against the coordinate
-        # rule.
+        # rule and against membership in the arm's `successors`.
         assert "transition_valid" not in PlanarArmDomain.__dict__
         tip_up = (1.0 + math.cos(DELTA), math.sin(DELTA))
         d = make_arms(
@@ -161,15 +165,17 @@ class TestArmSuccessors:
         valid = blocked = 0
         for a in poses:
             blocked += d.in_bounds(0, a) and not d.is_static_free(0, a)
+            succ = d.successors(0, a) if d.in_bounds(0, a) and d.is_static_free(0, a) else []
             for b in poses:
                 if max(abs(u - v) for u, v in zip(a.coords, b.coords)) <= 2:
                     expected = arm_coordinate_rule(d, 0, a, b)
-                    assert d.transition_valid(0, a, b) == expected, (a, b)
+                    assert d.transition_valid(0, a, b) == expected == (b in succ), (a, b)
                     valid += expected
             for b in (C(*a.coords, 0), C(a.coords[0] + 1), C(*a.coords[:1])):
                 assert not d.transition_valid(0, a, b) and not arm_coordinate_rule(d, 0, a, b)
                 assert not d.transition_valid(0, b, a) and not d.transition_valid(0, b, b)
         assert blocked > 0 and 0 < valid < 49 * 5
+        assert valid == sum(len(d.successors(0, q)) for q in free_configurations(d, 0))
 
     def test_transition_valid_matches_base_rule_on_random_pairs(self):
         d = generate_instances("arm-quad", 1, seed=2024)[0].build_domain()
@@ -180,9 +186,11 @@ class TestArmSuccessors:
             for _ in range(300):
                 a = C(*(rng.randint(lo - 1, hi + 1) for lo, hi in limits))
                 b = C(*(c + rng.choice((-1, 0, 0, 1)) for c in a.coords))
+                free = d.in_bounds(agent, a) and d.is_static_free(agent, a)
+                succ = d.successors(agent, a) if free else []
                 for q in (b, C(*(rng.randint(lo, hi) for lo, hi in limits)), C(*b.coords[:-1])):
                     expected = arm_coordinate_rule(d, agent, a, q)
-                    assert d.transition_valid(agent, a, q) == expected, (agent, a, q)
+                    assert d.transition_valid(agent, a, q) == expected == (q in succ), (agent, a, q)
                     checked += expected
         assert checked > 0
 

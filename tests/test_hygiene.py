@@ -137,6 +137,33 @@ def unasked_interface_methods(sources):
     return sorted(out)
 
 
+def subclass_definitions(sources, base: str, name: str):
+    """(module, line, class) of each class of `sources` (module name ->
+    source) that derives from the class named `base`, directly or through
+    other classes of `sources`, and defines a method named `name`."""
+    classes = [
+        (module, node)
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    ]
+    derived = {base}
+    grown = True
+    while grown:
+        grown = False
+        for _, node in classes:
+            if node.name not in derived and any(isinstance(b, ast.Name) and b.id in derived for b in node.bases):
+                derived.add(node.name)
+                grown = True
+    return sorted(
+        (module, item.lineno, node.name)
+        for module, node in classes
+        if node.name != base and node.name in derived
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == name
+    )
+
+
 def module_uses(source: str, module: str, names):
     """(scope, line) of each use of `<module>.<name>` in `source` for a name
     in `names`: an attribute of the module (`json.dumps`) or a name imported
@@ -241,6 +268,34 @@ def test_unasked_interface_method_is_reported():
     assert unasked_interface_methods(sources) == [
         ("a.py", 3, "unasked"), ("a.py", 4, "recursive"), ("a.py", 6, "overridden"),
     ]
+
+
+def test_one_move_rule():
+    """Whether a -> b is a move is decided once, by `Domain.transition_valid`;
+    no domain restates it."""
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert subclass_definitions(sources, "Domain", "transition_valid") == []
+
+
+def test_move_rule_override_is_reported():
+    sources = {
+        "a.py": (
+            "class Domain:\n"
+            "    def transition_valid(self): ...\n"
+            "class Grid(Domain):\n"
+            "    def transition_valid(self): ...\n"
+            "class Arm(Domain):\n"
+            "    def successors(self): ...\n"
+        ),
+        "b.py": (
+            "class Wide(Arm):\n"
+            "    def other(self): ...\n"
+            "    def transition_valid(self): ...\n"
+            "class Unrelated:\n"
+            "    def transition_valid(self): ...\n"
+        ),
+    }
+    assert subclass_definitions(sources, "Domain", "transition_valid") == [("a.py", 4, "Grid"), ("b.py", 3, "Wide")]
 
 
 def test_unused_import_is_reported():
